@@ -99,15 +99,6 @@ class ArchDescriptor:
         )
 
 
-def default_arch(input_side: int, num_classes: int) -> ArchDescriptor:
-    """Three stride-2 blocks (8, 16, 32 filters) + GAP + dense head."""
-    return ArchDescriptor(
-        input_side=input_side,
-        num_classes=num_classes,
-        conv_blocks=[ConvBlock(8), ConvBlock(16), ConvBlock(32)],
-    )
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 15
@@ -388,30 +379,6 @@ def train(
         train_meta=train_meta,
     )
     return out, history
-
-
-# ---------------------------------------------------------------------------
-# Nearest-neighbor baseline
-# ---------------------------------------------------------------------------
-
-def knn_predict(train_set: PixelDataset, image: np.ndarray, k: int) -> int:
-    """Majority class among the k nearest training images (Euclidean on
-    flattened pixels); distance order and vote ties are deterministic.
-    """
-    if k < 1:
-        raise ParamError(f"k must be >= 1, got {k}")
-    if len(train_set) == 0:
-        raise EmptyDataset("knn_predict needs a nonempty train set")
-    q = np.asarray(image, dtype=np.float64).ravel()
-    flat = train_set.images.reshape(len(train_set), -1).astype(np.float64)
-    if flat.shape[1] != q.size:
-        raise ShapeError(f"query size {q.size}, train images {flat.shape[1]}")
-    d2 = ((flat - q) ** 2).sum(axis=1)
-    nearest = np.argsort(d2, kind="stable")[: min(k, d2.size)]
-    votes = np.bincount(
-        train_set.labels[nearest], minlength=train_set.num_classes
-    )
-    return int(np.argmax(votes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classifier as cls
 from . import ilt as ilt_mod
 from . import iip as iip_mod
@@ -205,15 +203,12 @@ class RunConfig:
             seed=self.seed + 3,
         )
 
-    def correction(
-        self, workers: int | None = None, region_filter=None
-    ) -> pipe.CorrectionConfig:
+    def correction(self, workers: int | None = None) -> pipe.CorrectionConfig:
         s = self.raw["correction"]
         return pipe.CorrectionConfig(
             tiling=self.tiling(),
             iip=self.iip(),
             workers=workers if workers is not None else int(s["workers"]),
-            region_filter=region_filter,
             cleanup=pipe.CleanupRules(
                 min_area=s["cleanup_min_area"], min_edge=s["cleanup_min_edge"]
             ),
@@ -282,28 +277,6 @@ def _ref_mask(cfg: RunConfig, pattern: layout_mod.LayoutPattern):
     target = pipe.deployment_raster(pattern, tiling)
     result = ilt_mod.optimize_mask(target, cfg.litho(), cfg.ilt())
     return target, result
-
-
-def _check_model_compat(model: cls.ModelParams, cfg: RunConfig) -> None:
-    """Refuse deployment when the model was trained on differently tiled
-    or differently classed data than the active config describes.
-    """
-    tiling = cfg.tiling()
-    current = {
-        "interaction_distance": tiling.interaction_distance,
-        "px_per_nm": tiling.px_per_nm,
-        "compression_factor": tiling.compression_factor,
-        "row_reducer": tiling.row_reducer,
-        "col_reducer": tiling.col_reducer,
-        "num_classes": cfg.raw["iip"]["num_classes"],
-    }
-    clashes = [
-        f"{key}: model trained with {model.train_meta[key]!r}, config has {val!r}"
-        for key, val in current.items()
-        if key in model.train_meta and model.train_meta[key] != val
-    ]
-    if clashes:
-        raise ConfigError("model/config mismatch; " + "; ".join(clashes))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +403,6 @@ def cmd_predict_map(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
-    _check_model_compat(model, cfg)
     ccfg = cfg.correction(workers=args.workers)
     iip_map = pipe.predict_map(model, p, ccfg)
     iip_mod.export_iip(iip_map, out / "iip.pgm", ccfg.iip.num_classes)
@@ -443,24 +415,14 @@ def cmd_correct(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
-    _check_model_compat(model, cfg)
     ccfg = cfg.correction(workers=args.workers)
-    iip_map = pipe.predict_map(model, p, ccfg)
-    iip_mod.export_iip(iip_map, out / "iip.pgm", ccfg.iip.num_classes)
-    thresholded = iip_mod.threshold_iip(iip_map, ccfg.iip.threshold)
-    write_graymap(thresholded, out / "threshold.pgm")
-    mask = pipe.cleanup(
-        layout_mod.vectorize(thresholded), ccfg.cleanup.min_area, ccfg.cleanup.min_edge
-    )
-    cleaned = (
-        layout_mod.rasterize(mask, thresholded.px_per_nm, thresholded.bbox_nm())
-        if not mask.is_empty
-        else thresholded.with_values(np.zeros_like(thresholded.values))
-    )
-    write_graymap(cleaned, out / "cleanup.pgm")
-    _write_pattern(mask, out / "mask.layout", cfg.px_per_nm)
+    result = pipe.correct(p, model, ccfg)
+    iip_mod.export_iip(result.iip_map, out / "iip.pgm", ccfg.iip.num_classes)
+    write_graymap(result.threshold, out / "threshold.pgm")
+    write_graymap(result.grid, out / "cleanup.pgm")
+    _write_pattern(result.pattern, out / "mask.layout", cfg.px_per_nm)
     print(
-        f"corrected mask: {len(mask.polygons)} polygons -> mask.layout "
+        f"corrected mask: {len(result.pattern.polygons)} polygons -> mask.layout "
         f"(stages: iip.pgm, threshold.pgm, cleanup.pgm)"
     )
     _echo_config(cfg, out, "correct")
@@ -471,24 +433,14 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
-    _check_model_compat(model, cfg)
     ccfg = cfg.correction(workers=args.workers)
+    # Correct first: a mismatched model fails before ILT's cost is paid.
+    corrected = pipe.correct(p, model, ccfg)
     target, result = _ref_mask(cfg, p)
     ref_iip = iip_mod.compute_iip(result.mask, ccfg.iip.iik)
-    pred_map = pipe.predict_map(model, p, ccfg)
-    cm = pipe.confusion_matrix(pred_map, ref_iip, ccfg.iip.num_classes)
+    cm = pipe.confusion_matrix(corrected.iip_map, ref_iip, ccfg.iip.num_classes)
     pipe.write_confusion_csv(cm, out / "confusion.csv")
-    thresholded = iip_mod.threshold_iip(pred_map, ccfg.iip.threshold)
-    mask_pattern = pipe.cleanup(
-        layout_mod.vectorize(thresholded), ccfg.cleanup.min_area, ccfg.cleanup.min_edge
-    )
-    bbox = thresholded.bbox_nm()
-    mask_grid = (
-        layout_mod.rasterize(mask_pattern, thresholded.px_per_nm, bbox)
-        if not mask_pattern.is_empty
-        else thresholded.with_values(np.zeros_like(thresholded.values))
-    )
-    score = pipe.iou(mask_grid, result.mask)
+    score = pipe.iou(corrected.grid, result.mask)
     metrics = {
         "iou_vs_reference": score,
         "class_accuracy": cm.accuracy(),
@@ -509,7 +461,6 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
-    _check_model_compat(model, cfg)
     counts = [int(x) for x in args.workers.split(",")]
     ccfg = cfg.correction(workers=1)
     report = pipe.bench_scaling(model, p, ccfg, counts, repeats=args.repeats)

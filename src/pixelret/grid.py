@@ -88,19 +88,6 @@ class RasterGrid:
         return h.hexdigest()
 
 
-def grids_equal(a: RasterGrid, b: RasterGrid) -> bool:
-    """Exact value equality on identically shaped grids."""
-    return a.shape == b.shape and bool(np.array_equal(a.values, b.values))
-
-
-def same_geometry(a: RasterGrid, b: RasterGrid) -> bool:
-    return (
-        a.shape == b.shape
-        and a.px_per_nm == b.px_per_nm
-        and a.origin == b.origin
-    )
-
-
 def write_graymap(grid: RasterGrid, path) -> None:
     """Write the grid as binary PGM; values are clipped to [0, 1] first."""
     v = np.clip(np.asarray(grid.values, dtype=np.float64), 0.0, 1.0)

@@ -8,24 +8,18 @@ summation and FFT) so one can check the other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import (
-    ChecksumError,
     DimMismatch,
-    FormatError,
     ParamError,
     RangeError,
     ResolutionMismatch,
 )
-from .grid import RasterGrid, read_graymap, sha256_bytes, write_graymap
-
-KERNEL_SIDECAR_VERSION = 1
+from .grid import RasterGrid, sha256_bytes
 
 
 @dataclass
@@ -200,61 +194,3 @@ def simulate_print(mask: RasterGrid, cfg: LithoConfig, kernel: Kernel | None = N
     """Aerial image then resist threshold in one step."""
     k = kernel if kernel is not None else cfg.kernel(mask.px_per_nm)
     return print_image(aerial_image(mask, k), cfg.resist_threshold)
-
-
-# ---------------------------------------------------------------------------
-# Kernel inspection export
-# ---------------------------------------------------------------------------
-
-def export_kernel(kernel: Kernel, path: str | Path) -> None:
-    """Write a kernel as a peak-normalized graymap plus a JSON sidecar
-    (<path>.json) holding the exact peak scale and resolution.
-
-    The graymap is 8-bit and therefore lossy; it is an inspection artifact,
-    not a storage format for computation.
-    """
-    path = Path(path)
-    peak = float(kernel.values.max())
-    if peak <= 0:
-        raise ParamError("cannot export an all-zero kernel")
-    g = RasterGrid(
-        kernel.side, kernel.side,
-        (-kernel.radius_px / kernel.px_per_nm, -kernel.radius_px / kernel.px_per_nm),
-        kernel.px_per_nm, kernel.values / peak,
-    )
-    write_graymap(g, path)
-    sidecar = {
-        "format": "kernel-graymap",
-        "version": KERNEL_SIDECAR_VERSION,
-        "px_per_nm": kernel.px_per_nm,
-        "side": kernel.side,
-        "peak": peak,
-        "payload_sha256": sha256_bytes(path.read_bytes()),
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def import_kernel(path: str | Path) -> Kernel:
-    """Rebuild a kernel from export_kernel output (8-bit precision)."""
-    path = Path(path)
-    try:
-        sidecar = json.loads(Path(str(path) + ".json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable kernel sidecar {path}.json: {exc}") from exc
-    if sidecar.get("format") != "kernel-graymap":
-        raise FormatError(f"{path}.json is not a kernel sidecar")
-    if sidecar.get("version") != KERNEL_SIDECAR_VERSION:
-        raise FormatError(f"unsupported kernel sidecar version {sidecar.get('version')}")
-    try:
-        px_per_nm = sidecar["px_per_nm"]
-        side = sidecar["side"]
-        peak = sidecar["peak"]
-        digest = sidecar["payload_sha256"]
-    except KeyError as exc:
-        raise FormatError(f"kernel sidecar missing field {exc}") from exc
-    if sha256_bytes(path.read_bytes()) != digest:
-        raise ChecksumError(f"kernel graymap {path} does not match its sidecar digest")
-    g = read_graymap(path, origin=(0.0, 0.0), px_per_nm=px_per_nm)
-    if g.width != side or g.height != side:
-        raise FormatError(f"kernel graymap is {g.width}x{g.height}, sidecar says {side}")
-    return Kernel(g.values * peak, px_per_nm)

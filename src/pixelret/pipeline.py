@@ -2,6 +2,10 @@
 reassemble the predicted IIP map, threshold and vectorize it into a mask
 pattern, enforce minimal geometry rules, and measure quality and scaling.
 
+Every entry point that runs a model (predict_map, recorrect, correct,
+bench_scaling) first checks it against the config, so a model trained on
+other tiling or classes is refused rather than deployed.
+
 Every pixel is predicted independently from its own window with a fixed
 batch size of one, so the assembled map is bitwise identical for any worker
 count and any chunking of the pixel list.
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import ModelParams, predict
-from .errors import CoordError, DimMismatch, ParamError, ShapeError
+from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from .grid import RasterGrid
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
 from .layout import (
@@ -31,21 +35,6 @@ from .layout import (
     vectorize,
 )
 from .tiling import TilingConfig, compress_window
-
-
-@dataclass
-class WorkChunk:
-    """Half-open index range [start, end) into the selected pixel list."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ParamError(f"bad chunk [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 @dataclass
@@ -63,7 +52,6 @@ class CorrectionConfig:
     tiling: TilingConfig
     iip: IipConfig
     workers: int = 1
-    region_filter: list[Bbox] | None = None
     cleanup: CleanupRules = field(default_factory=CleanupRules)
 
     def __post_init__(self):
@@ -108,6 +96,18 @@ class ConfusionMatrix:
 
 
 @dataclass
+class Correction:
+    """Every stage of one correction; all grids share the deployment
+    raster's geometry.
+    """
+
+    iip_map: IipMap
+    threshold: RasterGrid  # binary: 1 where iip_map exceeds the IIP threshold
+    pattern: LayoutPattern  # vectorized threshold grid after cleanup
+    grid: RasterGrid  # pattern re-rasterized (all zeros when empty)
+
+
+@dataclass
 class ScalingReport:
     rows: list[dict]  # workers, wall_seconds, speedup, efficiency
     consistent: bool
@@ -118,9 +118,9 @@ class ScalingReport:
 # Chunk planning
 # ---------------------------------------------------------------------------
 
-def plan_chunks(n_pixels: int, workers: int) -> list[WorkChunk]:
-    """Balanced contiguous partition; sizes differ by at most one and empty
-    chunks are omitted.
+def plan_chunks(n_pixels: int, workers: int) -> list[tuple[int, int]]:
+    """Balanced contiguous partition into half-open (start, end) ranges;
+    sizes differ by at most one and empty chunks are omitted.
     """
     if n_pixels < 0:
         raise ParamError(f"n_pixels must be >= 0, got {n_pixels}")
@@ -133,7 +133,7 @@ def plan_chunks(n_pixels: int, workers: int) -> list[WorkChunk]:
         size = base + (1 if i < extra else 0)
         if size == 0:
             continue
-        chunks.append(WorkChunk(pos, pos + size))
+        chunks.append((pos, pos + size))
         pos += size
     return chunks
 
@@ -172,11 +172,44 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
     return mask
 
 
-def _selected_flat(g: RasterGrid, region_filter: list[Bbox] | None) -> np.ndarray:
-    if region_filter is None:
-        return np.arange(g.width * g.height, dtype=np.int64)
-    mask = _bbox_pixel_mask(g, region_filter)
-    return np.nonzero(mask.ravel())[0]
+def _all_flat(g: RasterGrid) -> np.ndarray:
+    return np.arange(g.width * g.height, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Model/config compatibility
+# ---------------------------------------------------------------------------
+
+def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
+    """Refuse a model trained on differently tiled or differently classed
+    data than cfg describes (ConfigError naming each clash), or whose input
+    side or class count does not fit cfg (ShapeError).
+    """
+    tiling = cfg.tiling
+    current = {
+        "interaction_distance": tiling.interaction_distance,
+        "px_per_nm": tiling.px_per_nm,
+        "compression_factor": tiling.compression_factor,
+        "row_reducer": tiling.row_reducer,
+        "col_reducer": tiling.col_reducer,
+        "num_classes": cfg.iip.num_classes,
+    }
+    clashes = [
+        f"{key}: model trained with {m.train_meta[key]!r}, config has {val!r}"
+        for key, val in current.items()
+        if key in m.train_meta and m.train_meta[key] != val
+    ]
+    if clashes:
+        raise ConfigError("model/config mismatch; " + "; ".join(clashes))
+    if m.arch.input_side != tiling.output_side:
+        raise ShapeError(
+            f"model input {m.arch.input_side}px, tiling output "
+            f"{tiling.output_side}px"
+        )
+    if m.arch.num_classes != cfg.iip.num_classes:
+        raise ShapeError(
+            f"model has {m.arch.num_classes} classes, config {cfg.iip.num_classes}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +269,7 @@ def _infer(
         width=raster.width,
     )
     try:
-        chunks = plan_chunks(sel_flat.size, workers)
-        ranges = [(c.start, c.end) for c in chunks]
+        ranges = plan_chunks(sel_flat.size, workers)
         if workers == 1 or len(ranges) <= 1:
             parts = [_infer_range(r) for r in ranges]
         else:
@@ -250,26 +282,15 @@ def _infer(
 
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
-    """Predicted IIP map over the deployment raster.
-
-    Pixels outside cfg.region_filter (when given) stay 0.  The output is
-    bitwise independent of cfg.workers.
+    """Predicted IIP map over the deployment raster; bitwise independent of
+    cfg.workers.
     """
-    if m.arch.input_side != cfg.tiling.output_side:
-        raise ShapeError(
-            f"model input {m.arch.input_side}px, tiling output "
-            f"{cfg.tiling.output_side}px"
-        )
-    if m.arch.num_classes != cfg.iip.num_classes:
-        raise ShapeError(
-            f"model has {m.arch.num_classes} classes, config {cfg.iip.num_classes}"
-        )
+    _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
-    sel_flat = _selected_flat(raster, cfg.region_filter)
-    values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)
-    flat = np.zeros(raster.width * raster.height, dtype=np.float64)
-    flat[sel_flat] = values
-    grid = raster.with_values(flat.reshape(raster.height, raster.width))
+    values = _infer(
+        m, raster, _all_flat(raster), cfg.tiling, cfg.iip.num_classes, cfg.workers
+    )
+    grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
         source_mask_checksum=target.checksum(),
@@ -288,16 +309,12 @@ def recorrect(
     splice the new values into a copy of the prior map; everything outside
     is bitwise untouched.
     """
+    _check_model(m2, cfg)
     if not region:
         return IipMap(
             grid=prior.grid.copy(),
             source_mask_checksum=prior.source_mask_checksum,
             iik_checksum=prior.iik_checksum,
-        )
-    if m2.arch.input_side != cfg.tiling.output_side:
-        raise ShapeError(
-            f"model input {m2.arch.input_side}px, tiling output "
-            f"{cfg.tiling.output_side}px"
         )
     raster = deployment_raster(target, cfg.tiling)
     if raster.shape != prior.grid.shape:
@@ -305,7 +322,7 @@ def recorrect(
             f"prior map {prior.grid.shape} does not match deployment raster "
             f"{raster.shape}"
         )
-    sel_flat = _selected_flat(raster, region)
+    sel_flat = np.nonzero(_bbox_pixel_mask(raster, region).ravel())[0]
     values = _infer(m2, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)
     flat = prior.grid.values.copy().ravel()
     flat[sel_flat] = values
@@ -332,13 +349,19 @@ def cleanup(p: LayoutPattern, min_area: float, min_edge: float) -> LayoutPattern
     return LayoutPattern(keep, p.layer)
 
 
-def correct(target: LayoutPattern, m: ModelParams, cfg: CorrectionConfig) -> LayoutPattern:
-    """Predict the IIP map, threshold it, vectorize, and clean up: the
-    corrected photomask pattern for the target.
+def correct(target: LayoutPattern, m: ModelParams, cfg: CorrectionConfig) -> Correction:
+    """Predict the IIP map, threshold it, vectorize, clean up, and
+    re-rasterize the cleaned pattern on the map's grid.
     """
     iip_map = predict_map(m, target, cfg)
     mask = threshold_iip(iip_map, cfg.iip.threshold)
-    return cleanup(vectorize(mask), cfg.cleanup.min_area, cfg.cleanup.min_edge)
+    pattern = cleanup(vectorize(mask), cfg.cleanup.min_area, cfg.cleanup.min_edge)
+    grid = (
+        rasterize(pattern, mask.px_per_nm, mask.bbox_nm())
+        if not pattern.is_empty
+        else mask.with_values(np.zeros_like(mask.values))
+    )
+    return Correction(iip_map, mask, pattern, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +420,9 @@ def bench_scaling(
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
+    _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
-    sel_flat = _selected_flat(raster, cfg.region_filter)
+    sel_flat = _all_flat(raster)
     if sel_flat.size < 10_000:
         raise ParamError(
             f"benchmark workload has {sel_flat.size} pixels; need >= 10000"

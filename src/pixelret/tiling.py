@@ -80,13 +80,6 @@ class TilingConfig:
 
 
 @dataclass
-class PixelSample:
-    image: np.ndarray = field(repr=False)  # (side, side) float32 in [0, 1]
-    label: int
-    coord: tuple[int, int]  # (x, y) pixel index in the source grid
-
-
-@dataclass
 class PixelDataset:
     """Column-oriented sample store: images, labels, coords, split codes.
 
@@ -123,13 +116,6 @@ class PixelDataset:
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
-
-    def __getitem__(self, i: int) -> PixelSample:
-        return PixelSample(
-            image=self.images[i],
-            label=int(self.labels[i]),
-            coord=(int(self.coords[i, 0]), int(self.coords[i, 1])),
-        )
 
     @property
     def image_side(self) -> int:
@@ -446,12 +432,3 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
     if labels.shape != (n,) or splits.shape != (n,):
         raise FormatError("payload size inconsistent with meta")
     return PixelDataset(images, labels, coords, splits, meta)
-
-
-def datasets_equal(a: PixelDataset, b: PixelDataset) -> bool:
-    return (
-        np.array_equal(a.images, b.images)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.coords, b.coords)
-        and np.array_equal(a.splits, b.splits)
-    )

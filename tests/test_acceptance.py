@@ -36,7 +36,6 @@ from pixelret.iip import (
     export_iip,
     import_iip,
     make_iik,
-    threshold_iip,
 )
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask
 from pixelret.layout import (
@@ -44,7 +43,6 @@ from pixelret.layout import (
     generate_test_pattern,
     parse_layout,
     rasterize,
-    vectorize,
     write_layout,
 )
 from pixelret.litho import LithoConfig, aerial_image, convolve_direct, convolve_fft, print_image
@@ -52,8 +50,8 @@ from pixelret.pipeline import (
     CleanupRules,
     CorrectionConfig,
     bench_scaling,
-    cleanup,
     confusion_matrix,
+    correct,
     deployment_raster,
     iou,
     predict_map,
@@ -460,17 +458,8 @@ def test_criterion_07_case_study(toy_cfg, toy_ilt, toy_dataset, toy_model):
     ious = {}
     for name in UNSEEN_WIDTHS:
         item = toy_ilt[name]
-        pred_map = predict_map(model, item.pattern, ccfg)
-        thresholded = threshold_iip(pred_map, ccfg.iip.threshold)
-        mask_pattern = cleanup(
-            vectorize(thresholded), ccfg.cleanup.min_area, ccfg.cleanup.min_edge
-        )
-        mask_grid = (
-            rasterize(mask_pattern, thresholded.px_per_nm, thresholded.bbox_nm())
-            if not mask_pattern.is_empty
-            else thresholded.with_values(np.zeros_like(thresholded.values))
-        )
-        ious[name] = iou(mask_grid, item.result.mask)
+        corrected = correct(item.pattern, model, ccfg)
+        ious[name] = iou(corrected.grid, item.result.mask)
         if ious[name] < 0.75:
             failures.append(f"{name}: IoU vs ILT reference {ious[name]:.3f} < 0.75")
 
@@ -497,7 +486,7 @@ def test_criterion_07_case_study(toy_cfg, toy_ilt, toy_dataset, toy_model):
 # 8. Determinism and consistency
 # ---------------------------------------------------------------------------
 
-def _small_correction(workers=1, region_filter=None):
+def _small_correction(workers=1):
     tiling = TilingConfig(
         interaction_distance=8.0, px_per_nm=1.0, compression_factor=2,
         row_reducer="mean", col_reducer="mean",
@@ -507,7 +496,6 @@ def _small_correction(workers=1, region_filter=None):
         tiling=tiling,
         iip=IipConfig(num_classes=5, iik=iik, threshold=0.5),
         workers=workers,
-        region_filter=region_filter,
         cleanup=CleanupRules(),
     )
 

@@ -6,10 +6,8 @@ from pixelret.classifier import (
     ConvBlock,
     ModelParams,
     TrainConfig,
-    default_arch,
     forward,
     init_model,
-    knn_predict,
     load_model,
     predict,
     predict_batch,
@@ -19,7 +17,6 @@ from pixelret.classifier import (
 from pixelret.errors import (
     ArchError,
     ChecksumError,
-    EmptyDataset,
     FormatError,
     ParamError,
     ShapeError,
@@ -81,14 +78,8 @@ class TestArchValidation:
             ArchDescriptor(8, 5, [ConvBlock(4), ConvBlock(8), ConvBlock(16)])
 
     def test_feature_sides(self):
-        a = default_arch(50, 20)
+        a = ArchDescriptor(50, 20, [ConvBlock(8), ConvBlock(16), ConvBlock(32)])
         assert a.feature_sides == [50, 24, 11, 5]
-
-    def test_default_arch_shape(self):
-        a = default_arch(200, 100)
-        assert [b.filters for b in a.conv_blocks] == [8, 16, 32]
-        assert all(b.stride == 2 for b in a.conv_blocks)
-        assert a.pool == "global_average"
 
     def test_dict_roundtrip(self):
         a = tiny_arch()
@@ -210,38 +201,6 @@ class TestTraining:
         m = init_model(tiny_arch(input_side=10), seed=0)
         with pytest.raises(ShapeError):
             train(m, ds, TrainConfig(epochs=1))
-
-
-class TestKnn:
-    def test_exact_match(self):
-        ds = tiny_dataset()
-        i = 3
-        assert knn_predict(ds, ds.images[i], k=1) == int(ds.labels[i])
-
-    def test_vote_tie_lowest_class(self):
-        ds = tiny_dataset()
-        # find two samples of different classes, query midway between them
-        a = 0
-        b = next(i for i in range(len(ds)) if ds.labels[i] != ds.labels[a])
-        mid = (ds.images[a].astype(np.float64) + ds.images[b]) / 2.0
-        got = knn_predict(ds.subset(np.array([a, b])), mid, k=2)
-        assert got == min(int(ds.labels[a]), int(ds.labels[b]))
-
-    def test_bad_k(self):
-        ds = tiny_dataset()
-        with pytest.raises(ParamError):
-            knn_predict(ds, ds.images[0], k=0)
-
-    def test_empty_train_set(self):
-        ds = tiny_dataset()
-        empty = ds.subset(np.array([], dtype=np.int64))
-        with pytest.raises(EmptyDataset):
-            knn_predict(empty, ds.images[0], k=1)
-
-    def test_query_size_mismatch(self, rng):
-        ds = tiny_dataset()
-        with pytest.raises(ShapeError):
-            knn_predict(ds, rng.random((9, 9)), k=1)
 
 
 class TestModelIO:

@@ -4,9 +4,7 @@ import pytest
 from pixelret.errors import DimMismatch, FormatError, RangeError
 from pixelret.grid import (
     RasterGrid,
-    grids_equal,
     read_graymap,
-    same_geometry,
     write_graymap,
 )
 
@@ -47,15 +45,6 @@ class TestRasterGrid:
         assert a.checksum() != b.checksum()
         assert a.checksum() != c.checksum()
 
-    def test_equality_helpers(self, grid_factory):
-        a = grid_factory([[0, 1], [1, 0]])
-        b = grid_factory([[0, 1], [1, 0]])
-        c = grid_factory([[0, 1], [1, 1]], px_per_nm=2.0)
-        assert grids_equal(a, b)
-        assert same_geometry(a, b)
-        assert not same_geometry(a, c)
-        assert not grids_equal(a, c)
-
 
 class TestGraymapIO:
     def test_binary_roundtrip(self, tmp_path, grid_factory, rng):
@@ -63,8 +52,8 @@ class TestGraymapIO:
         path = tmp_path / "m.pgm"
         write_graymap(g, path)
         h = read_graymap(path, origin=g.origin, px_per_nm=g.px_per_nm)
-        assert grids_equal(g, h)
-        assert same_geometry(g, h)
+        assert np.array_equal(g.values, h.values)
+        assert (h.shape, h.origin, h.px_per_nm) == (g.shape, g.origin, g.px_per_nm)
 
     def test_quantization_rule(self, tmp_path, grid_factory):
         g = grid_factory([[0.0, 0.4, 1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pixelret.classifier import ArchDescriptor, ConvBlock, init_model
-from pixelret.errors import CoordError, DimMismatch, ParamError, ShapeError
+from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid
 from pixelret.iip import IipConfig, class_value, make_iik, threshold_iip
 from pixelret.layout import LayoutPattern, rasterize
@@ -10,7 +10,6 @@ from pixelret.pipeline import (
     CleanupRules,
     ConfusionMatrix,
     CorrectionConfig,
-    WorkChunk,
     bench_scaling,
     cleanup,
     confusion_matrix,
@@ -30,7 +29,7 @@ def rect(x0, y0, x1, y1):
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
-def toy_cfg(workers=1, region_filter=None, **cleanup_kw):
+def toy_cfg(workers=1, **cleanup_kw):
     tiling = TilingConfig(
         interaction_distance=8.0, px_per_nm=1.0, compression_factor=2,
         row_reducer="mean", col_reducer="mean",
@@ -40,7 +39,6 @@ def toy_cfg(workers=1, region_filter=None, **cleanup_kw):
         tiling=tiling,
         iip=IipConfig(num_classes=5, iik=iik, threshold=0.5),
         workers=workers,
-        region_filter=region_filter,
         cleanup=CleanupRules(**cleanup_kw),
     )
 
@@ -65,14 +63,10 @@ PATTERN = LayoutPattern([rect(8, 8, 24, 24)])
 
 class TestPlanChunks:
     def test_ten_over_three(self):
-        chunks = plan_chunks(10, 3)
-        assert [(c.start, c.end) for c in chunks] == [(0, 4), (4, 7), (7, 10)]
+        assert plan_chunks(10, 3) == [(0, 4), (4, 7), (7, 10)]
 
     def test_more_workers_than_pixels(self):
-        chunks = plan_chunks(5, 8)
-        assert [(c.start, c.end) for c in chunks] == [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)
-        ]
+        assert plan_chunks(5, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     def test_zero_pixels(self):
         assert plan_chunks(0, 4) == []
@@ -82,11 +76,11 @@ class TestPlanChunks:
             n = int(rng.integers(1, 500))
             w = int(rng.integers(1, 17))
             chunks = plan_chunks(n, w)
-            assert chunks[0].start == 0
-            assert chunks[-1].end == n
+            assert chunks[0][0] == 0
+            assert chunks[-1][1] == n
             for a, b in zip(chunks, chunks[1:]):
-                assert a.end == b.start
-            sizes = [len(c) for c in chunks]
+                assert a[1] == b[0]
+            sizes = [end - start for start, end in chunks]
             assert max(sizes) - min(sizes) <= 1
 
     def test_bad_args(self):
@@ -94,8 +88,6 @@ class TestPlanChunks:
             plan_chunks(-1, 2)
         with pytest.raises(ParamError):
             plan_chunks(5, 0)
-        with pytest.raises(ParamError):
-            WorkChunk(3, 2)
 
 
 class TestConfigs:
@@ -123,25 +115,6 @@ class TestPredictMap:
         assert np.array_equal(a.grid.values, b.grid.values)
         assert np.array_equal(a.grid.values, c.grid.values)
 
-    def test_region_filter_zeros_outside(self):
-        m = toy_model()
-        full = predict_map(m, PATTERN, toy_cfg())
-        g = full.grid
-        x0, y0, x1, y1 = g.bbox_nm()
-        xm = (x0 + x1) / 2.0
-        part = predict_map(m, PATTERN, toy_cfg(region_filter=[(x0, y0, xm, y1)]))
-        inside = part.grid.values[:, : part.grid.width // 2]
-        outside = part.grid.values[:, part.grid.width // 2 + 1 :]
-        assert np.array_equal(inside, full.grid.values[:, : g.width // 2])
-        assert np.all(outside == 0.0)
-
-    def test_region_outside_grid_rejected(self):
-        m = toy_model()
-        with pytest.raises(CoordError):
-            predict_map(m, PATTERN, toy_cfg(region_filter=[(-500, 0, -400, 10)]))
-        with pytest.raises(CoordError):
-            predict_map(m, PATTERN, toy_cfg(region_filter=[(5, 5, 5, 10)]))
-
     def test_translation_consistency(self):
         m = toy_model()
         moved = LayoutPattern([rect(8 + 4, 8 + 4, 24 + 4, 24 + 4)])
@@ -160,6 +133,16 @@ class TestPredictMap:
         bad_classes = toy_model(num_classes=7)
         with pytest.raises(ShapeError):
             predict_map(bad_classes, PATTERN, toy_cfg())
+
+    def test_trained_with_other_tiling_rejected(self):
+        # A model trained with other reducers is refused, not deployed.
+        m = toy_model()
+        prior = predict_map(m, PATTERN, toy_cfg())
+        m.train_meta["col_reducer"] = "max"
+        with pytest.raises(ConfigError, match="col_reducer"):
+            predict_map(m, PATTERN, toy_cfg())
+        with pytest.raises(ConfigError, match="col_reducer"):
+            recorrect(prior, PATTERN, [prior.grid.bbox_nm()], m, toy_cfg())
 
     def test_deployment_raster_margin(self):
         g = deployment_raster(PATTERN, toy_cfg().tiling)
@@ -206,6 +189,23 @@ class TestRecorrect:
         with pytest.raises(CoordError):
             recorrect(prior, other, [box], m, toy_cfg())
 
+    def test_region_outside_grid_rejected(self):
+        m = toy_model()
+        prior = predict_map(m, PATTERN, toy_cfg())
+        with pytest.raises(CoordError):
+            recorrect(prior, PATTERN, [(-500, 0, -400, 10)], m, toy_cfg())
+        with pytest.raises(CoordError):
+            recorrect(prior, PATTERN, [(5, 5, 5, 10)], m, toy_cfg())
+
+    def test_class_count_mismatch(self):
+        # Fewer classes would write wrong class values, more would index
+        # past the class-value table; both must be refused up front.
+        prior = predict_map(toy_model(), PATTERN, toy_cfg())
+        box = prior.grid.bbox_nm()
+        for num_classes in (3, 7):
+            with pytest.raises(ShapeError):
+                recorrect(prior, PATTERN, [box], toy_model(num_classes), toy_cfg())
+
 
 class TestCleanup:
     def test_area_floor(self):
@@ -237,26 +237,38 @@ class TestCorrect:
     def test_zero_model_yields_empty_pattern(self):
         # uniform value 0.1 never exceeds the 0.5 threshold
         out = correct(PATTERN, zero_model(), toy_cfg())
-        assert out.polygons == []
+        assert out.pattern.polygons == []
 
     def test_returns_cleaned_pattern(self):
         m = toy_model()
         out = correct(PATTERN, m, toy_cfg(min_area=2.0))
         from pixelret.layout import polygon_area
 
-        for poly in out.polygons:
+        for poly in out.pattern.polygons:
             assert polygon_area(poly) >= 2.0
 
     def test_matches_manual_chain(self):
-        m = toy_model()
-        cfg = toy_cfg(min_area=2.0)
-        manual_map = predict_map(m, PATTERN, cfg)
-        manual_mask = threshold_iip(manual_map, cfg.iip.threshold)
         from pixelret.layout import vectorize
 
-        expect = cleanup(vectorize(manual_mask), 2.0, 0.0)
-        got = correct(PATTERN, m, cfg)
-        assert got.checksum() == expect.checksum()
+        cfg = toy_cfg(min_area=2.0)
+        empty = []
+        for m in (toy_model(), zero_model()):
+            manual_map = predict_map(m, PATTERN, cfg)
+            manual_mask = threshold_iip(manual_map, cfg.iip.threshold)
+            expect = cleanup(vectorize(manual_mask), 2.0, 0.0)
+            if expect.is_empty:
+                expect_grid = manual_mask.with_values(np.zeros_like(manual_mask.values))
+            else:
+                expect_grid = rasterize(
+                    expect, manual_mask.px_per_nm, manual_mask.bbox_nm()
+                )
+            got = correct(PATTERN, m, cfg)
+            assert got.iip_map.grid.checksum() == manual_map.grid.checksum()
+            assert got.threshold.checksum() == manual_mask.checksum()
+            assert got.pattern.checksum() == expect.checksum()
+            assert got.grid.checksum() == expect_grid.checksum()
+            empty.append(expect.is_empty)
+        assert empty == [False, True]
 
 
 class TestConfusion:

@@ -16,7 +16,6 @@ from pixelret.tiling import (
     TilingConfig,
     build_dataset,
     compress_window,
-    datasets_equal,
     extract_window,
     load_dataset,
     merge_datasets,
@@ -199,12 +198,13 @@ class TestBuildDataset:
     def test_deterministic(self):
         a, _ = build_small(seed=3)
         b, _ = build_small(seed=3)
-        assert datasets_equal(a, b)
+        for name in ("images", "labels", "coords", "splits"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_selection(self):
         a, _ = build_small(seed=1, cap=10)
         b, _ = build_small(seed=2, cap=10)
-        assert not datasets_equal(a, b)
+        assert not np.array_equal(a.coords, b.coords)
 
     def test_resolution_mismatch(self, grid_factory):
         pattern = LayoutPattern([rect(8, 8, 24, 24)])
@@ -281,7 +281,8 @@ class TestDatasetIO:
         ds = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
-        assert datasets_equal(ds, back)
+        for name in ("images", "labels", "coords", "splits"):
+            assert np.array_equal(getattr(ds, name), getattr(back, name))
         # loader records payload checksums on top of the saved meta
         for k, v in ds.meta.items():
             assert back.meta[k] == v
@@ -330,9 +331,3 @@ class TestPixelDataset:
         splits = np.concatenate([ds.splits, ds.splits[:1]])
         with pytest.raises(FormatError):
             PixelDataset(images, labels, coords, splits, dict(ds.meta))
-
-    def test_getitem(self):
-        ds, _ = build_small(cap=10)
-        s = ds[0]
-        assert s.image.shape == (8, 8)
-        assert s.coord == (int(ds.coords[0, 0]), int(ds.coords[0, 1]))
