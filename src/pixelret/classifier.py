@@ -24,10 +24,11 @@ from .errors import (
     ShapeError,
 )
 from .grid import sha256_bytes
-from .tiling import PixelDataset
+from .tiling import PROVENANCE_KEYS, PixelDataset
 
 MODEL_FORMAT_VERSION = 1
 MOMENTUM = 0.9
+PREDICT_BATCH = 256
 
 
 @dataclass
@@ -194,7 +195,11 @@ def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) 
 
 
 def _forward_batch(m: ModelParams, images: np.ndarray, keep_cache: bool = False):
-    """images: (n, side, side) float32 -> (logits float32, cache)."""
+    """images: (n, side, side) float32 -> (logits float32, cache).
+
+    Every op runs per sample, so a sample's logits are bitwise the same in
+    any batch; a single (n, F) @ (F, C) product would not be.
+    """
     arch = m.arch
     x = images[:, None, :, :]
     cache = []
@@ -207,7 +212,7 @@ def _forward_batch(m: ModelParams, images: np.ndarray, keep_cache: bool = False)
             cache.append((x.shape, cols, z, oh, ow))
         x = a.reshape(x.shape[0], b.filters, oh, ow)
     gap = x.mean(axis=(2, 3))
-    logits = gap @ m.weights["dense_w"].T + m.weights["dense_b"]
+    logits = np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
     if keep_cache:
         return logits, (cache, gap, x.shape)
     return logits, None
@@ -220,26 +225,17 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(m: ModelParams, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single image -> (probs, logits); probs sum to 1 within 1e-6."""
-    img = np.asarray(image)
-    if img.shape != (m.arch.input_side, m.arch.input_side):
-        raise ShapeError(
-            f"image {img.shape}, model expects "
-            f"({m.arch.input_side}, {m.arch.input_side})"
-        )
-    logits, _ = _forward_batch(m, img.astype(np.float32)[None])
-    return _softmax64(logits)[0], logits[0]
-
-
 def predict(m: ModelParams, image: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lower class index."""
-    probs, _ = forward(m, image)
-    return int(np.argmax(probs))
+    """Argmax class of one image; ties resolve to the lower class index."""
+    return int(predict_batch(m, np.asarray(image)[None])[0])
 
 
-def predict_batch(m: ModelParams, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Vectorized argmax prediction for evaluation loops."""
+def predict_batch(
+    m: ModelParams, images: np.ndarray, batch_size: int = PREDICT_BATCH
+) -> np.ndarray:
+    """Argmax class per image; ties resolve to the lower class index and the
+    result does not depend on batch_size.
+    """
     imgs = np.asarray(images, dtype=np.float32)
     if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2] or imgs.shape[1] != m.arch.input_side:
         raise ShapeError(f"images {imgs.shape} incompatible with model")
@@ -362,14 +358,7 @@ def train(
     }
     # Carry the window geometry the model was trained on, so deployment can
     # detect a mismatched tiling config instead of silently degrading.
-    for key in (
-        "interaction_distance",
-        "px_per_nm",
-        "compression_factor",
-        "row_reducer",
-        "col_reducer",
-        "num_classes",
-    ):
+    for key in PROVENANCE_KEYS:
         if key in d.meta:
             train_meta[key] = d.meta[key]
     out = ModelParams(

@@ -24,7 +24,7 @@ from . import layout as layout_mod
 from . import litho as litho_mod
 from . import pipeline as pipe
 from . import tiling as tiling_mod
-from .errors import ConfigError, PixelretError
+from .errors import ConfigError, FormatError, PixelretError
 from .grid import write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
@@ -261,7 +261,11 @@ def _outdir(args) -> Path:
 
 
 def _read_pattern(path: str) -> layout_mod.LayoutPattern:
-    return layout_mod.parse_layout(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise FormatError(f"cannot read layout file {path}: {e}") from None
+    return layout_mod.parse_layout(text)
 
 
 def _write_pattern(p: layout_mod.LayoutPattern, path: Path, px_per_nm: float) -> None:
@@ -272,11 +276,9 @@ def _write_pattern(p: layout_mod.LayoutPattern, path: Path, px_per_nm: float) ->
     path.write_text(layout_mod.write_layout(p))
 
 
-def _ref_mask(cfg: RunConfig, pattern: layout_mod.LayoutPattern):
-    tiling = cfg.tiling()
-    target = pipe.deployment_raster(pattern, tiling)
-    result = ilt_mod.optimize_mask(target, cfg.litho(), cfg.ilt())
-    return target, result
+def _ref_mask(cfg: RunConfig, pattern: layout_mod.LayoutPattern) -> ilt_mod.IltResult:
+    target = pipe.deployment_raster(pattern, cfg.tiling())
+    return ilt_mod.optimize_mask(target, cfg.litho(), cfg.ilt())
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 def cmd_ilt(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
-    target, result = _ref_mask(cfg, p)
+    result = _ref_mask(cfg, p)
     write_graymap(result.mask, out / "ref_mask.pgm")
     ilt_mod.save_loss_history(result, out / "loss.csv")
     _write_pattern(layout_mod.vectorize(result.mask), out / "ref_mask.layout", cfg.px_per_nm)
@@ -355,7 +357,7 @@ def cmd_prep_data(args, cfg: RunConfig) -> int:
     parts = []
     for path in args.layouts:
         p = _read_pattern(path)
-        target, result = _ref_mask(cfg, p)
+        result = _ref_mask(cfg, p)
         ds = tiling_mod.build_dataset(
             p,
             result.mask,
@@ -436,7 +438,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     ccfg = cfg.correction(workers=args.workers)
     # Correct first: a mismatched model fails before ILT's cost is paid.
     corrected = pipe.correct(p, model, ccfg)
-    target, result = _ref_mask(cfg, p)
+    result = _ref_mask(cfg, p)
     ref_iip = iip_mod.compute_iip(result.mask, ccfg.iip.iik)
     cm = pipe.confusion_matrix(corrected.iip_map, ref_iip, ccfg.iip.num_classes)
     pipe.write_confusion_csv(cm, out / "confusion.csv")
@@ -461,9 +463,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
-    counts = [int(x) for x in args.workers.split(",")]
     ccfg = cfg.correction(workers=1)
-    report = pipe.bench_scaling(model, p, ccfg, counts, repeats=args.repeats)
+    report = pipe.bench_scaling(model, p, ccfg, args.workers, repeats=args.repeats)
     pipe.write_scaling_csv(report, out / "scaling.csv")
     for row in report.rows:
         print(
@@ -478,6 +479,11 @@ def cmd_bench(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; argparse turns a ValueError into exit 2."""
+    return [int(x) for x in text.split(",")]
+
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; fields override defaults")
@@ -555,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--layout", required=True)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--workers", default="1,2,4", help="comma-separated counts, first must be 1")
+    sp.add_argument("--workers", type=int_list, default="1,2,4",
+                    help="comma-separated counts, first must be 1")
     sp.add_argument("--repeats", type=int, default=3)
     sp.set_defaults(func=cmd_bench)
 

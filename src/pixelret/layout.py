@@ -159,11 +159,6 @@ class LayoutPattern:
         payload = repr((self.layer, [[(v[0], v[1]) for v in p] for p in self.polygons]))
         return sha256_bytes(payload.encode())
 
-    def translated(self, dx: float, dy: float) -> "LayoutPattern":
-        return LayoutPattern(
-            [[(x + dx, y + dy) for x, y in p] for p in self.polygons], self.layer
-        )
-
 
 def snap_pattern(p: LayoutPattern, step: float = 1.0) -> LayoutPattern:
     """Round every vertex to the nearest multiple of ``step`` nm.

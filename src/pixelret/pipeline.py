@@ -1,14 +1,16 @@
-"""Full-pattern correction: distribute per-pixel inference over workers,
-reassemble the predicted IIP map, threshold and vectorize it into a mask
-pattern, enforce minimal geometry rules, and measure quality and scaling.
+"""Full-pattern correction: classify every pixel's compressed window with
+the CNN, split over forked workers, reassemble the predicted IIP map,
+threshold and vectorize it into a mask pattern, enforce minimal geometry
+rules, and measure quality and scaling.
 
 Every entry point that runs a model (predict_map, recorrect, correct,
 bench_scaling) first checks it against the config, so a model trained on
 other tiling or classes is refused rather than deployed.
 
-Every pixel is predicted independently from its own window with a fixed
-batch size of one, so the assembled map is bitwise identical for any worker
-count and any chunking of the pixel list.
+Each worker gets its model, raster, pixel chunk and tiling as arguments and
+classifies the chunk in batches.  Window compression and every CNN op work
+on each pixel alone, with no sum across pixels, so the assembled map is
+bitwise identical for any worker count, chunking or batch size.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ModelParams, predict
+from .classifier import PREDICT_BATCH, ModelParams, predict_batch
 from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from .grid import RasterGrid
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
@@ -34,7 +36,7 @@ from .layout import (
     rasterize,
     vectorize,
 )
-from .tiling import TilingConfig, compress_window
+from .tiling import TilingConfig, compressed_windows, provenance
 
 
 @dataclass
@@ -186,14 +188,7 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
     side or class count does not fit cfg (ShapeError).
     """
     tiling = cfg.tiling
-    current = {
-        "interaction_distance": tiling.interaction_distance,
-        "px_per_nm": tiling.px_per_nm,
-        "compression_factor": tiling.compression_factor,
-        "row_reducer": tiling.row_reducer,
-        "col_reducer": tiling.col_reducer,
-        "num_classes": cfg.iip.num_classes,
-    }
+    current = provenance(tiling, cfg.iip.num_classes)
     clashes = [
         f"{key}: model trained with {m.train_meta[key]!r}, config has {val!r}"
         for key, val in current.items()
@@ -213,39 +208,22 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-pixel inference
+# Inference
 # ---------------------------------------------------------------------------
 
-# Read-only state inherited by forked workers.
-_SHARED: dict = {}
-
-
-def _pad_raster(g: RasterGrid, tiling: TilingConfig) -> np.ndarray:
-    r = tiling.window_radius
-    padded = np.zeros((g.height + 2 * r, g.width + 2 * r), dtype=np.float32)
-    padded[r : r + g.height, r : r + g.width] = g.values
-    return padded
-
-
-def _infer_range(args: tuple[int, int]) -> np.ndarray:
-    """Predict class values for sel_flat[start:end]; one pixel at a time so
-    results do not depend on how the range was cut.
+def _infer_chunk(
+    args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
+) -> np.ndarray:
+    """Class values of the raster pixels with the given flat indices,
+    PREDICT_BATCH windows at a time.
     """
-    start, end = args
-    padded = _SHARED["padded"]
-    sel = _SHARED["sel_flat"]
-    tiling: TilingConfig = _SHARED["tiling"]
-    model: ModelParams = _SHARED["model"]
-    lut = _SHARED["class_values"]
-    width = _SHARED["width"]
-    side = tiling.window_side
-    out = np.empty(end - start, dtype=np.float64)
-    for j in range(start, end):
-        flat = sel[j]
-        y, x = divmod(int(flat), width)
-        window = padded[y : y + side, x : x + side]
-        img = compress_window(window, tiling)
-        out[j - start] = lut[predict(model, img)]
+    m, raster, flat, tiling, class_values = args
+    out = np.empty(flat.size, dtype=np.float64)
+    for start in range(0, flat.size, PREDICT_BATCH):
+        part = flat[start : start + PREDICT_BATCH]
+        coords = np.stack([part % raster.width, part // raster.width], axis=1)
+        images = compressed_windows(raster, coords, tiling)
+        out[start : start + part.size] = class_values[predict_batch(m, images)]
     return out
 
 
@@ -257,28 +235,19 @@ def _infer(
     num_classes: int,
     workers: int,
 ) -> np.ndarray:
-    _SHARED.clear()
-    _SHARED.update(
-        padded=_pad_raster(raster, tiling),
-        sel_flat=sel_flat,
-        tiling=tiling,
-        model=m,
-        class_values=np.array(
-            [class_value(c, num_classes) for c in range(num_classes)]
-        ),
-        width=raster.width,
-    )
-    try:
-        ranges = plan_chunks(sel_flat.size, workers)
-        if workers == 1 or len(ranges) <= 1:
-            parts = [_infer_range(r) for r in ranges]
-        else:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=min(workers, len(ranges))) as pool:
-                parts = pool.map(_infer_range, ranges, chunksize=1)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-    finally:
-        _SHARED.clear()
+    class_values = np.array([class_value(c, num_classes) for c in range(num_classes)])
+    tasks = [
+        (m, raster, sel_flat[start:end], tiling, class_values)
+        for start, end in plan_chunks(sel_flat.size, workers)
+    ]
+    if len(tasks) <= 1:
+        parts = [_infer_chunk(t) for t in tasks]
+    else:
+        # fork, not spawn: a spawned worker would pay the package import on
+        # every call.
+        with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
+            parts = pool.map(_infer_chunk, tasks, chunksize=1)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
@@ -420,6 +389,8 @@ def bench_scaling(
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
+    if repeats < 1:
+        raise ParamError(f"repeats must be >= 1, got {repeats}")
     _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
     sel_flat = _all_flat(raster)

@@ -4,16 +4,19 @@ Every pixel of a rasterized target owns a square window whose radius is the
 interaction distance: everything that can influence that pixel's correction.
 Windows are compressed blockwise with separate row/column reducers (the
 directional pair keeps horizontal and vertical context distinguishable) and
-paired with the pixel's IIP class to form a dataset.
+paired with the pixel's IIP class to form a dataset.  compressed_windows
+serves many pixels at once for dataset building and deployment alike;
+extract_window plus compress_window is its one-pixel reference.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ChecksumError,
@@ -77,6 +80,15 @@ class TilingConfig:
     def output_side(self) -> int:
         return (self.window_side - self.window_side % self.compression_factor) \
             // self.compression_factor
+
+
+# Dataset meta that a trained model carries, so deployment can refuse a
+# config whose tiling or class count differs from its training data's.
+PROVENANCE_KEYS = (*(f.name for f in fields(TilingConfig)), "num_classes")
+
+
+def provenance(tiling: TilingConfig, num_classes: int) -> dict:
+    return {**asdict(tiling), "num_classes": num_classes}
 
 
 @dataclass
@@ -144,9 +156,6 @@ class PixelDataset:
             meta=meta,
         )
 
-    def class_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 # ---------------------------------------------------------------------------
 # Window extraction and compression
@@ -202,6 +211,41 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
     rows_done = _reduce(blocks, 1, cfg.row_reducer, f)
     out = _reduce(rows_done, 2, cfg.col_reducer, f)
     return out.astype(np.float32)
+
+
+def compressed_windows(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> np.ndarray:
+    """Compressed windows of the pixels coords[i] = (x, y) as one
+    (n, output_side, output_side) float32 array, bitwise equal to
+    compress_window(extract_window(g, coords[i], cfg), cfg).
+
+    Rows, then columns, are reduced once over the zero-padded area the
+    windows cover, each in compress_window's memory layout so the bits
+    match; every window block is one sample of the resulting field.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    side, f, r = cfg.output_side, cfg.compression_factor, cfg.window_radius
+    if coords.shape[0] == 0:
+        return np.empty((0, side, side), dtype=np.float32)
+    xs, ys = coords[:, 0], coords[:, 1]
+    if xs.min() < 0 or ys.min() < 0 or xs.max() >= g.width or ys.max() >= g.height:
+        raise CoordError(f"pixel coords outside grid {g.width}x{g.height}")
+    # Padded-raster area covered by the trimmed windows: padded pixel
+    # (x0 + j, y0 + i) is raster pixel (x0 + j - r, y0 + i - r).
+    x0, y0 = int(xs.min()), int(ys.min())
+    h, w = int(ys.max()) - y0 + side * f, int(xs.max()) - x0 + side * f
+    area = np.zeros((h, w), dtype=np.float64)
+    ry0, rx0 = y0 - r, x0 - r
+    a0, a1 = max(ry0, 0), min(ry0 + h, g.height)
+    b0, b1 = max(rx0, 0), min(rx0 + w, g.width)
+    area[a0 - ry0 : a1 - ry0, b0 - rx0 : b1 - rx0] = g.values[a0:a1, b0:b1]
+    rows = _reduce(
+        np.moveaxis(sliding_window_view(area, f, axis=0), -1, 0), 0, cfg.row_reducer, f
+    )
+    field = _reduce(
+        np.ascontiguousarray(sliding_window_view(rows, f, axis=1)), 2, cfg.col_reducer, f
+    ).astype(np.float32)
+    steps = np.arange(side) * f
+    return field[(ys - y0)[:, None, None] + steps[:, None], (xs - x0)[:, None, None] + steps]
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +307,11 @@ def build_dataset(
         raise EmptyDataset("no pixels selected")
 
     ys, xs = np.unravel_index(sel, label_map.shape)
-    side = tiling.output_side
-    images = np.empty((sel.size, side, side), dtype=np.float32)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        images[i] = compress_window(
-            extract_window(raster, (int(x), int(y)), tiling), tiling
-        )
+    coords = np.stack([xs, ys], axis=1)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
-        "num_classes": iip_cfg.num_classes,
-        "image_side": side,
-        "interaction_distance": tiling.interaction_distance,
-        "px_per_nm": tiling.px_per_nm,
-        "compression_factor": tiling.compression_factor,
-        "row_reducer": tiling.row_reducer,
-        "col_reducer": tiling.col_reducer,
+        "image_side": tiling.output_side,
+        **provenance(tiling, iip_cfg.num_classes),
         "per_class_cap": per_class_cap,
         "seed": seed,
         "iik_checksum": iip.iik_checksum,
@@ -285,9 +319,9 @@ def build_dataset(
         "source_pattern_checksum": target.checksum(),
     }
     return PixelDataset(
-        images=images,
+        images=compressed_windows(raster, coords, tiling),
         labels=flat_labels[sel].astype(np.uint16),
-        coords=np.stack([xs, ys], axis=1).astype(np.int32),
+        coords=coords.astype(np.int32),
         splits=np.zeros(sel.size, dtype=np.uint8),
         meta=meta,
     )

@@ -20,7 +20,6 @@ from pixelret.classifier import (
     ConvBlock,
     TrainConfig,
     backward,
-    forward,
     init_model,
     load_model,
     predict_batch,

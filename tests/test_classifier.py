@@ -6,7 +6,8 @@ from pixelret.classifier import (
     ConvBlock,
     ModelParams,
     TrainConfig,
-    forward,
+    _forward_batch,
+    _softmax64,
     init_model,
     load_model,
     predict,
@@ -115,12 +116,24 @@ class TestInitAndForward:
 
     def test_forward_probability_simplex(self, rng):
         m = init_model(tiny_arch(), seed=0)
-        x = rng.random((8, 8)).astype(np.float32)
-        probs, logits = forward(m, x)
+        x = rng.random((1, 8, 8)).astype(np.float32)
+        logits, _ = _forward_batch(m, x)
+        probs = _softmax64(logits)[0]
         assert probs.shape == (5,)
-        assert logits.shape == (5,)
+        assert logits.shape == (1, 5)
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_logits_independent_of_batch(self, rng):
+        # Deployment maps must not depend on batch size or chunking.
+        m = init_model(ArchDescriptor(8, 5, [ConvBlock(16), ConvBlock(64)]), seed=0)
+        xs = rng.random((64, 8, 8)).astype(np.float32)
+        alone = np.concatenate([_forward_batch(m, x[None])[0] for x in xs])
+        for n in (7, 64):
+            batched = np.concatenate(
+                [_forward_batch(m, xs[i : i + n])[0] for i in range(0, 64, n)]
+            )
+            assert np.array_equal(batched, alone)
 
     def test_predict_in_range(self, rng):
         m = init_model(tiny_arch(), seed=0)
@@ -135,10 +148,10 @@ class TestInitAndForward:
         singles = np.array([predict(m, x) for x in xs])
         assert np.array_equal(batched, singles)
 
-    def test_forward_shape_mismatch(self, rng):
+    def test_predict_shape_mismatch(self, rng):
         m = init_model(tiny_arch(), seed=0)
         with pytest.raises(ShapeError):
-            forward(m, rng.random((9, 9)).astype(np.float32))
+            predict(m, rng.random((9, 9)).astype(np.float32))
 
 
 class TestTraining:

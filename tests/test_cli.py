@@ -83,6 +83,15 @@ class TestParser:
             main(["ilt", "--out", "x", "--layout", "y", "--frobnicate"])
         assert e.value.code == 2
 
+    def test_bad_worker_list_rejected(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([
+                "bench", "--out", "x", "--layout", "y", "--model", "z",
+                "--workers", "1,a",
+            ])
+        assert e.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_missing_out_rejected(self):
         with pytest.raises(SystemExit) as e:
             main(["gen-patterns"])
@@ -104,6 +113,14 @@ class TestConfig:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_layout_file(self, ws, tmp_path, capsys):
+        rc = main([
+            "rasterize", "--config", ws.cfg, "--layout", str(tmp_path / "nope.layout"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "cannot read layout file" in capsys.readouterr().err
 
     def test_garbage_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -352,6 +352,12 @@ class TestBenchScaling:
         with pytest.raises(ParamError):
             bench_scaling(m, PATTERN, toy_cfg(), worker_counts=[2, 4])
 
+    def test_repeats_must_be_positive(self):
+        # 100x100 px, large enough that only the repeat count is at fault
+        square = LayoutPattern([rect(0, 0, 84, 84)])
+        with pytest.raises(ParamError, match="repeats"):
+            bench_scaling(toy_model(), square, toy_cfg(), worker_counts=[1], repeats=0)
+
     def test_small_workload_rejected(self):
         m = toy_model()
         with pytest.raises(ParamError):
