@@ -480,7 +480,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     """Comma-separated integers; argparse turns a ValueError into exit 2."""
     return [int(x) for x in text.split(",")]
 
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--layout", required=True)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--workers", type=int_list, default="1,2,4",
+    sp.add_argument("--workers", type=_int_list, default="1,2,4",
                     help="comma-separated counts, first must be 1")
     sp.add_argument("--repeats", type=int, default=3)
     sp.set_defaults(func=cmd_bench)

@@ -7,16 +7,19 @@ Every entry point that runs a model (predict_map, recorrect, correct,
 bench_scaling) first checks it against the config, so a model trained on
 other tiling or classes is refused rather than deployed.
 
-Each worker gets its model, raster, pixel chunk and tiling as arguments and
-classifies the chunk in batches.  Window compression and every CNN op work
-on each pixel alone, with no sum across pixels, so the assembled map is
-bitwise identical for any worker count, chunking or batch size.
+The caller and a kept pool of forked processes each classify one pixel
+chunk in batches, given model, raster and tiling as arguments.  Window
+compression and every CNN op work on each pixel alone, with no sum across
+pixels, so the map is bitwise identical for any worker count or batching.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import multiprocessing
+import multiprocessing.pool
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -243,11 +246,30 @@ def _infer(
     if len(tasks) <= 1:
         parts = [_infer_chunk(t) for t in tasks]
     else:
-        # fork, not spawn: a spawned worker would pay the package import on
-        # every call.
-        with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
-            parts = pool.map(_infer_chunk, tasks, chunksize=1)
+        # This process classifies the first chunk while the pool does the rest.
+        rest = _worker_pool(len(tasks) - 1).map_async(_infer_chunk, tasks[1:], chunksize=1)
+        parts = [_infer_chunk(tasks[0]), *rest.get()]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+
+
+# (owner pid, size, pool), kept so that only the first call at a worker
+# count starts processes; it holds no data, every task carries its own.
+_pool: tuple[int, int, multiprocessing.pool.Pool] | None = None
+
+
+def _worker_pool(workers: int) -> multiprocessing.pool.Pool:
+    """A fork pool of at least `workers` processes (fork, not spawn: a
+    spawned worker would pay the package import), grown on demand.
+    """
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        if _pool[1] >= workers:
+            return _pool[2]
+        _pool[2].terminate()
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    atexit.register(pool.terminate)
+    _pool = (os.getpid(), workers, pool)
+    return pool
 
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
@@ -383,9 +405,13 @@ def bench_scaling(
     worker_counts: list[int],
     repeats: int = 3,
 ) -> ScalingReport:
-    """Time the inference stage at each worker count (median of repeats),
-    gate on bitwise-equal outputs, and report speedup and efficiency
-    relative to the single-worker run.
+    """Time the inference stage at each worker count, gate on bitwise-equal
+    outputs, and report speedup and efficiency relative to the single-worker
+    run.
+
+    An untimed warm-up call starts the worker pool; each repeat then yields
+    the mean of as many calls as fill 0.2 s (a small workload's call lasts
+    milliseconds), and the wall time is the median over repeats.
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
@@ -404,11 +430,13 @@ def bench_scaling(
     consistent = True
     for w in worker_counts:
         times = []
-        values = None
+        _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, w)
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, w)
-            times.append(time.perf_counter() - t0)
+            calls, t0 = 0, time.perf_counter()
+            while (elapsed := time.perf_counter() - t0) < 0.2:
+                values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, w)
+                calls += 1
+            times.append(elapsed / calls)
         wall = float(np.median(times))
         if reference_values is None:
             reference_values = values

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ChecksumError,
@@ -34,6 +33,9 @@ DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 
 _REDUCER_NAMES = ("mean", "max", "center_weighted")
+
+# Columns per compressed_windows group; bounds its working memory.
+_RUN_PX = 256
 
 
 @dataclass
@@ -218,34 +220,45 @@ def compressed_windows(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> 
     (n, output_side, output_side) float32 array, bitwise equal to
     compress_window(extract_window(g, coords[i], cfg), cfg).
 
-    Rows, then columns, are reduced once over the zero-padded area the
-    windows cover, each in compress_window's memory layout so the bits
-    match; every window block is one sample of the resulting field.
+    Pixels are grouped by row and _RUN_PX-column run.  Per group, rows are
+    reduced once over the zero-padded strip its windows cover, then columns
+    once per sampled block start, each in compress_window's memory layout
+    so the bits match.  Working memory is a few window_side x (window_side
+    + _RUN_PX) float64 strips, whatever coords holds.
     """
     coords = np.asarray(coords, dtype=np.int64)
-    side, f, r = cfg.output_side, cfg.compression_factor, cfg.window_radius
+    side = cfg.output_side
+    out = np.empty((coords.shape[0], side, side), dtype=np.float32)
     if coords.shape[0] == 0:
-        return np.empty((0, side, side), dtype=np.float32)
+        return out
     xs, ys = coords[:, 0], coords[:, 1]
     if xs.min() < 0 or ys.min() < 0 or xs.max() >= g.width or ys.max() >= g.height:
         raise CoordError(f"pixel coords outside grid {g.width}x{g.height}")
-    # Padded-raster area covered by the trimmed windows: padded pixel
-    # (x0 + j, y0 + i) is raster pixel (x0 + j - r, y0 + i - r).
-    x0, y0 = int(xs.min()), int(ys.min())
-    h, w = int(ys.max()) - y0 + side * f, int(xs.max()) - x0 + side * f
-    area = np.zeros((h, w), dtype=np.float64)
-    ry0, rx0 = y0 - r, x0 - r
+    order = np.lexsort((xs, ys))
+    key = ys[order] * (g.width // _RUN_PX + 1) + xs[order] // _RUN_PX
+    bounds = np.flatnonzero(np.diff(key)) + 1
+    for group in np.split(order, bounds):
+        out[group] = _run_windows(g, int(ys[group[0]]), xs[group], cfg)
+    return out
+
+
+def _run_windows(g: RasterGrid, y: int, xs: np.ndarray, cfg: TilingConfig) -> np.ndarray:
+    """compressed_windows of the pixels (xs[i], y), xs ascending."""
+    side, f, r = cfg.output_side, cfg.compression_factor, cfg.window_radius
+    # Strip of the zero-padded raster under the trimmed windows: strip
+    # pixel (i, j) is raster pixel (x0 - r + j, y - r + i).
+    x0 = int(xs[0])
+    h, w = side * f, int(xs[-1]) - x0 + side * f
+    strip = np.zeros((h, w), dtype=g.values.dtype)
+    ry0, rx0 = y - r, x0 - r
     a0, a1 = max(ry0, 0), min(ry0 + h, g.height)
     b0, b1 = max(rx0, 0), min(rx0 + w, g.width)
-    area[a0 - ry0 : a1 - ry0, b0 - rx0 : b1 - rx0] = g.values[a0:a1, b0:b1]
-    rows = _reduce(
-        np.moveaxis(sliding_window_view(area, f, axis=0), -1, 0), 0, cfg.row_reducer, f
-    )
-    field = _reduce(
-        np.ascontiguousarray(sliding_window_view(rows, f, axis=1)), 2, cfg.col_reducer, f
-    ).astype(np.float32)
-    steps = np.arange(side) * f
-    return field[(ys - y0)[:, None, None] + steps[:, None], (xs - x0)[:, None, None] + steps]
+    strip[a0 - ry0 : a1 - ry0, b0 - rx0 : b1 - rx0] = g.values[a0:a1, b0:b1]
+    rows = _reduce(strip.astype(np.float64).reshape(side, f, w), 1, cfg.row_reducer, f)
+    cols = (xs - x0)[:, None] + np.arange(side) * f
+    starts = np.unique(cols)
+    field = _reduce(rows[:, starts[:, None] + np.arange(f)], 2, cfg.col_reducer, f)
+    return field.astype(np.float32)[:, np.searchsorted(starts, cols)].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pixelret import pipeline
 from pixelret.classifier import ArchDescriptor, ConvBlock, init_model
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid
@@ -114,6 +115,16 @@ class TestPredictMap:
         c = predict_map(m, PATTERN, toy_cfg(workers=4))
         assert np.array_equal(a.grid.values, b.grid.values)
         assert np.array_equal(a.grid.values, c.grid.values)
+
+    def test_worker_pool_kept_between_calls(self):
+        m = toy_model()
+        pool = pipeline._worker_pool(2)
+        a = predict_map(m, PATTERN, toy_cfg(workers=3))
+        b = predict_map(m, PATTERN, toy_cfg(workers=2))
+        assert pipeline._worker_pool(2) is pool
+        assert np.array_equal(a.grid.values, b.grid.values)
+        # a call that needs more processes replaces the pool
+        assert pipeline._worker_pool(pipeline._pool[1] + 1) is not pool
 
     def test_translation_consistency(self):
         m = toy_model()

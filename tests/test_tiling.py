@@ -9,6 +9,7 @@ from pixelret.errors import (
     ParamError,
 )
 from pixelret.iip import IipConfig, make_iik
+from pixelret import tiling
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.tiling import (
     SPLIT_NAMES,
@@ -162,16 +163,18 @@ class TestCompressWindow:
 
 
 class TestCompressedWindows:
-    def test_matches_oracle_on_every_pixel(self, grid_factory, rng):
-        # Windows (side 11) larger than the 13x9 raster, so every pixel
-        # reaches past an edge; factor 3 also trims the far edge.
-        g = grid_factory(rng.random((9, 13)))
-        coords = np.array([(x, y) for y in range(9) for x in range(13)])
-        for f in (2, 3):
+    def test_matches_oracle_on_every_pixel(self, grid_factory, rng, monkeypatch):
+        # Windows (side 11 and 21) larger than the 21x19 raster, so every
+        # pixel reaches past an edge; factors 3 and 8 also trim the far
+        # edge.  Column runs of 4 px split each row into several groups.
+        g = grid_factory(rng.random((19, 21)))
+        coords = np.array([(x, y) for y in range(19) for x in range(21)])
+        perm = rng.permutation(len(coords))
+        for f, dist in ((2, 5.0), (3, 5.0), (4, 10.0), (8, 10.0)):
             for rr in ("mean", "max", "center_weighted"):
                 for cr in ("mean", "max", "center_weighted"):
                     t = TilingConfig(
-                        interaction_distance=5.0, px_per_nm=1.0,
+                        interaction_distance=dist, px_per_nm=1.0,
                         compression_factor=f, row_reducer=rr, col_reducer=cr,
                     )
                     oracle = np.stack([
@@ -182,6 +185,11 @@ class TestCompressedWindows:
                     assert np.array_equal(
                         compressed_windows(g, coords[40:47], t), oracle[40:47]
                     )
+                    with monkeypatch.context() as mp:
+                        mp.setattr(tiling, "_RUN_PX", 4)
+                        assert np.array_equal(
+                            compressed_windows(g, coords[perm], t), oracle[perm]
+                        )
 
     def test_empty_selection(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
