@@ -28,7 +28,9 @@ from .tiling import PROVENANCE_KEYS, PixelDataset
 
 MODEL_FORMAT_VERSION = 1
 MOMENTUM = 0.9
-PREDICT_BATCH = 256
+# Float32 layer data one inference block may hold; the block's image count
+# follows from the architecture (inference_block).
+BLOCK_BYTES = 16 << 20
 
 
 @dataclass
@@ -63,20 +65,14 @@ class ArchDescriptor:
             raise ArchError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.pool != "global_average":
             raise ArchError(f"unsupported pool {self.pool!r}")
-        side = self.input_side
+        self.feature_sides = [self.input_side]
         for i, b in enumerate(self.conv_blocks):
+            side = self.feature_sides[-1]
             if side < b.kernel:
                 raise ArchError(
                     f"block {i}: spatial size {side} smaller than kernel {b.kernel}"
                 )
-            side = (side - b.kernel) // b.stride + 1
-        self.feature_sides = self._sides()
-
-    def _sides(self) -> list[int]:
-        sides = [self.input_side]
-        for b in self.conv_blocks:
-            sides.append((sides[-1] - b.kernel) // b.stride + 1)
-        return sides
+            self.feature_sides.append((side - b.kernel) // b.stride + 1)
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +101,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 32
     learning_rate: float = 0.05
-    optimizer: str = "sgd_momentum"
     seed: int = 0
 
     def __post_init__(self):
@@ -115,8 +110,6 @@ class TrainConfig:
             raise ParamError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ParamError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.optimizer != "sgd_momentum":
-            raise ParamError(f"unsupported optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -230,18 +223,29 @@ def predict(m: ModelParams, image: np.ndarray) -> int:
     return int(predict_batch(m, np.asarray(image)[None])[0])
 
 
-def predict_batch(
-    m: ModelParams, images: np.ndarray, batch_size: int = PREDICT_BATCH
-) -> np.ndarray:
-    """Argmax class per image; ties resolve to the lower class index and the
-    result does not depend on batch_size.
+def inference_block(arch: ArchDescriptor) -> int:
+    """Images per inference block: as many as keep the largest per-image
+    conv layer working set (im2col columns, pre-activation and activation,
+    all float32) within BLOCK_BYTES, and at least one.
+    """
+    cin, largest = 1, 0
+    for b, side in zip(arch.conv_blocks, arch.feature_sides[1:]):
+        largest = max(largest, 4 * side * side * (cin * b.kernel * b.kernel + 2 * b.filters))
+        cin = b.filters
+    return max(1, BLOCK_BYTES // largest)
+
+
+def predict_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
+    """Argmax class per image, run in inference_block blocks; ties resolve
+    to the lower class index and the result does not depend on the block.
     """
     imgs = np.asarray(images, dtype=np.float32)
     if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2] or imgs.shape[1] != m.arch.input_side:
         raise ShapeError(f"images {imgs.shape} incompatible with model")
+    block = inference_block(m.arch)
     out = np.empty(imgs.shape[0], dtype=np.int64)
-    for start in range(0, imgs.shape[0], batch_size):
-        logits, _ = _forward_batch(m, imgs[start : start + batch_size])
+    for start in range(0, imgs.shape[0], block):
+        logits, _ = _forward_batch(m, imgs[start : start + block])
         out[start : start + logits.shape[0]] = np.argmax(logits, axis=1)
     return out
 
@@ -406,13 +410,16 @@ def load_model(path: str | Path) -> ModelParams:
         header = json.loads(data[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: bad model header: {e}") from None
-    if header.get("format") != "pixel-correction-model":
+    if not isinstance(header, dict) or header.get("format") != "pixel-correction-model":
         raise FormatError(f"{path}: not a model file")
     if header.get("version") != MODEL_FORMAT_VERSION:
         raise FormatError(
             f"{path}: model format version {header.get('version')} "
             f"(supported: {MODEL_FORMAT_VERSION})"
         )
+    missing = [k for k in ("arch", "seed", "tensors", "payload_sha256") if k not in header]
+    if missing:
+        raise FormatError(f"{path}: model header lacks {', '.join(missing)}")
     payload = data[nl + 1 :]
     expected = sum(
         int(np.prod(shape)) for _, shape in header["tensors"]

@@ -1,8 +1,10 @@
 """Command-line surface for the correction flow.
 
-One JSON config file drives every stage; flags override individual fields
-and the fully resolved config is echoed into each output directory, so any
-produced artifact can be regenerated from the files next to it.
+One JSON config file drives every stage; a key the defaults lack is
+refused, and the CNN's input side and class count follow from tiling and
+iip.  Flags override individual fields and the fully resolved config is
+echoed into each output directory, so any produced artifact can be
+regenerated from the files next to it.
 
 Commands: gen-patterns, rasterize, simulate, ilt, prep-data, train,
 predict-map, correct, evaluate, bench.
@@ -59,8 +61,6 @@ DEFAULT_CONFIG: dict = {
             {"filters": 16, "kernel": 3, "stride": 2},
             {"filters": 32, "kernel": 3, "stride": 2},
         ],
-        "input_side": None,   # derived from tiling unless set
-        "num_classes": None,  # derived from iip unless set
     },
     "train": {"epochs": 15, "batch_size": 32, "learning_rate": 0.05},
     "sampling": {"per_class_cap": 300, "split_fractions": [0.8, 0.1, 0.1]},
@@ -126,32 +126,20 @@ class RunConfig:
         self._validate()
 
     def _validate(self) -> None:
-        c = self.raw
-        tiling = self.tiling()
-        derived_side = tiling.output_side
-        arch_side = c["arch"].get("input_side")
-        if arch_side is not None and arch_side != derived_side:
-            raise ConfigError(
-                f"arch.input_side={arch_side} but tiling yields "
-                f"{derived_side} (window {tiling.window_side} / factor "
-                f"{tiling.compression_factor}); fix arch.input_side or tiling"
-            )
-        arch_classes = c["arch"].get("num_classes")
-        iip_classes = c["iip"]["num_classes"]
-        if arch_classes is not None and arch_classes != iip_classes:
-            raise ConfigError(
-                f"arch.num_classes={arch_classes} conflicts with "
-                f"iip.num_classes={iip_classes}"
-            )
         # Construct everything once so invalid fields fail here with names.
         self.litho()
         self.ilt()
-        self.iip()
         self.arch()
         self.train()
-        fr = c["sampling"]["split_fractions"]
-        if len(fr) != 3:
-            raise ConfigError(f"sampling.split_fractions needs 3 entries, got {fr}")
+        self.correction()
+        s = self.raw["sampling"]
+        cap = s["per_class_cap"]
+        if type(cap) is not int or cap < 1:
+            raise ConfigError(f"sampling.per_class_cap must be an integer >= 1, got {cap!r}")
+        if len(s["split_fractions"]) != 3:
+            raise ConfigError(
+                f"sampling.split_fractions needs 3 entries, got {s['split_fractions']}"
+            )
 
     @property
     def seed(self) -> int:
@@ -188,11 +176,10 @@ class RunConfig:
         return tiling_mod.TilingConfig(**self.raw["tiling"])
 
     def arch(self) -> cls.ArchDescriptor:
-        a = self.raw["arch"]
-        side = a.get("input_side") or self.tiling().output_side
-        classes = a.get("num_classes") or self.raw["iip"]["num_classes"]
-        blocks = [cls.ConvBlock(**b) for b in a["conv_blocks"]]
-        return cls.ArchDescriptor(int(side), int(classes), blocks)
+        blocks = [cls.ConvBlock(**b) for b in self.raw["arch"]["conv_blocks"]]
+        return cls.ArchDescriptor(
+            self.tiling().output_side, int(self.raw["iip"]["num_classes"]), blocks
+        )
 
     def train(self) -> cls.TrainConfig:
         t = self.raw["train"]
@@ -228,7 +215,28 @@ class RunConfig:
         return self.seed + 2
 
 
+def _check_keys(given, known, name: str = "") -> None:
+    """Refuse, by dotted name, any key in given that known (DEFAULT_CONFIG
+    or a part of it) lacks; a list of objects is checked against its first.
+    """
+    if isinstance(known, dict):
+        if not isinstance(given, dict):
+            raise ConfigError(f"config key {name} must hold a JSON object")
+        for k, v in given.items():
+            key = f"{name}.{k}" if name else k
+            if k not in known:
+                raise ConfigError(f"unknown config key {key}")
+            _check_keys(v, known[k], key)
+    elif isinstance(known, list) and known and isinstance(known[0], dict):
+        if not isinstance(given, list):
+            raise ConfigError(f"config key {name} must hold a JSON list")
+        for i, item in enumerate(given):
+            _check_keys(item, known[0], f"{name}[{i}]")
+
+
 def load_config(path: str | None, toy: bool, overrides: dict) -> RunConfig:
+    """Defaults, toy profile, config file, then overrides; a key the
+    defaults lack is refused, and an echoed config's `_command` is dropped."""
     raw = copy.deepcopy(DEFAULT_CONFIG)
     if toy:
         raw = _deep_merge(raw, TOY_OVERRIDES)
@@ -241,7 +249,10 @@ def load_config(path: str | None, toy: bool, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        user.pop("_command", None)
+        _check_keys(user, DEFAULT_CONFIG)
         raw = _deep_merge(raw, user)
+    _check_keys(overrides, DEFAULT_CONFIG)
     raw = _deep_merge(raw, overrides)
     return RunConfig(raw)
 
@@ -255,6 +266,8 @@ def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
 
 
 def _outdir(args) -> Path:
+    """Create --out; commands call it after reading and computing, so a
+    failed command leaves no empty directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -286,7 +299,6 @@ def _ref_mask(cfg: RunConfig, pattern: layout_mod.LayoutPattern) -> ilt_mod.IltR
 # ---------------------------------------------------------------------------
 
 def cmd_gen_patterns(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     if args.topology is not None:
         params = {
             "topology": args.topology,
@@ -299,45 +311,43 @@ def cmd_gen_patterns(args, cfg: RunConfig) -> int:
         names = {args.name or "pattern": params}
     else:
         names = CANONICAL_PATTERNS
-    for name, params in names.items():
-        p = layout_mod.generate_test_pattern(**params)
+    patterns = {n: layout_mod.generate_test_pattern(**kw) for n, kw in names.items()}
+    out = _outdir(args)
+    for name, p in patterns.items():
         (out / f"{name}.layout").write_text(layout_mod.write_layout(p))
         print(f"wrote {out / f'{name}.layout'}")
-    _echo_config(cfg, out, "gen-patterns")
     return 0
 
 
 def cmd_rasterize(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     margin = args.margin if args.margin is not None else cfg.tiling().interaction_distance
     g = layout_mod.rasterize(p, cfg.px_per_nm, layout_mod.raster_region(p, margin))
+    out = _outdir(args)
     write_graymap(g, out / "raster.pgm")
     print(f"raster {g.width}x{g.height} px -> {out / 'raster.pgm'}")
-    _echo_config(cfg, out, "rasterize")
     return 0
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     litho = cfg.litho()
     g = layout_mod.rasterize(p, cfg.px_per_nm, layout_mod.raster_region(p, cfg.tiling().interaction_distance))
     kernel = litho.kernel(g.px_per_nm)
     aerial = litho_mod.aerial_image(g, kernel)
     printed = litho_mod.print_image(aerial, litho.resist_threshold)
+    out = _outdir(args)
     write_graymap(aerial, out / "aerial.pgm")
     write_graymap(printed, out / "printed.pgm")
     fidelity = pipe.iou(printed, g)
     print(f"printed-vs-target IoU {fidelity:.4f}; wrote aerial.pgm, printed.pgm")
-    _echo_config(cfg, out, "simulate")
     return 0
 
 
 def cmd_ilt(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     result = _ref_mask(cfg, p)
+    out = _outdir(args)
     write_graymap(result.mask, out / "ref_mask.pgm")
     ilt_mod.save_loss_history(result, out / "loss.csv")
     _write_pattern(layout_mod.vectorize(result.mask), out / "ref_mask.layout", cfg.px_per_nm)
@@ -346,24 +356,22 @@ def cmd_ilt(args, cfg: RunConfig) -> int:
         f"(loss {result.loss_history[0]:.5f} -> {min(result.loss_history):.5f}); "
         f"wrote ref_mask.pgm, ref_mask.layout, loss.csv"
     )
-    _echo_config(cfg, out, "ilt")
     return 0
 
 
 def cmd_prep_data(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
+    patterns = [_read_pattern(path) for path in args.layouts]
     tiling = cfg.tiling()
     iip_cfg = cfg.iip()
     parts = []
-    for path in args.layouts:
-        p = _read_pattern(path)
+    for path, p in zip(args.layouts, patterns):
         result = _ref_mask(cfg, p)
         ds = tiling_mod.build_dataset(
             p,
             result.mask,
             tiling,
             iip_cfg,
-            per_class_cap=int(cfg.raw["sampling"]["per_class_cap"]),
+            per_class_cap=cfg.raw["sampling"]["per_class_cap"],
             seed=cfg.sampling_seed,
         )
         print(f"{path}: {len(ds)} samples, ILT fidelity {result.final_fidelity:.4f}")
@@ -372,19 +380,19 @@ def cmd_prep_data(args, cfg: RunConfig) -> int:
     merged = tiling_mod.split_dataset(
         merged, tuple(cfg.raw["sampling"]["split_fractions"]), cfg.split_seed
     )
+    out = _outdir(args)
     tiling_mod.save_dataset(merged, out / "dataset")
     sizes = {name: int(merged.split_indices(name).size) for name in tiling_mod.SPLIT_NAMES}
     print(f"dataset: {len(merged)} samples {sizes} -> {out / 'dataset'}")
-    _echo_config(cfg, out, "prep-data")
     return 0
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     ds = tiling_mod.load_dataset(args.data)
     arch = cfg.arch()
     model0 = cls.init_model(arch, cfg.init_seed)
     model, history = cls.train(model0, ds, cfg.train())
+    out = _outdir(args)
     cls.save_model(model, out / "model.bin")
     with open(out / "history.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -397,28 +405,26 @@ def cmd_train(args, cfg: RunConfig) -> int:
         f"best val accuracy {model.train_meta['final_val_accuracy']:.4f} "
         f"(epoch {model.train_meta['best_epoch']}); wrote model.bin, history.csv"
     )
-    _echo_config(cfg, out, "train")
     return 0
 
 
 def cmd_predict_map(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
     ccfg = cfg.correction(workers=args.workers)
     iip_map = pipe.predict_map(model, p, ccfg)
+    out = _outdir(args)
     iip_mod.export_iip(iip_map, out / "iip.pgm", ccfg.iip.num_classes)
     print(f"predicted map {iip_map.grid.width}x{iip_map.grid.height} -> {out / 'iip.pgm'}")
-    _echo_config(cfg, out, "predict-map")
     return 0
 
 
 def cmd_correct(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
     ccfg = cfg.correction(workers=args.workers)
     result = pipe.correct(p, model, ccfg)
+    out = _outdir(args)
     iip_mod.export_iip(result.iip_map, out / "iip.pgm", ccfg.iip.num_classes)
     write_graymap(result.threshold, out / "threshold.pgm")
     write_graymap(result.grid, out / "cleanup.pgm")
@@ -427,12 +433,10 @@ def cmd_correct(args, cfg: RunConfig) -> int:
         f"corrected mask: {len(result.pattern.polygons)} polygons -> mask.layout "
         f"(stages: iip.pgm, threshold.pgm, cleanup.pgm)"
     )
-    _echo_config(cfg, out, "correct")
     return 0
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
     ccfg = cfg.correction(workers=args.workers)
@@ -441,6 +445,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     result = _ref_mask(cfg, p)
     ref_iip = iip_mod.compute_iip(result.mask, ccfg.iip.iik)
     cm = pipe.confusion_matrix(corrected.iip_map, ref_iip, ccfg.iip.num_classes)
+    out = _outdir(args)
     pipe.write_confusion_csv(cm, out / "confusion.csv")
     score = pipe.iou(corrected.grid, result.mask)
     metrics = {
@@ -455,16 +460,15 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         f"IoU vs reference {score:.4f}; class accuracy {cm.accuracy():.4f}; "
         f"within-1 {cm.within_one_accuracy():.4f}; wrote confusion.csv, metrics.json"
     )
-    _echo_config(cfg, out, "evaluate")
     return 0
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
-    out = _outdir(args)
     p = _read_pattern(args.layout)
     model = cls.load_model(args.model)
     ccfg = cfg.correction(workers=1)
     report = pipe.bench_scaling(model, p, ccfg, args.workers, repeats=args.repeats)
+    out = _outdir(args)
     pipe.write_scaling_csv(report, out / "scaling.csv")
     for row in report.rows:
         print(
@@ -472,7 +476,6 @@ def cmd_bench(args, cfg: RunConfig) -> int:
             f"speedup {row['speedup']:.2f} efficiency {row['efficiency']:.2f}"
         )
     print(f"outputs bitwise consistent: {report.consistent}")
-    _echo_config(cfg, out, "bench")
     return 0 if report.consistent else 1
 
 
@@ -576,7 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         overrides["seed"] = args.seed
     try:
         cfg = load_config(args.config, args.toy, overrides)
-        return args.func(args, cfg)
+        rc = args.func(args, cfg)
+        _echo_config(cfg, Path(args.out), args.command)
+        return rc
     except PixelretError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

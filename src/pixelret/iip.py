@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ChecksumError, FormatError, ParamError, RangeError, ResolutionMismatch
 from .grid import RasterGrid, read_graymap, sha256_bytes, write_graymap
-from .litho import Kernel, convolve, make_gaussian_kernel
+from .litho import Kernel, convolve_fft, make_gaussian_kernel
 
 IIP_SIDECAR_VERSION = 1
 
@@ -65,7 +65,7 @@ def compute_iip(mask: RasterGrid, iik: Kernel) -> IipMap:
         )
     if not mask.is_binary():
         raise RangeError("compute_iip requires a binary mask")
-    raw = convolve(mask.values.astype(np.float64), iik.values)
+    raw = convolve_fft(mask.values.astype(np.float64), iik.values)
     np.clip(raw, 0.0, None, out=raw)
     peak = float(raw.max())
     values = raw / peak if peak > 0.0 else raw

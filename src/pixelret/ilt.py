@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from .errors import DimMismatch, DivergenceError, ParamError, RangeError
 from .grid import RasterGrid
-from .litho import Kernel, LithoConfig, aerial_image, convolve, print_image
+from .litho import Kernel, LithoConfig, aerial_image, convolve_fft, print_image
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _loss_and_grad(
     k_resist: float,
 ) -> tuple[float, np.ndarray]:
     m = expit(k_mask * theta)
-    i = convolve(m, kernel, "fft")
+    i = convolve_fft(m, kernel)
     p = expit(k_resist * (i - resist_threshold))
     r = p - target
     n = theta.size
@@ -89,7 +89,7 @@ def _loss_and_grad(
     # Chain rule: dL/dp, through the resist sigmoid, the convolution adjoint
     # (correlation = convolution with the flipped kernel), and the mask sigmoid.
     dldi = (2.0 / n) * r * k_resist * p * (1.0 - p)
-    dldm = convolve(dldi, kernel[::-1, ::-1], "fft")
+    dldm = convolve_fft(dldi, kernel[::-1, ::-1])
     grad = dldm * k_mask * m * (1.0 - m)
     return loss, grad
 

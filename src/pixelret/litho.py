@@ -2,8 +2,8 @@
 
 A mask grid is blurred with a nonnegative unit-sum kernel to form an aerial
 intensity image; a constant resist threshold turns intensity into the
-printed shape.  Two independent convolution routes are provided (direct
-summation and FFT) so one can check the other.
+printed shape.  The model convolves by FFT; direct summation is kept as
+the independent route that checks it.
 """
 
 from __future__ import annotations
@@ -127,21 +127,6 @@ def convolve_fft(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return fftconvolve(img, ker, mode="same")
 
 
-def convolve(img: np.ndarray, kernel: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Dispatch between the two routes; "auto" picks FFT except for tiny
-    inputs where direct summation is cheaper than transform setup.
-    """
-    if method == "direct":
-        return convolve_direct(img, kernel)
-    if method == "fft":
-        return convolve_fft(img, kernel)
-    if method != "auto":
-        raise ParamError(f"unknown convolution method {method!r}")
-    if img.size * np.asarray(kernel).size <= 4096:
-        return convolve_direct(img, kernel)
-    return convolve_fft(img, kernel)
-
-
 # ---------------------------------------------------------------------------
 # Forward model
 # ---------------------------------------------------------------------------
@@ -166,7 +151,7 @@ class LithoConfig:
         return make_gaussian_kernel(self.sigma_nm, self.radius_nm, px_per_nm)
 
 
-def aerial_image(mask: RasterGrid, kernel: Kernel, method: str = "auto") -> RasterGrid:
+def aerial_image(mask: RasterGrid, kernel: Kernel) -> RasterGrid:
     """Blur a mask grid (values in [0, 1]) into an intensity grid.
 
     Output shares the mask geometry; intensities are clipped to [0, 1] to
@@ -179,7 +164,7 @@ def aerial_image(mask: RasterGrid, kernel: Kernel, method: str = "auto") -> Rast
     v = mask.values
     if v.min() < 0.0 or v.max() > 1.0:
         raise RangeError("mask values must lie in [0, 1]")
-    out = convolve(v.astype(np.float64), kernel.values, method)
+    out = convolve_fft(v.astype(np.float64), kernel.values)
     return mask.with_values(np.clip(out, 0.0, 1.0))
 
 

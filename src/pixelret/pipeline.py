@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import PREDICT_BATCH, ModelParams, predict_batch
+from .classifier import ModelParams, inference_block, predict_batch
 from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from .grid import RasterGrid
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
@@ -217,13 +217,14 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 def _infer_chunk(
     args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
 ) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices,
-    PREDICT_BATCH windows at a time.
+    """Class values of the raster pixels with the given flat indices, one
+    inference block of windows at a time.
     """
     m, raster, flat, tiling, class_values = args
+    block = inference_block(m.arch)
     out = np.empty(flat.size, dtype=np.float64)
-    for start in range(0, flat.size, PREDICT_BATCH):
-        part = flat[start : start + PREDICT_BATCH]
+    for start in range(0, flat.size, block):
+        part = flat[start : start + block]
         coords = np.stack([part % raster.width, part // raster.width], axis=1)
         images = compressed_windows(raster, coords, tiling)
         out[start : start + part.size] = class_values[predict_batch(m, images)]

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from pixelret.classifier import (
+    BLOCK_BYTES,
     ArchDescriptor,
     ConvBlock,
     ModelParams,
     TrainConfig,
     _forward_batch,
     _softmax64,
+    inference_block,
     init_model,
     load_model,
     predict,
@@ -15,6 +19,7 @@ from pixelret.classifier import (
     save_model,
     train,
 )
+from pixelret.cli import load_config
 from pixelret.errors import (
     ArchError,
     ChecksumError,
@@ -96,8 +101,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ParamError):
             TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ParamError):
-            TrainConfig(optimizer="adam")
         TrainConfig(learning_rate=0.0)  # freeze is legal
 
 
@@ -142,11 +145,26 @@ class TestInitAndForward:
             assert 0 <= predict(m, x) < 5
 
     def test_predict_batch_matches_single(self, rng):
-        m = init_model(tiny_arch(), seed=0)
-        xs = rng.random((9, 8, 8)).astype(np.float32)
-        batched = predict_batch(m, xs, batch_size=4)
+        # The default CLI arch gets blocks of a few images, so this batch
+        # spans two of them.
+        m = init_model(load_config(None, False, {}).arch(), seed=0)
+        side = m.arch.input_side
+        xs = rng.random((inference_block(m.arch) + 3, side, side)).astype(np.float32)
+        batched = predict_batch(m, xs)
         singles = np.array([predict(m, x) for x in xs])
         assert np.array_equal(batched, singles)
+
+    def test_inference_block_fills_budget(self, rng):
+        arch = load_config(None, False, {}).arch()
+        block = inference_block(arch)
+        m = init_model(arch, seed=0)
+        x = rng.random((block, arch.input_side, arch.input_side)).astype(np.float32)
+        _, (cache, _, _) = _forward_batch(m, x, keep_cache=True)
+        # Per layer: im2col columns, pre-activation and activation.
+        largest = max(cols.nbytes + 2 * z.nbytes for _, cols, z, _, _ in cache)
+        assert largest <= BLOCK_BYTES
+        assert largest // block * (block + 1) > BLOCK_BYTES
+        assert inference_block(tiny_arch()) > inference_block(arch)
 
     def test_predict_shape_mismatch(self, rng):
         m = init_model(tiny_arch(), seed=0)
@@ -258,6 +276,20 @@ class TestModelIO:
         p = tmp_path / "model.bin"
         p.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(FormatError):
+            load_model(p)
+        p.write_bytes(b'["pixel-correction-model"]\n')
+        with pytest.raises(FormatError):
+            load_model(p)
+
+    @pytest.mark.parametrize("field", ["tensors", "payload_sha256", "arch", "seed"])
+    def test_header_field_missing(self, tmp_path, field):
+        p = tmp_path / "model.bin"
+        save_model(init_model(tiny_arch(), seed=0), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        del header[field]
+        p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match=field):
             load_model(p)
 
     def test_missing_newline_rejected(self, tmp_path):

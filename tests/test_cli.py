@@ -129,26 +129,85 @@ class TestConfig:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_class_count_cross_check(self, tmp_path, capsys):
-        cfg = dict(FAST_CONFIG)
-        cfg["arch"] = dict(FAST_CONFIG["arch"], num_classes=50)
+    @staticmethod
+    def _run_with(tmp_path, cfg) -> int:
         f = tmp_path / "c.json"
         f.write_text(json.dumps(cfg))
-        rc = main(["gen-patterns", "--config", str(f), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "arch.num_classes=50" in err
-        assert "iip.num_classes=5" in err
+        return main(["gen-patterns", "--config", str(f), "--out", str(tmp_path / "o")])
 
-    def test_input_side_cross_check(self, tmp_path, capsys):
-        cfg = dict(FAST_CONFIG)
-        cfg["arch"] = dict(FAST_CONFIG["arch"], input_side=7)
-        f = tmp_path / "c.json"
-        f.write_text(json.dumps(cfg))
-        rc = main(["gen-patterns", "--config", str(f), "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_arch_num_classes_rejected(self, tmp_path, capsys):
+        # Derived from iip.num_classes, so it is not a key.
+        cfg = dict(FAST_CONFIG, arch=dict(FAST_CONFIG["arch"], num_classes=5))
+        assert self._run_with(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == "error: unknown config key arch.num_classes\n"
+
+    def test_arch_input_side_rejected(self, tmp_path, capsys):
+        # Derived from the tiling, so it is not a key.
+        cfg = dict(FAST_CONFIG, arch=dict(FAST_CONFIG["arch"], input_side=4))
+        assert self._run_with(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == "error: unknown config key arch.input_side\n"
+
+    @pytest.mark.parametrize("section, key", [
+        ("litho", "sigma"), ("ilt", "step"), ("iip", "classes"), ("tiling", "factor"),
+        ("train", "epoch"), ("sampling", "cap"), ("correction", "worker"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg[section][key] = 4
+        assert self._run_with(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {section}.{key}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_conv_block_key_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["arch"]["conv_blocks"][1]["filter"] = 8
+        assert self._run_with(tmp_path, cfg) == 2
         err = capsys.readouterr().err
-        assert "arch.input_side=7" in err
+        assert err == "error: unknown config key arch.conv_blocks[1].filter\n"
+
+    @pytest.mark.parametrize("part, name", [
+        ({"litho": 5}, "litho"),
+        ({"arch": {"conv_blocks": {"filters": 4}}}, "arch.conv_blocks"),
+        ({"arch": {"conv_blocks": [4]}}, "arch.conv_blocks[0]"),
+    ])
+    def test_wrong_shape_rejected(self, tmp_path, capsys, part, name):
+        assert self._run_with(tmp_path, dict(FAST_CONFIG, **part)) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {name} must hold")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sampling", "per_class_cap", "x"),
+        ("sampling", "per_class_cap", 0),
+        ("correction", "workers", 0),
+    ])
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg[section][key] = value
+        assert self._run_with(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_echoed_config_loads_back(self, ws, tmp_path):
+        echoed = ws.root / "pat" / "config.json"
+        rc = main([
+            "gen-patterns", "--config", str(echoed), "--out", str(tmp_path / "o"),
+            "--topology", "square", "--width", "20",
+        ])
+        assert rc == 0
+        assert (tmp_path / "o" / "config.json").read_bytes() == echoed.read_bytes()
+
+    @pytest.mark.parametrize("missing", ["layout", "model", "data"])
+    def test_missing_input_leaves_no_out(self, ws, tmp_path, capsys, missing):
+        nope = str(tmp_path / "nope")
+        if missing == "data":
+            argv = ["train", "--data", nope]
+        else:
+            layout = nope if missing == "layout" else ws.layout
+            argv = ["predict-map", "--layout", layout, "--model", nope]
+        out = tmp_path / "d"
+        assert main([*argv, "--config", ws.cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_config_echoed_with_command(self, ws):
         echoed = json.loads((ws.root / "pat" / "config.json").read_text())

@@ -11,7 +11,6 @@ from pixelret.litho import (
     Kernel,
     LithoConfig,
     aerial_image,
-    convolve,
     convolve_direct,
     convolve_fft,
     make_gaussian_kernel,
@@ -95,13 +94,6 @@ class TestConvolution:
             a = convolve_direct(img, ker)
             b = convolve_fft(img, ker)
             assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_dispatch_matches_both(self, rng):
-        img = rng.random((12, 12))
-        ker = rng.random((3, 3))
-        assert np.allclose(convolve(img, ker, "direct"), convolve(img, ker, "fft"))
-        with pytest.raises(ParamError):
-            convolve(img, ker, "dft")
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(DimMismatch):
