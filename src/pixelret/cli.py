@@ -1,10 +1,11 @@
 """Command-line surface for the correction flow.
 
-One JSON config file drives every stage; a key the defaults lack is
-refused, and the CNN's input side and class count follow from tiling and
-iip.  Flags override individual fields and the fully resolved config is
-echoed into each output directory, so any produced artifact can be
-regenerated from the files next to it.
+One JSON config file drives every stage; a key the defaults lack, or a
+value of another type than its default, is refused, and the CNN's input
+side and class count follow from tiling and iip.  Flags override
+individual fields and the fully resolved config is echoed into each
+output directory, so any produced artifact can be regenerated from the
+files next to it.
 
 Commands: gen-patterns, rasterize, simulate, ilt, prep-data, train,
 predict-map, correct, evaluate, bench.
@@ -215,9 +216,20 @@ class RunConfig:
         return self.seed + 2
 
 
+# What a leaf of the config takes, by the type of its DEFAULT_CONFIG value.
+# A bool is never a number here, although Python counts it as an int.
+_LEAF_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _check_keys(given, known, name: str = "") -> None:
     """Refuse, by dotted name, any key in given that known (DEFAULT_CONFIG
-    or a part of it) lacks; a list of objects is checked against its first.
+    or a part of it) lacks, and any value of another type than its default
+    (see _LEAF_TYPES); each item of a list is checked against the first
+    default item.
     """
     if isinstance(known, dict):
         if not isinstance(given, dict):
@@ -227,16 +239,21 @@ def _check_keys(given, known, name: str = "") -> None:
             if k not in known:
                 raise ConfigError(f"unknown config key {key}")
             _check_keys(v, known[k], key)
-    elif isinstance(known, list) and known and isinstance(known[0], dict):
+    elif isinstance(known, list):
         if not isinstance(given, list):
             raise ConfigError(f"config key {name} must hold a JSON list")
         for i, item in enumerate(given):
             _check_keys(item, known[0], f"{name}[{i}]")
+    else:
+        types, what = _LEAF_TYPES[type(known)]
+        if isinstance(given, bool) or not isinstance(given, types):
+            raise ConfigError(f"config key {name} must hold {what}, got {given!r}")
 
 
 def load_config(path: str | None, toy: bool, overrides: dict) -> RunConfig:
     """Defaults, toy profile, config file, then overrides; a key the
-    defaults lack is refused, and an echoed config's `_command` is dropped."""
+    defaults lack or a value of another type is refused, and an echoed
+    config's `_command` is dropped."""
     raw = copy.deepcopy(DEFAULT_CONFIG)
     if toy:
         raw = _deep_merge(raw, TOY_OVERRIDES)

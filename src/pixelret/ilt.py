@@ -9,11 +9,21 @@ The returned mask is guaranteed no worse than the target-as-mask baseline:
 the initial iterate binarizes back to the target itself, candidates are
 restricted to iterates whose relaxed loss does not exceed the initial loss,
 and selection maximizes printed-vs-target IoU over those candidates.
+
+Cost: the spectra of the kernel and of the flipped kernel are computed
+once per optimize_mask call, so a step transforms only its two images.
+The IoU check images the *binarized* mask, not the step's relaxed mask,
+so the step's aerial image cannot stand in for it without changing bits;
+instead the check is skipped when the binarized mask equals the last one
+checked, and the result's fidelity is the best iterate's checked IoU.
+Masks, loss history and fidelity are bitwise those of the loop that
+convolves afresh at every use.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,9 +31,9 @@ import numpy as np
 from scipy.ndimage import binary_dilation
 from scipy.special import expit
 
-from .errors import DimMismatch, DivergenceError, ParamError, RangeError
+from .errors import DimMismatch, DivergenceError, ParamError, RangeError, ResolutionMismatch
 from .grid import RasterGrid
-from .litho import Kernel, LithoConfig, aerial_image, convolve_fft, print_image
+from .litho import Kernel, LithoConfig, fft_convolver
 
 
 @dataclass
@@ -75,13 +85,16 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
 def _loss_and_grad(
     theta: np.ndarray,
     target: np.ndarray,
-    kernel: np.ndarray,
+    forward: Callable[[np.ndarray], np.ndarray],
+    adjoint: Callable[[np.ndarray], np.ndarray],
     resist_threshold: float,
     k_mask: float,
     k_resist: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss, its gradient and the relaxed mask m = sigmoid_mask(theta);
+    forward convolves with the kernel, adjoint with the flipped kernel."""
     m = expit(k_mask * theta)
-    i = convolve_fft(m, kernel)
+    i = forward(m)
     p = expit(k_resist * (i - resist_threshold))
     r = p - target
     n = theta.size
@@ -89,9 +102,16 @@ def _loss_and_grad(
     # Chain rule: dL/dp, through the resist sigmoid, the convolution adjoint
     # (correlation = convolution with the flipped kernel), and the mask sigmoid.
     dldi = (2.0 / n) * r * k_resist * p * (1.0 - p)
-    dldm = convolve_fft(dldi, kernel[::-1, ::-1])
+    dldm = adjoint(dldi)
     grad = dldm * k_mask * m * (1.0 - m)
-    return loss, grad
+    return loss, grad, m
+
+
+def _convolvers(kernel: np.ndarray, shape: tuple[int, int]):
+    """Forward and adjoint convolvers for one image shape.  The adjoint
+    transforms the flipped kernel: conjugating the forward spectrum would
+    shift its phase by the padding and change bits."""
+    return fft_convolver(kernel, shape), fft_convolver(kernel[::-1, ::-1], shape)
 
 
 def ilt_loss(
@@ -105,13 +125,17 @@ def ilt_loss(
 
     loss = mean((sigmoid_resist(aerial(sigmoid_mask(theta))) - target)^2).
     """
-    if theta.shape != target.shape:
-        raise DimMismatch(f"theta {theta.shape} vs target {target.shape}")
+    theta_at = (theta.shape, theta.origin, theta.px_per_nm)
+    target_at = (target.shape, target.origin, target.px_per_nm)
+    if theta_at != target_at:
+        raise DimMismatch(f"theta (shape, origin, px/nm) {theta_at} vs target {target_at}")
     k = kernel if kernel is not None else litho.kernel(theta.px_per_nm)
-    loss, grad = _loss_and_grad(
+    if k.px_per_nm != theta.px_per_nm:
+        raise ResolutionMismatch(f"kernel at {k.px_per_nm} px/nm, theta at {theta.px_per_nm}")
+    loss, grad, _ = _loss_and_grad(
         theta.values.astype(np.float64),
         target.values.astype(np.float64),
-        k.values,
+        *_convolvers(k.values, theta.shape),
         litho.resist_threshold,
         cfg.sigmoid_steepness_mask,
         cfg.sigmoid_steepness_resist,
@@ -138,44 +162,39 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     """
     if not target.is_binary():
         raise RangeError("ILT target must be a binary grid")
-    kernel = litho.kernel(target.px_per_nm)
-    kv = kernel.values
     tv = target.values.astype(np.float64)
+    forward, adjoint = _convolvers(litho.kernel(target.px_per_nm).values, tv.shape)
     k_m = cfg.sigmoid_steepness_mask
     k_r = cfg.sigmoid_steepness_resist
-
-    def binarize(theta: np.ndarray) -> np.ndarray:
-        return (expit(k_m * theta) > cfg.binarize_threshold).astype(np.uint8)
-
-    def fidelity(mask_u8: np.ndarray) -> float:
-        printed = print_image(
-            aerial_image(target.with_values(mask_u8), kernel), litho.resist_threshold
-        )
-        return _iou(printed.values, target.values)
+    thr = litho.resist_threshold
 
     theta = _initial_theta(tv, cfg)
     history: list[float] = []
-    best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, theta)
+    best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, mask)
+    checked: tuple[np.ndarray, float] | None = None  # last binarized mask, its fidelity
     loss0 = None
     for step in range(cfg.steps + 1):
-        loss, grad = _loss_and_grad(theta, tv, kv, litho.resist_threshold, k_m, k_r)
+        loss, grad, m = _loss_and_grad(theta, tv, forward, adjoint, thr, k_m, k_r)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became non-finite at step {step}")
         history.append(loss)
         if loss0 is None:
             loss0 = loss
         if loss <= loss0:
-            key = (-fidelity(binarize(theta)), loss, step)
+            mask = (m > cfg.binarize_threshold).astype(np.uint8)
+            if checked is None or not np.array_equal(mask, checked[0]):
+                printed = forward(mask) >= thr
+                checked = (mask, _iou(printed, target.values))
+            key = (-checked[1], loss, step)
             if best is None or key < best[:3]:
-                best = (*key, theta.copy())
+                best = (*key, mask)
         if step < cfg.steps:
             theta = theta - cfg.learning_rate * grad
     assert best is not None
-    mask_values = binarize(best[3])
     return IltResult(
-        mask=target.with_values(mask_values),
+        mask=target.with_values(best[3]),
         loss_history=history,
-        final_fidelity=fidelity(mask_values),
+        final_fidelity=-best[0],
     )
 
 

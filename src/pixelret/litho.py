@@ -2,16 +2,18 @@
 
 A mask grid is blurred with a nonnegative unit-sum kernel to form an aerial
 intensity image; a constant resist threshold turns intensity into the
-printed shape.  The model convolves by FFT; direct summation is kept as
-the independent route that checks it.
+printed shape.  The model convolves by FFT, and a caller that convolves
+many images of one shape with one kernel (ILT) transforms the kernel once;
+direct summation is kept as the independent route that checks it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import (
     DimMismatch,
@@ -116,15 +118,42 @@ def convolve_direct(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def convolve_fft(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """True 2D convolution via FFT, same-size output, zero padding."""
-    img = np.asarray(img, dtype=np.float64)
+def fft_convolver(
+    kernel: np.ndarray, shape: tuple[int, int]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """True 2D convolution via FFT for images of one shape, same-size
+    output, zero padding; the kernel spectrum is computed here, once.
+
+    Both sides are transformed at the next fast real-FFT length of the full
+    linear convolution, multiplied, transformed back and the centred
+    image-sized part kept: the steps of SciPy's fftconvolve with mode
+    "same", whose bits it reproduces when every side is at least 2.
+    """
     ker = np.asarray(kernel, dtype=np.float64)
-    if img.ndim != 2 or ker.ndim != 2:
-        raise DimMismatch("convolve_fft expects 2D arrays")
+    if len(shape) != 2 or ker.ndim != 2:
+        raise DimMismatch("FFT convolution expects 2D arrays")
     if ker.shape[0] % 2 != 1 or ker.shape[1] % 2 != 1:
         raise DimMismatch(f"kernel dims must be odd, got {ker.shape}")
-    return fftconvolve(img, ker, mode="same")
+    h, w = shape
+    kh, kw = ker.shape
+    fshape = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
+    spectrum = rfftn(ker, fshape)
+    y0, x0 = kh // 2, kw // 2
+
+    def convolve(img: np.ndarray) -> np.ndarray:
+        img = np.asarray(img, dtype=np.float64)
+        if img.shape != (h, w):
+            raise DimMismatch(f"image {img.shape} vs convolver shape {(h, w)}")
+        out = irfftn(rfftn(img, fshape) * spectrum, fshape)
+        return out[y0 : y0 + h, x0 : x0 + w].copy()
+
+    return convolve
+
+
+def convolve_fft(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """True 2D convolution via FFT, same-size output, zero padding: the
+    one-shot use of fft_convolver."""
+    return fft_convolver(kernel, np.shape(img))(img)
 
 
 # ---------------------------------------------------------------------------

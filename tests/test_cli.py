@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pixelret.cli import CANONICAL_PATTERNS, main
+from pixelret.cli import CANONICAL_PATTERNS, load_config, main
 from pixelret.layout import parse_layout
 
 FAST_CONFIG = {
@@ -186,6 +186,41 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("section, key, value, what", [
+        ("train", "epochs", "x", "an integer"),
+        ("train", "epochs", True, "an integer"),
+        ("tiling", "compression_factor", 2.5, "an integer"),
+        ("litho", "sigma_nm", "3", "a number"),
+        ("tiling", "row_reducer", 1, "a string"),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, what):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg[section][key] = value
+        assert self._run_with(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config key {section}.{key} must hold {what}, got {value!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value, name", [
+        (0.5, "sampling.split_fractions"),
+        ([0.6, "x", 0.2], "sampling.split_fractions[1]"),
+        ([0.6, False, 0.2], "sampling.split_fractions[1]"),
+    ])
+    def test_split_fractions_need_numbers(self, tmp_path, capsys, value, name):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["sampling"]["split_fractions"] = value
+        assert self._run_with(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {name} must hold")
+
+    def test_int_accepted_for_float(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({
+            "ilt": {"learning_rate": 800000}, "sampling": {"split_fractions": [1, 0, 0]},
+        }))
+        cfg = load_config(str(f), False, {})
+        assert cfg.ilt().learning_rate == 8.0e5
+        assert cfg.raw["sampling"]["split_fractions"] == [1, 0, 0]
 
     def test_echoed_config_loads_back(self, ws, tmp_path):
         echoed = ws.root / "pat" / "config.json"

@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
+from scipy.signal import fftconvolve
+from scipy.special import expit
 
-from pixelret.errors import DimMismatch, ParamError, RangeError
+from pixelret.errors import DimMismatch, ParamError, RangeError, ResolutionMismatch
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask, save_loss_history
 from pixelret.litho import LithoConfig, aerial_image, make_gaussian_kernel, print_image
 from pixelret.pipeline import iou
@@ -81,6 +84,20 @@ class TestLossAndGradient:
         with pytest.raises(DimMismatch):
             ilt_loss(theta, target, small_litho(), IltConfig())
 
+    @pytest.mark.parametrize("origin, px_per_nm", [((3.5, 0.5), 1.0), ((0.5, 0.5), 2.0)])
+    def test_target_geometry_mismatch(self, rng, grid_factory, origin, px_per_nm):
+        target = random_target(rng)
+        theta = grid_factory(np.zeros(target.shape), origin=origin, px_per_nm=px_per_nm)
+        with pytest.raises(DimMismatch):
+            ilt_loss(theta, target, small_litho(), IltConfig())
+
+    def test_kernel_resolution_mismatch(self, rng):
+        target = random_target(rng)
+        theta = target.with_values(np.zeros(target.shape))
+        kernel = make_gaussian_kernel(3.0, 9.0, 2.0)
+        with pytest.raises(ResolutionMismatch):
+            ilt_loss(theta, target, small_litho(), IltConfig(), kernel=kernel)
+
 
 class TestOptimize:
     def test_nonbinary_target_rejected(self, grid_factory):
@@ -129,6 +146,76 @@ class TestOptimize:
         a = optimize_mask(target, small_litho(), IltConfig(steps=1, init_mode="target_copy"))
         b = optimize_mask(target, small_litho(), IltConfig(steps=1, init_mode="dilated_target"))
         assert a.loss_history[0] != b.loss_history[0]
+
+
+def uncached_optimize(target, litho, cfg):
+    """optimize_mask's loop as first written: every convolution transforms
+    the kernel again, every admissible iterate is imaged, and the winner
+    is imaged once more for its fidelity.  Also returns how often the
+    binarized mask changed between admissible iterates, and their count."""
+    kv = litho.kernel(target.px_per_nm).values
+    tv = target.values.astype(np.float64)
+    k_m, k_r, thr = cfg.sigmoid_steepness_mask, cfg.sigmoid_steepness_resist, litho.resist_threshold
+
+    def loss_and_grad(theta):
+        m = expit(k_m * theta)
+        p = expit(k_r * (fftconvolve(m, kv, mode="same") - thr))
+        r = p - tv
+        n = theta.size
+        dldi = (2.0 / n) * r * k_r * p * (1.0 - p)
+        grad = fftconvolve(dldi, kv[::-1, ::-1], mode="same") * k_m * m * (1.0 - m)
+        return float(np.dot(r.ravel(), r.ravel()) / n), grad
+
+    def binarize(theta):
+        return (expit(k_m * theta) > cfg.binarize_threshold).astype(np.uint8)
+
+    def fidelity(mask):
+        aerial = np.clip(fftconvolve(mask.astype(np.float64), kv, mode="same"), 0.0, 1.0)
+        printed, wanted = aerial >= thr, target.values != 0
+        union = int(np.logical_or(printed, wanted).sum())
+        if union == 0:
+            return 1.0
+        return float(np.logical_and(printed, wanted).sum() / union)
+
+    seed = tv
+    if cfg.init_mode == "dilated_target":
+        seed = binary_dilation(tv != 0, np.ones((3, 3), dtype=bool)).astype(np.float64)
+    theta = k_m * (2.0 * seed - 1.0)
+    history, best, checked = [], None, []
+    for step in range(cfg.steps + 1):
+        loss, grad = loss_and_grad(theta)
+        history.append(loss)
+        if loss <= history[0]:
+            checked.append(binarize(theta))
+            key = (-fidelity(checked[-1]), loss, step)
+            if best is None or key < best[:3]:
+                best = (*key, theta.copy())
+        if step < cfg.steps:
+            theta = theta - cfg.learning_rate * grad
+    mask = binarize(best[3])
+    changed = sum(not np.array_equal(a, b) for a, b in zip(checked, checked[1:]))
+    return mask, history, fidelity(mask), changed, len(checked)
+
+
+class TestUncachedOracle:
+    @pytest.mark.parametrize("init_mode", ["target_copy", "dilated_target"])
+    def test_bitwise_equal_to_uncached_loop(self, rng, init_mode):
+        litho = small_litho()
+        cfg = IltConfig(steps=20, learning_rate=2e4, init_mode=init_mode)
+        changes = repeats = 0
+        for side in (20, 27):
+            target = random_target(rng, side=side)
+            mask, history, fid, changed, checked = uncached_optimize(target, litho, cfg)
+            changes += changed
+            repeats += checked - 1 - changed
+            res = optimize_mask(target, litho, cfg)
+            assert np.array_equal(res.mask.values, mask)
+            assert res.mask.values.dtype == mask.dtype
+            assert res.loss_history == history
+            assert res.final_fidelity == fid
+        # The binarized mask both changed and repeated between checks, so
+        # the fidelity memo was both missed and hit.
+        assert changes > 0 and repeats > 0
 
 
 class TestLossHistoryFile:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from pixelret.errors import (
     DimMismatch,
@@ -13,6 +14,7 @@ from pixelret.litho import (
     aerial_image,
     convolve_direct,
     convolve_fft,
+    fft_convolver,
     make_gaussian_kernel,
     print_image,
     simulate_print,
@@ -88,12 +90,47 @@ class TestConvolution:
         assert out.tolist() == [[3.0, 4.0], [0.0, 0.0]]
 
     def test_direct_vs_fft_small(self, rng):
-        for _ in range(10):
-            img = rng.random((17, 23))
-            ker = rng.random((5, 5))
+        # Sides of 1 px too: there SciPy's fftconvolve multiplies along the
+        # length-1 axes instead of transforming them, so its bits differ and
+        # direct summation is the oracle.
+        shapes = [((17, 23), (5, 5))] * 10 + [
+            ((1, 23), (5, 5)), ((17, 1), (5, 3)), ((1, 1), (5, 5)), ((1, 1), (1, 1)),
+            ((9, 9), (1, 1)), ((6, 7), (1, 5)),
+        ]
+        for img_shape, ker_shape in shapes:
+            img = rng.random(img_shape)
+            ker = rng.random(ker_shape)
             a = convolve_direct(img, ker)
             b = convolve_fft(img, ker)
+            assert b.shape == img_shape
             assert np.max(np.abs(a - b)) < 1e-10
+
+    @pytest.mark.parametrize("img_shape, ker_shape", [
+        ((17, 23), (5, 5)), ((2, 2), (3, 3)), ((2, 40), (7, 3)), ((64, 48), (151, 151)),
+        ((151, 151), (151, 151)), ((300, 240), (151, 151)), ((121, 200), (121, 121)),
+    ])
+    def test_fft_bitwise_equals_scipy(self, rng, img_shape, ker_shape):
+        img = rng.random(img_shape)
+        ker = rng.random(ker_shape)
+        out = convolve_fft(img, ker)
+        assert np.array_equal(out, fftconvolve(img, ker, mode="same"))
+        assert out.flags.c_contiguous
+
+    def test_convolver_reuses_spectrum(self, rng):
+        ker = rng.random((9, 9))
+        conv = fft_convolver(ker, (20, 30))
+        for _ in range(3):
+            img = rng.random((20, 30))
+            assert np.array_equal(conv(img), convolve_fft(img, ker))
+
+    def test_convolver_shape_mismatch(self, rng):
+        conv = fft_convolver(rng.random((3, 3)), (8, 8))
+        with pytest.raises(DimMismatch):
+            conv(rng.random((8, 9)))
+        with pytest.raises(DimMismatch):
+            fft_convolver(rng.random((4, 3)), (8, 8))
+        with pytest.raises(DimMismatch):
+            convolve_fft(rng.random(8), rng.random((3, 3)))
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(DimMismatch):
