@@ -289,9 +289,9 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
         grads[f"conv{i}_b"] = dz.sum(axis=(0, 2))
         dw2 = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0)
         grads[f"conv{i}_w"] = dw2.reshape(m.weights[f"conv{i}_w"].shape)
-        w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
-        dcols = np.matmul(w2.T, dz)
-        dx = _col2im(dcols, in_shape, b.kernel, b.stride, oh, ow)
+        if i:  # nothing reads the input image's gradient
+            w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
+            dx = _col2im(np.matmul(w2.T, dz), in_shape, b.kernel, b.stride, oh, ow)
     return loss, grads
 
 

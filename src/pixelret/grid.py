@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -103,8 +104,10 @@ def read_graymap(path, origin=(0.0, 0.0), px_per_nm: float = 1.0) -> RasterGrid:
     Placement metadata is not stored in the PGM itself, so the caller
     supplies it (or a sidecar does).  Values come back as ``byte / 255``.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read graymap {path}: {exc}") from None
     try:
         magic, rest = raw.split(b"\n", 1)
         if magic != b"P5":

@@ -151,7 +151,11 @@ def import_iip(path: str | Path) -> tuple[IipMap, int]:
         digest = sidecar["payload_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed IIP sidecar field: {exc}") from exc
-    if sha256_bytes(path.read_bytes()) != digest:
+    try:
+        payload = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read IIP graymap {path}: {exc}") from None
+    if sha256_bytes(payload) != digest:
         raise ChecksumError(f"IIP graymap {path} does not match its sidecar digest")
     g = read_graymap(path, origin=origin, px_per_nm=px_per_nm)
     m = IipMap(grid=g, source_mask_checksum=source_ck, iik_checksum=iik_ck)

@@ -8,9 +8,10 @@ bench_scaling) first checks it against the config, so a model trained on
 other tiling or classes is refused rather than deployed.
 
 The caller and a kept pool of forked processes each classify one pixel
-chunk in batches, given model, raster and tiling as arguments.  Window
-compression and every CNN op work on each pixel alone, with no sum across
-pixels, so the map is bitwise identical for any worker count or batching.
+chunk (model, raster and tiling passed as arguments) from one compressed
+field built per chunk.  Field values are reduced by the same ops in the
+same order whatever chunk holds them, and CNN ops work per pixel, so the
+map is bitwise identical for any worker count or batching.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .layout import (
     rasterize,
     vectorize,
 )
-from .tiling import TilingConfig, compressed_windows, provenance
+from .tiling import TilingConfig, provenance, window_field
 
 
 @dataclass
@@ -132,15 +133,8 @@ def plan_chunks(n_pixels: int, workers: int) -> list[tuple[int, int]]:
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
     base, extra = divmod(n_pixels, workers)
-    chunks = []
-    pos = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
-        chunks.append((pos, pos + size))
-        pos += size
-    return chunks
+    ends = [i * base + min(i, extra) for i in range(workers + 1)]
+    return [(a, b) for a, b in zip(ends, ends[1:]) if b > a]
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +211,15 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 def _infer_chunk(
     args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
 ) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices, one
-    inference block of windows at a time.
-    """
+    """Class values of the raster pixels with the given flat indices."""
     m, raster, flat, tiling, class_values = args
+    coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
+    windows = window_field(raster, coords, tiling)
     block = inference_block(m.arch)
     out = np.empty(flat.size, dtype=np.float64)
     for start in range(0, flat.size, block):
-        part = flat[start : start + block]
-        coords = np.stack([part % raster.width, part // raster.width], axis=1)
-        images = compressed_windows(raster, coords, tiling)
-        out[start : start + part.size] = class_values[predict_batch(m, images)]
+        images = windows(coords[start : start + block])
+        out[start : start + len(images)] = class_values[predict_batch(m, images)]
     return out
 
 

@@ -4,18 +4,21 @@ Every pixel of a rasterized target owns a square window whose radius is the
 interaction distance: everything that can influence that pixel's correction.
 Windows are compressed blockwise with separate row/column reducers (the
 directional pair keeps horizontal and vertical context distinguishable) and
-paired with the pixel's IIP class to form a dataset.  compressed_windows
-serves many pixels at once for dataset building and deployment alike;
-extract_window plus compress_window is its one-pixel reference.
+paired with the pixel's IIP class to form a dataset.  window_field builds
+one compressed field per pixel set and reads each window as a strided view
+of it, for dataset building and deployment alike; extract_window plus
+compress_window is its one-pixel reference.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ChecksumError,
@@ -34,8 +37,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 _REDUCER_NAMES = ("mean", "max", "center_weighted")
 
-# Columns per compressed_windows group; bounds its working memory.
-_RUN_PX = 256
+# Float64 bytes per band of window_field's row stack; bounds its working memory.
+_BAND_BYTES = 16 << 20
 
 
 @dataclass
@@ -215,50 +218,47 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
     return out.astype(np.float32)
 
 
-def compressed_windows(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> np.ndarray:
-    """Compressed windows of the pixels coords[i] = (x, y) as one
-    (n, output_side, output_side) float32 array, bitwise equal to
-    compress_window(extract_window(g, coords[i], cfg), cfg).
+def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callable:
+    """Build the compressed field over the box the windows of coords[i] =
+    (x, y) cover; return windows(c), the float32 windows of pixels c inside
+    coords' bounding box, bitwise equal to compress_window(extract_window).
 
-    Pixels are grouped by row and _RUN_PX-column run.  Per group, rows are
-    reduced once over the zero-padded strip its windows cover, then columns
-    once per sampled block start, each in compress_window's memory layout
-    so the bits match.  Working memory is a few window_side x (window_side
-    + _RUN_PX) float64 strips, whatever coords holds.
+    With (x0, y0) the box's low corner, field value (v, u) compresses the
+    f x f block of the zero-padded raster at top-left pixel (x0 - r + u,
+    y0 - r + v), so the window of (x, y) is field[y - y0 + i*f, x - x0 + j*f].
+    Row bands, each within _BAND_BYTES, reduce rows over the f shifted rows
+    on axis 1, then columns gathered f wide into a contiguous last axis: the
+    layouts compress_window reduces in, so the bits match.
     """
-    coords = np.asarray(coords, dtype=np.int64)
-    side = cfg.output_side
-    out = np.empty((coords.shape[0], side, side), dtype=np.float32)
-    if coords.shape[0] == 0:
-        return out
-    xs, ys = coords[:, 0], coords[:, 1]
-    if xs.min() < 0 or ys.min() < 0 or xs.max() >= g.width or ys.max() >= g.height:
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    if ((coords < 0) | (coords >= (g.width, g.height))).any():
         raise CoordError(f"pixel coords outside grid {g.width}x{g.height}")
-    order = np.lexsort((xs, ys))
-    key = ys[order] * (g.width // _RUN_PX + 1) + xs[order] // _RUN_PX
-    bounds = np.flatnonzero(np.diff(key)) + 1
-    for group in np.split(order, bounds):
-        out[group] = _run_windows(g, int(ys[group[0]]), xs[group], cfg)
-    return out
+    side, f = cfg.output_side, cfg.compression_factor
+    span = (side - 1) * f + 1
+    lo, view = np.zeros(2, np.int64), np.empty((0, 0, side, side), np.float32)
+    if len(coords):
+        lo = coords.min(axis=0)
+        (x, y), (w, h) = lo - cfg.window_radius, np.ptp(coords, axis=0) + span
+        field = np.empty((h, w), dtype=np.float32)
+        band = max(1, _BAND_BYTES // (8 * f * (w + f - 1)))
+        b0, b1 = np.clip((x, x + w + f - 1), 0, g.width)
+        for v0 in range(0, h, band):
+            n, top = min(band, h - v0), y + v0
+            a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
+            pad = np.zeros((n + f - 1, w + f - 1))
+            pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
+            rows = _reduce(np.stack([pad[a : a + n] for a in range(f)], 1), 1, cfg.row_reducer, f)
+            cols = rows[:, np.arange(w)[:, None] + np.arange(f)]
+            field[v0 : v0 + n] = _reduce(cols, 2, cfg.col_reducer, f)
+        view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
 
+    def windows(c: np.ndarray) -> np.ndarray:
+        u, v = (np.asarray(c, dtype=np.int64).reshape(-1, 2) - lo).T
+        if ((u < 0) | (u >= view.shape[1]) | (v < 0) | (v >= view.shape[0])).any():
+            raise CoordError(f"pixels outside the field's box at {tuple(lo)}")
+        return view[v, u]
 
-def _run_windows(g: RasterGrid, y: int, xs: np.ndarray, cfg: TilingConfig) -> np.ndarray:
-    """compressed_windows of the pixels (xs[i], y), xs ascending."""
-    side, f, r = cfg.output_side, cfg.compression_factor, cfg.window_radius
-    # Strip of the zero-padded raster under the trimmed windows: strip
-    # pixel (i, j) is raster pixel (x0 - r + j, y - r + i).
-    x0 = int(xs[0])
-    h, w = side * f, int(xs[-1]) - x0 + side * f
-    strip = np.zeros((h, w), dtype=g.values.dtype)
-    ry0, rx0 = y - r, x0 - r
-    a0, a1 = max(ry0, 0), min(ry0 + h, g.height)
-    b0, b1 = max(rx0, 0), min(rx0 + w, g.width)
-    strip[a0 - ry0 : a1 - ry0, b0 - rx0 : b1 - rx0] = g.values[a0:a1, b0:b1]
-    rows = _reduce(strip.astype(np.float64).reshape(side, f, w), 1, cfg.row_reducer, f)
-    cols = (xs - x0)[:, None] + np.arange(side) * f
-    starts = np.unique(cols)
-    field = _reduce(rows[:, starts[:, None] + np.arange(f)], 2, cfg.col_reducer, f)
-    return field.astype(np.float32)[:, np.searchsorted(starts, cols)].transpose(1, 0, 2)
+    return windows
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def build_dataset(
         "source_pattern_checksum": target.checksum(),
     }
     return PixelDataset(
-        images=compressed_windows(raster, coords, tiling),
+        images=window_field(raster, coords, tiling)(coords),
         labels=flat_labels[sel].astype(np.uint16),
         coords=coords.astype(np.int32),
         splits=np.zeros(sel.size, dtype=np.uint8),

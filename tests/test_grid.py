@@ -86,3 +86,8 @@ class TestGraymapIO:
         path.write_bytes(raw[:-5])
         with pytest.raises(FormatError):
             read_graymap(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.pgm"
+        with pytest.raises(FormatError, match="absent.pgm"):
+            read_graymap(path)

@@ -164,3 +164,11 @@ class TestExportImport:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             import_iip(path)
+
+    def test_missing_graymap_rejected(self, tmp_path, grid_factory):
+        m = compute_iip(grid_factory(np.ones((8, 8))), iik())
+        path = tmp_path / "m.pgm"
+        export_iip(m, path, 20)
+        path.unlink()
+        with pytest.raises(FormatError, match="m.pgm"):
+            import_iip(path)

@@ -17,12 +17,12 @@ from pixelret.tiling import (
     TilingConfig,
     build_dataset,
     compress_window,
-    compressed_windows,
     extract_window,
     load_dataset,
     merge_datasets,
     save_dataset,
     split_dataset,
+    window_field,
 )
 
 
@@ -162,11 +162,11 @@ class TestCompressWindow:
         assert out.shape == (8, 8)
 
 
-class TestCompressedWindows:
+class TestWindowField:
     def test_matches_oracle_on_every_pixel(self, grid_factory, rng, monkeypatch):
         # Windows (side 11 and 21) larger than the 21x19 raster, so every
         # pixel reaches past an edge; factors 3 and 8 also trim the far
-        # edge.  Column runs of 4 px split each row into several groups.
+        # edge.  A 1-byte band budget builds the field one row at a time.
         g = grid_factory(rng.random((19, 21)))
         coords = np.array([(x, y) for y in range(19) for x in range(21)])
         perm = rng.permutation(len(coords))
@@ -181,26 +181,56 @@ class TestCompressedWindows:
                         compress_window(extract_window(g, (int(x), int(y)), t), t)
                         for x, y in coords
                     ])
-                    assert np.array_equal(compressed_windows(g, coords, t), oracle)
-                    assert np.array_equal(
-                        compressed_windows(g, coords[40:47], t), oracle[40:47]
-                    )
+                    assert np.array_equal(window_field(g, coords, t)(coords), oracle)
+                    part = coords[40:47]
+                    assert np.array_equal(window_field(g, part, t)(part), oracle[40:47])
                     with monkeypatch.context() as mp:
-                        mp.setattr(tiling, "_RUN_PX", 4)
+                        mp.setattr(tiling, "_BAND_BYTES", 1)
                         assert np.array_equal(
-                            compressed_windows(g, coords[perm], t), oracle[perm]
+                            window_field(g, coords[perm], t)(coords[perm]), oracle[perm]
                         )
+
+    def test_far_apart_boxes_read_by_block(self, grid_factory, rng, monkeypatch):
+        # Two 4x3 boxes at opposite corners of a 37x53 raster; the field
+        # spans both (57 px wide: 48 between the boxes plus the 9-px span
+        # of a window) and is built in 7-row bands, read 5 pixels a block.
+        g = grid_factory(rng.random((37, 53)))
+        t = TilingConfig(
+            interaction_distance=6.0, px_per_nm=1.0, compression_factor=4,
+            row_reducer="center_weighted", col_reducer="max",
+        )
+        coords = np.array(
+            [(x, y) for y in range(1, 4) for x in range(2, 6)]
+            + [(x, y) for y in range(33, 36) for x in range(47, 51)]
+        )
+        monkeypatch.setattr(tiling, "_BAND_BYTES", 8 * 4 * (57 + 3) * 7)
+        windows = window_field(g, coords, t)
+        for start in range(0, len(coords), 5):
+            block = coords[start : start + 5]
+            oracle = [compress_window(extract_window(g, tuple(c), t), t) for c in block]
+            assert np.array_equal(windows(block), np.stack(oracle))
+
+    def test_outside_field_rejected(self, grid_factory):
+        g = grid_factory(np.ones((10, 10)))
+        windows = window_field(g, np.array([(3, 3), (5, 4)]), toy_tiling())
+        assert windows(np.array([(4, 3), (5, 3)])).shape == (2, 8, 8)
+        for outside in ((2, 3), (6, 3), (3, 2), (3, 5)):
+            with pytest.raises(CoordError):
+                windows(np.array([outside]))
 
     def test_empty_selection(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
-        out = compressed_windows(g, np.empty((0, 2), dtype=np.int64), toy_tiling())
+        empty = np.empty((0, 2), dtype=np.int64)
+        out = window_field(g, empty, toy_tiling())(empty)
         assert out.shape == (0, 8, 8)
         assert out.dtype == np.float32
+        with pytest.raises(CoordError):
+            window_field(g, empty, toy_tiling())(np.array([(3, 3)]))
 
     def test_out_of_bounds_rejected(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
         with pytest.raises(CoordError):
-            compressed_windows(g, np.array([(3, 3), (10, 3)]), toy_tiling())
+            window_field(g, np.array([(3, 3), (10, 3)]), toy_tiling())
 
 
 def build_small(seed=0, cap=50):
