@@ -1,0 +1,115 @@
+"""Wall time of the model-building stages on the toy profile, stage by stage.
+
+Prints the host's CPU count; for each of the six case-study families
+(iso40, iso140, ls40, ls140, iso60, iso100) the ILT target shape, the
+real-FFT transform shape its convolutions run at, and optimize_mask's
+milliseconds per gradient step; the median milliseconds of one backward
+step on 32 training images of the toy arch; and the wall time of one
+epoch of train on the dataset built from the four training families'
+ILT masks (the criterion 7 recipe, seeded by the toy config).  OpenBLAS
+is pinned to one thread, as in the benchmark.
+
+    PYTHONPATH=src python3 scripts/model_build_stages.py [--reps N]
+"""
+
+import argparse
+import dataclasses
+import os
+import time
+
+# OpenBLAS reads its thread count once, when numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np
+
+from pixelret import litho
+from pixelret.classifier import backward, init_model, train
+from pixelret.cli import CANONICAL_PATTERNS, load_config
+from pixelret.ilt import optimize_mask
+from pixelret.layout import generate_test_pattern
+from pixelret.pipeline import deployment_raster
+from pixelret.tiling import build_dataset, merge_datasets, split_dataset
+
+TRAIN_FAMILIES = ("iso40", "iso140", "ls40", "ls140")
+FAMILIES = TRAIN_FAMILIES + ("iso60", "iso100")
+BATCH = 32
+
+
+def transform_shapes(run):
+    """Run run() and return the set of transform shapes litho's rfftn saw."""
+    seen = set()
+    rfftn = litho.rfftn
+
+    def recording(x, s=None, *args, **kwargs):
+        seen.add(tuple(s))
+        return rfftn(x, s, *args, **kwargs)
+
+    litho.rfftn = recording
+    try:
+        return run(), seen
+    finally:
+        litho.rfftn = rfftn
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--reps", type=int, default=200, help="timed backward steps")
+    args = ap.parse_args()
+
+    cfg = load_config(None, True, {})
+    tiling, litho_cfg, icfg = cfg.tiling(), cfg.litho(), cfg.ilt()
+    print(f"nproc {os.cpu_count()}")
+
+    masks, patterns = {}, {}
+    for name in FAMILIES:
+        patterns[name] = generate_test_pattern(**CANONICAL_PATTERNS[name])
+        target = deployment_raster(patterns[name], tiling)
+        t0 = time.perf_counter()
+        result, shapes = transform_shapes(lambda: optimize_mask(target, litho_cfg, icfg))
+        ms = 1000.0 * (time.perf_counter() - t0) / icfg.steps
+        masks[name] = result.mask
+        print(
+            f"ilt {name:7s} {target.height}x{target.width} px  transform "
+            + ", ".join(f"{h}x{w}" for h, w in sorted(shapes))
+            + f"  {ms:.1f} ms/step"
+        )
+
+    t0 = time.perf_counter()
+    parts = [
+        build_dataset(
+            patterns[name], masks[name], tiling, cfg.iip(),
+            per_class_cap=int(cfg.raw["sampling"]["per_class_cap"]),
+            seed=cfg.sampling_seed,
+        )
+        for name in TRAIN_FAMILIES
+    ]
+    ds = split_dataset(
+        merge_datasets(parts), tuple(cfg.raw["sampling"]["split_fractions"]), cfg.split_seed
+    )
+    print(f"build_dataset {len(ds)} samples  {time.perf_counter() - t0:.2f} s")
+
+    model = init_model(cfg.arch(), cfg.init_seed)
+    train_idx = ds.split_indices("train")
+    rng = np.random.Generator(np.random.PCG64(0))
+    times = []
+    for rep in range(args.reps + 5):
+        sel = train_idx[rng.choice(train_idx.size, BATCH, replace=False)]
+        t0 = time.perf_counter()
+        backward(model, (ds.images[sel], ds.labels[sel]))
+        if rep >= 5:  # the first steps warm caches and allocators
+            times.append(time.perf_counter() - t0)
+    print(f"backward batch {BATCH}  {1000.0 * np.median(times):.2f} ms/step (median of {args.reps})")
+
+    t0 = time.perf_counter()
+    _, history = train(model, ds, dataclasses.replace(cfg.train(), epochs=1))
+    wall = time.perf_counter() - t0
+    steps = -(-train_idx.size // cfg.train().batch_size)
+    print(
+        f"train 1 epoch {train_idx.size} samples, {steps} steps  {wall:.2f} s"
+        f"  ({1000.0 * wall / steps:.2f} ms/step, val accuracy {history['val_accuracy'][0]:.4f})"
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,12 @@ ReLU) feeding a global average pool and a dense softmax head.  Weights and
 activations are float32; softmax and loss run in float64.  Everything is
 seeded and single-threaded over the batch sequence, so training twice with
 one seed reproduces history and weights bitwise.
+
+A training step runs each conv layer over the whole batch as one GEMM
+(forward, weight gradient and patch gradient alike).  Inference runs its
+products per sample instead: a product over many samples sums in an
+order that depends on how many there are, and a deployed pixel's class
+must not depend on its batch, chunk or worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ArchError,
@@ -166,49 +173,24 @@ def init_model(arch: ArchDescriptor, seed: int) -> ModelParams:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
-    n, c, h, w = x.shape
-    oh = (h - k) // s + 1
-    ow = (w - k) // s + 1
-    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            cols[:, :, ky, kx] = x[:, :, ky : ky + s * oh : s, kx : kx + s * ow : s]
-    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+def _forward_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
+    """images: (n, side, side) float32 -> logits (n, classes) float32.
 
-
-def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    n, c, h, w = xshape
-    dx = np.zeros(xshape, dtype=dcols.dtype)
-    dc = dcols.reshape(n, c, k, k, oh, ow)
-    for ky in range(k):
-        for kx in range(k):
-            dx[:, :, ky : ky + s * oh : s, kx : kx + s * ow : s] += dc[:, :, ky, kx]
-    return dx
-
-
-def _forward_batch(m: ModelParams, images: np.ndarray, keep_cache: bool = False):
-    """images: (n, side, side) float32 -> (logits float32, cache).
-
-    Every op runs per sample, so a sample's logits are bitwise the same in
-    any batch; a single (n, F) @ (F, C) product would not be.
+    Every product runs per sample, so a sample's logits are bitwise the
+    same in any batch; a single (F, n*P) or (n, F) @ (F, C) product would
+    not be, and deployed maps must not depend on batch or worker count.
     """
-    arch = m.arch
     x = images[:, None, :, :]
-    cache = []
-    for i, b in enumerate(arch.conv_blocks):
+    for i, b in enumerate(m.arch.conv_blocks):
+        k, s = b.kernel, b.stride
         w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
-        cols, oh, ow = _im2col(x, b.kernel, b.stride)
+        cols = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        n, c, oh, ow = cols.shape[:4]
+        cols = cols.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
         z = np.matmul(w2, cols) + m.weights[f"conv{i}_b"][None, :, None]
-        a = np.maximum(z, 0.0)
-        if keep_cache:
-            cache.append((x.shape, cols, z, oh, ow))
-        x = a.reshape(x.shape[0], b.filters, oh, ow)
+        x = np.maximum(z, 0.0).reshape(n, b.filters, oh, ow)
     gap = x.mean(axis=(2, 3))
-    logits = np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
-    if keep_cache:
-        return logits, (cache, gap, x.shape)
-    return logits, None
+    return np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
 
 
 def _softmax64(logits: np.ndarray) -> np.ndarray:
@@ -245,13 +227,38 @@ def predict_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
     block = inference_block(m.arch)
     out = np.empty(imgs.shape[0], dtype=np.int64)
     for start in range(0, imgs.shape[0], block):
-        logits, _ = _forward_batch(m, imgs[start : start + block])
+        logits = _forward_batch(m, imgs[start : start + block])
         out[start : start + logits.shape[0]] = np.argmax(logits, axis=1)
     return out
 
 
+def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
+    """(c, h, w, n) -> the (c*k*k, oh*ow*n) matrix of every sample's k x k
+    patches at stride s, rows in weight order, one column per position."""
+    v = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    c, oh, ow, n = v.shape[:4]
+    return v.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n), oh, ow
+
+
+def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """Scatter-add _im2col-shaped patch gradients back onto the
+    (c, h, w, n) input they were taken from."""
+    dx = np.zeros(xshape, dtype=dcols.dtype)
+    dc = dcols.reshape(xshape[0], k, k, oh, ow, xshape[3])
+    for ky in range(k):
+        for kx in range(k):
+            dx[:, ky : ky + s * oh : s, kx : kx + s * ow : s] += dc[:, ky, kx]
+    return dx
+
+
 def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
-    """Mean cross-entropy loss and its gradients for (images, labels)."""
+    """Mean cross-entropy loss and its gradients for (images, labels).
+
+    Runs its own forward over the whole batch in a channel-major,
+    batch-last (c, h, w, n) layout, so each conv layer's forward, weight
+    gradient and patch gradient is one 2-D product over every sample's
+    patches, and every patch copy and scatter moves runs of n values.
+    """
     images, labels = batch
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels)
@@ -259,11 +266,26 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
         raise ShapeError("batch images must be a nonempty (n, side, side) array")
     if images.shape[1] != m.arch.input_side or images.shape[2] != m.arch.input_side:
         raise ShapeError(f"batch images {images.shape} incompatible with model")
-    if labels.shape != (images.shape[0],) or labels.max() >= m.arch.num_classes:
-        raise ShapeError("labels must be per-sample class ids below num_classes")
+    if (
+        labels.shape != (images.shape[0],)
+        or not np.issubdtype(labels.dtype, np.integer)
+        or labels.min() < 0
+        or labels.max() >= m.arch.num_classes
+    ):
+        raise ShapeError("labels must be per-sample integer class ids in [0, num_classes)")
 
-    logits, (cache, gap, xshape) = _forward_batch(m, images, keep_cache=True)
     n = images.shape[0]
+    x = images.transpose(1, 2, 0)[None]
+    cache = []
+    for i, b in enumerate(m.arch.conv_blocks):
+        w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
+        cols, oh, ow = _im2col(x, b.kernel, b.stride)
+        z = w2 @ cols + m.weights[f"conv{i}_b"][:, None]
+        cache.append((x.shape, cols, z, oh, ow))
+        x = np.maximum(z, 0.0).reshape(b.filters, oh, ow, n)
+    gap = x.reshape(x.shape[0], -1, n).mean(axis=1).T
+    logits = gap @ m.weights["dense_w"].T + m.weights["dense_b"]
+
     probs = _softmax64(logits)
     picked = probs[np.arange(n), labels]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
@@ -276,22 +298,16 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
         "dense_b": dlogits.sum(axis=0),
     }
     dgap = dlogits @ m.weights["dense_w"]
-    nb, f, oh, ow = xshape
-    dx = np.broadcast_to(
-        dgap[:, :, None, None] / (oh * ow), xshape
-    ).astype(np.float32)
+    dx = np.broadcast_to((dgap.T / (oh * ow))[:, None, None, :], x.shape)
     for i in range(len(m.arch.conv_blocks) - 1, -1, -1):
         b = m.arch.conv_blocks[i]
-        in_shape, cols, z, oh, ow = cache[i]
-        dz = dx.reshape(dx.shape[0], b.filters, oh * ow) * (
-            z > 0.0
-        ).astype(np.float32)
-        grads[f"conv{i}_b"] = dz.sum(axis=(0, 2))
-        dw2 = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0)
-        grads[f"conv{i}_w"] = dw2.reshape(m.weights[f"conv{i}_w"].shape)
+        xshape, cols, z, oh, ow = cache[i]
+        dz = dx.reshape(z.shape) * (z > 0.0)
+        grads[f"conv{i}_b"] = dz.sum(axis=1)
+        grads[f"conv{i}_w"] = (dz @ cols.T).reshape(m.weights[f"conv{i}_w"].shape)
         if i:  # nothing reads the input image's gradient
             w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
-            dx = _col2im(np.matmul(w2.T, dz), in_shape, b.kernel, b.stride, oh, ow)
+            dx = _col2im(w2.T @ dz, xshape, b.kernel, b.stride, oh, ow)
     return loss, grads
 
 

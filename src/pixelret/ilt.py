@@ -17,7 +17,7 @@ so the step's aerial image cannot stand in for it without changing bits;
 instead the check is skipped when the binarized mask equals the last one
 checked, and the result's fidelity is the best iterate's checked IoU.
 Masks, loss history and fidelity are bitwise those of the loop that
-convolves afresh at every use.
+convolves afresh with convolve_fft at every use.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 A mask grid is blurred with a nonnegative unit-sum kernel to form an aerial
 intensity image; a constant resist threshold turns intensity into the
-printed shape.  The model convolves by FFT, and a caller that convolves
-many images of one shape with one kernel (ILT) transforms the kernel once;
-direct summation is kept as the independent route that checks it.
+printed shape.  The model convolves by FFT at the shortest transform
+length free of wrap-around over the kept pixels, and a caller that
+convolves many images of one shape with one kernel (ILT) transforms the
+kernel once; direct summation is kept as the independent route that
+checks it.
 """
 
 from __future__ import annotations
@@ -124,10 +126,14 @@ def fft_convolver(
     """True 2D convolution via FFT for images of one shape, same-size
     output, zero padding; the kernel spectrum is computed here, once.
 
-    Both sides are transformed at the next fast real-FFT length of the full
-    linear convolution, multiplied, transformed back and the centred
-    image-sized part kept: the steps of SciPy's fftconvolve with mode
-    "same", whose bits it reproduces when every side is at least 2.
+    Both sides are transformed at the next fast real-FFT length of
+    h + kh//2 by w + kw//2, multiplied, transformed back and the centred
+    image-sized part kept.  A circular length N folds full-convolution
+    term j >= N onto j - N <= h + kh - 2 - N, which lies before the kept
+    rows [kh//2, kh//2 + h) exactly when N >= h + kh//2, for any kernel
+    size (kernel taps cropped by a shorter N reach only past the kept
+    window).  The full length h + kh - 1 that SciPy's fftconvolve uses is
+    not needed, so the result agrees with it to round-off, not bitwise.
     """
     ker = np.asarray(kernel, dtype=np.float64)
     if len(shape) != 2 or ker.ndim != 2:
@@ -136,16 +142,17 @@ def fft_convolver(
         raise DimMismatch(f"kernel dims must be odd, got {ker.shape}")
     h, w = shape
     kh, kw = ker.shape
-    fshape = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
-    spectrum = rfftn(ker, fshape)
     y0, x0 = kh // 2, kw // 2
+    fshape = (next_fast_len(h + y0, True), next_fast_len(w + x0, True))
+    spectrum = rfftn(ker, fshape)
 
     def convolve(img: np.ndarray) -> np.ndarray:
         img = np.asarray(img, dtype=np.float64)
         if img.shape != (h, w):
             raise DimMismatch(f"image {img.shape} vs convolver shape {(h, w)}")
-        out = irfftn(rfftn(img, fshape) * spectrum, fshape)
-        return out[y0 : y0 + h, x0 : x0 + w].copy()
+        f = rfftn(img, fshape)
+        f *= spectrum
+        return irfftn(f, fshape)[y0 : y0 + h, x0 : x0 + w].copy()
 
     return convolve
 

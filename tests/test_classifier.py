@@ -11,6 +11,7 @@ from pixelret.classifier import (
     TrainConfig,
     _forward_batch,
     _softmax64,
+    backward,
     inference_block,
     init_model,
     load_model,
@@ -57,6 +58,72 @@ def tiny_dataset(cap=40):
         per_class_cap=cap, seed=0,
     )
     return split_dataset(ds, (0.6, 0.2, 0.2), seed=1)
+
+
+# Per-sample training step, kept as the oracle for backward's batch-wide
+# GEMMs: every conv product and patch scatter runs sample by sample in an
+# (n, c, h, w) layout, the shape inference still uses.
+
+def _im2col(x, k, s):
+    n, c, h, w = x.shape
+    oh = (h - k) // s + 1
+    ow = (w - k) // s + 1
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, :, ky, kx] = x[:, :, ky : ky + s * oh : s, kx : kx + s * ow : s]
+    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+
+
+def _col2im(dcols, xshape, k, s, oh, ow):
+    n, c, h, w = xshape
+    dx = np.zeros(xshape, dtype=dcols.dtype)
+    dc = dcols.reshape(n, c, k, k, oh, ow)
+    for ky in range(k):
+        for kx in range(k):
+            dx[:, :, ky : ky + s * oh : s, kx : kx + s * ow : s] += dc[:, :, ky, kx]
+    return dx
+
+
+def per_sample_forward(m, images):
+    """Logits and, per conv layer, (input shape, im2col columns,
+    pre-activation, oh, ow)."""
+    x = images[:, None, :, :]
+    cache = []
+    for i, b in enumerate(m.arch.conv_blocks):
+        w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
+        cols, oh, ow = _im2col(x, b.kernel, b.stride)
+        z = np.matmul(w2, cols) + m.weights[f"conv{i}_b"][None, :, None]
+        cache.append((x.shape, cols, z, oh, ow))
+        x = np.maximum(z, 0.0).reshape(x.shape[0], b.filters, oh, ow)
+    gap = x.mean(axis=(2, 3))
+    logits = np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
+    return logits, cache, gap, x.shape
+
+
+def per_sample_backward(m, images, labels):
+    logits, cache, gap, xshape = per_sample_forward(m, images)
+    n = images.shape[0]
+    probs = _softmax64(logits)
+    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), labels], 1e-300))))
+    dlogits = probs
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits = (dlogits / n).astype(np.float32)
+    grads = {"dense_w": dlogits.T @ gap, "dense_b": dlogits.sum(axis=0)}
+    dgap = dlogits @ m.weights["dense_w"]
+    _, f, oh, ow = xshape
+    dx = np.broadcast_to(dgap[:, :, None, None] / (oh * ow), xshape).astype(np.float32)
+    for i in range(len(m.arch.conv_blocks) - 1, -1, -1):
+        b = m.arch.conv_blocks[i]
+        in_shape, cols, z, oh, ow = cache[i]
+        dz = dx.reshape(dx.shape[0], b.filters, oh * ow) * (z > 0.0).astype(np.float32)
+        grads[f"conv{i}_b"] = dz.sum(axis=(0, 2))
+        dw2 = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0)
+        grads[f"conv{i}_w"] = dw2.reshape(m.weights[f"conv{i}_w"].shape)
+        if i:
+            w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
+            dx = _col2im(np.matmul(w2.T, dz), in_shape, b.kernel, b.stride, oh, ow)
+    return loss, grads
 
 
 class TestArchValidation:
@@ -120,7 +187,7 @@ class TestInitAndForward:
     def test_forward_probability_simplex(self, rng):
         m = init_model(tiny_arch(), seed=0)
         x = rng.random((1, 8, 8)).astype(np.float32)
-        logits, _ = _forward_batch(m, x)
+        logits = _forward_batch(m, x)
         probs = _softmax64(logits)[0]
         assert probs.shape == (5,)
         assert logits.shape == (1, 5)
@@ -131,10 +198,10 @@ class TestInitAndForward:
         # Deployment maps must not depend on batch size or chunking.
         m = init_model(ArchDescriptor(8, 5, [ConvBlock(16), ConvBlock(64)]), seed=0)
         xs = rng.random((64, 8, 8)).astype(np.float32)
-        alone = np.concatenate([_forward_batch(m, x[None])[0] for x in xs])
+        alone = np.concatenate([_forward_batch(m, x[None]) for x in xs])
         for n in (7, 64):
             batched = np.concatenate(
-                [_forward_batch(m, xs[i : i + n])[0] for i in range(0, 64, n)]
+                [_forward_batch(m, xs[i : i + n]) for i in range(0, 64, n)]
             )
             assert np.array_equal(batched, alone)
 
@@ -159,7 +226,7 @@ class TestInitAndForward:
         block = inference_block(arch)
         m = init_model(arch, seed=0)
         x = rng.random((block, arch.input_side, arch.input_side)).astype(np.float32)
-        _, (cache, _, _) = _forward_batch(m, x, keep_cache=True)
+        _, cache, _, _ = per_sample_forward(m, x)
         # Per layer: im2col columns, pre-activation and activation.
         largest = max(cols.nbytes + 2 * z.nbytes for _, cols, z, _, _ in cache)
         assert largest <= BLOCK_BYTES
@@ -170,6 +237,39 @@ class TestInitAndForward:
         m = init_model(tiny_arch(), seed=0)
         with pytest.raises(ShapeError):
             predict(m, rng.random((9, 9)).astype(np.float32))
+
+
+class TestBackward:
+    @pytest.mark.parametrize("arch, n", [
+        (load_config(None, True, {}).arch(), 1),
+        (load_config(None, True, {}).arch(), 7),
+        (load_config(None, True, {}).arch(), 32),
+        (ArchDescriptor(12, 6, [ConvBlock(4, stride=1), ConvBlock(8, kernel=5, stride=1)]), 9),
+    ])
+    def test_matches_per_sample_oracle(self, rng, arch, n):
+        m = init_model(arch, seed=4)
+        images = rng.random((n, arch.input_side, arch.input_side)).astype(np.float32)
+        labels = rng.integers(0, arch.num_classes, n).astype(np.uint16)
+        loss, grads = backward(m, (images, labels))
+        want_loss, want = per_sample_backward(m, images, labels)
+        # The loss is computed from float32 logits whose products now sum
+        # in another order, so it is asked to agree to float32 rounding.
+        assert loss == pytest.approx(want_loss, rel=np.finfo(np.float32).eps)
+        assert sorted(grads) == sorted(want)
+        for name, g in want.items():
+            assert grads[name].dtype == np.float32
+            assert grads[name].shape == m.weights[name].shape
+            err = np.max(np.abs(grads[name] - g))
+            assert err <= 1e-5 * np.max(np.abs(g)), name
+        # The oracle's forward is inference's arithmetic, bit for bit.
+        assert np.array_equal(per_sample_forward(m, images)[0], _forward_batch(m, images))
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0.0, 1.0], [0, 5], [[0, 1]]])
+    def test_bad_labels_rejected(self, rng, labels):
+        m = init_model(tiny_arch(), seed=0)
+        images = rng.random((2, 8, 8)).astype(np.float32)
+        with pytest.raises(ShapeError):
+            backward(m, (images, np.array(labels)))
 
 
 class TestTraining:

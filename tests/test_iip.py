@@ -39,7 +39,10 @@ class TestComputeIip:
 
     def test_full_mask_center_one(self, grid_factory):
         m = compute_iip(grid_factory(np.ones((24, 24))), iik())
-        assert m.grid.values[12, 12] == 1.0
+        # Round-off breaks the tie among the plateau pixels that see the
+        # whole kernel, so the centre may sit an ulp below the peak.
+        assert m.grid.values[12, 12] == pytest.approx(1.0, abs=1e-12)
+        assert m.grid.values.max() == 1.0
 
     def test_nonbinary_rejected(self, grid_factory):
         with pytest.raises(RangeError):

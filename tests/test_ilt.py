@@ -3,12 +3,17 @@ import csv
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
-from scipy.signal import fftconvolve
 from scipy.special import expit
 
 from pixelret.errors import DimMismatch, ParamError, RangeError, ResolutionMismatch
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask, save_loss_history
-from pixelret.litho import LithoConfig, aerial_image, make_gaussian_kernel, print_image
+from pixelret.litho import (
+    LithoConfig,
+    aerial_image,
+    convolve_fft,
+    make_gaussian_kernel,
+    print_image,
+)
 from pixelret.pipeline import iou
 
 
@@ -159,18 +164,18 @@ def uncached_optimize(target, litho, cfg):
 
     def loss_and_grad(theta):
         m = expit(k_m * theta)
-        p = expit(k_r * (fftconvolve(m, kv, mode="same") - thr))
+        p = expit(k_r * (convolve_fft(m, kv) - thr))
         r = p - tv
         n = theta.size
         dldi = (2.0 / n) * r * k_r * p * (1.0 - p)
-        grad = fftconvolve(dldi, kv[::-1, ::-1], mode="same") * k_m * m * (1.0 - m)
+        grad = convolve_fft(dldi, kv[::-1, ::-1]) * k_m * m * (1.0 - m)
         return float(np.dot(r.ravel(), r.ravel()) / n), grad
 
     def binarize(theta):
         return (expit(k_m * theta) > cfg.binarize_threshold).astype(np.uint8)
 
     def fidelity(mask):
-        aerial = np.clip(fftconvolve(mask.astype(np.float64), kv, mode="same"), 0.0, 1.0)
+        aerial = np.clip(convolve_fft(mask.astype(np.float64), kv), 0.0, 1.0)
         printed, wanted = aerial >= thr, target.values != 0
         union = int(np.logical_or(printed, wanted).sum())
         if union == 0:
