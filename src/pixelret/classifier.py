@@ -6,11 +6,14 @@ activations are float32; softmax and loss run in float64.  Everything is
 seeded and single-threaded over the batch sequence, so training twice with
 one seed reproduces history and weights bitwise.
 
-A training step runs each conv layer over the whole batch as one GEMM
-(forward, weight gradient and patch gradient alike).  Inference runs its
-products per sample instead: a product over many samples sums in an
-order that depends on how many there are, and a deployed pixel's class
-must not depend on its batch, chunk or worker count.
+Training and inference share one forward, which runs each conv layer over
+the whole batch as one GEMM (a training step's weight and patch gradients
+are one GEMM each too).  A product over many samples may sum in an order
+that depends on how many there are, and a deployed pixel's class must not
+depend on its batch, chunk or worker count; so inference runs blocks of
+exactly inference_block images, the last one zero-padded.  At those fixed
+call shapes every image's logits come out bitwise the same whatever its
+slot in the block and whatever images share it (the tests check this).
 """
 
 from __future__ import annotations
@@ -35,9 +38,16 @@ from .tiling import PROVENANCE_KEYS, PixelDataset
 
 MODEL_FORMAT_VERSION = 1
 MOMENTUM = 0.9
-# Float32 layer data one inference block may hold; the block's image count
-# follows from the architecture (inference_block).
-BLOCK_BYTES = 16 << 20
+# Float32 layer data, and images, one inference block may hold; the block's
+# image count follows from the architecture (inference_block).  Measured on
+# a 2-CPU host: the toy arch runs at about the same cost per image from 24
+# to 98 images per block, and pays for padding beyond that; the default
+# arch runs best at one image per block (2 to 4 images copy patches in runs
+# too short).  Every chunk pads its last block, so a tiny arch is held to
+# BLOCK_IMAGES: thousands of images per block would leave 4 workers only
+# three blocks of work on a 10^4-pixel map.
+BLOCK_BYTES = 3 << 19
+BLOCK_IMAGES = 128
 
 
 @dataclass
@@ -173,24 +183,36 @@ def init_model(arch: ArchDescriptor, seed: int) -> ModelParams:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
+    """(c, h, w, n) -> the (c*k*k, oh*ow*n) matrix of every sample's k x k
+    patches at stride s, rows in weight order, one column per position."""
+    v = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    c, oh, ow, n = v.shape[:4]
+    return v.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n), oh, ow
+
+
+def _forward(m: ModelParams, images: np.ndarray, cache: list | None = None) -> np.ndarray:
     """images: (n, side, side) float32 -> logits (n, classes) float32.
 
-    Every product runs per sample, so a sample's logits are bitwise the
-    same in any batch; a single (F, n*P) or (n, F) @ (F, C) product would
-    not be, and deployed maps must not depend on batch or worker count.
+    Runs in a channel-major, batch-last (c, h, w, n) layout: each conv
+    layer is one 2-D product over every sample's patches, then bias and
+    ReLU in place.  A cache list receives, per conv layer, (input shape,
+    im2col columns, activation, oh, ow) and then the pooled features.
     """
-    x = images[:, None, :, :]
+    n = images.shape[0]
+    x = images.transpose(1, 2, 0)[None]
     for i, b in enumerate(m.arch.conv_blocks):
-        k, s = b.kernel, b.stride
-        w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
-        cols = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        n, c, oh, ow = cols.shape[:4]
-        cols = cols.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
-        z = np.matmul(w2, cols) + m.weights[f"conv{i}_b"][None, :, None]
-        x = np.maximum(z, 0.0).reshape(n, b.filters, oh, ow)
-    gap = x.mean(axis=(2, 3))
-    return np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
+        cols, oh, ow = _im2col(x, b.kernel, b.stride)
+        a = m.weights[f"conv{i}_w"].reshape(b.filters, -1) @ cols
+        a += m.weights[f"conv{i}_b"][:, None]
+        np.maximum(a, 0.0, out=a)
+        if cache is not None:
+            cache.append((x.shape, cols, a, oh, ow))
+        x = a.reshape(b.filters, oh, ow, n)
+    gap = x.reshape(x.shape[0], -1, n).mean(axis=1).T
+    if cache is not None:
+        cache.append(gap)
+    return gap @ m.weights["dense_w"].T + m.weights["dense_b"]
 
 
 def _softmax64(logits: np.ndarray) -> np.ndarray:
@@ -201,43 +223,42 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
 
 
 def predict(m: ModelParams, image: np.ndarray) -> int:
-    """Argmax class of one image; ties resolve to the lower class index."""
+    """Argmax class of one image; ties resolve to the lower class index.
+    One image costs one zero-padded inference block.
+    """
     return int(predict_batch(m, np.asarray(image)[None])[0])
 
 
 def inference_block(arch: ArchDescriptor) -> int:
-    """Images per inference block: as many as keep the largest per-image
-    conv layer working set (im2col columns, pre-activation and activation,
-    all float32) within BLOCK_BYTES, and at least one.
+    """Images per inference block: as many as keep the largest conv layer's
+    batch-last working set (im2col columns and activation, float32) within
+    BLOCK_BYTES, at most BLOCK_IMAGES and at least one.
     """
     cin, largest = 1, 0
     for b, side in zip(arch.conv_blocks, arch.feature_sides[1:]):
-        largest = max(largest, 4 * side * side * (cin * b.kernel * b.kernel + 2 * b.filters))
+        largest = max(largest, 4 * side * side * (cin * b.kernel * b.kernel + b.filters))
         cin = b.filters
-    return max(1, BLOCK_BYTES // largest)
+    return max(1, min(BLOCK_IMAGES, BLOCK_BYTES // largest))
 
 
 def predict_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
-    """Argmax class per image, run in inference_block blocks; ties resolve
-    to the lower class index and the result does not depend on the block.
+    """Argmax class per image; ties resolve to the lower class index.
+
+    Images run through _forward in blocks of exactly inference_block
+    images, the last one zero-padded, so every image goes through the same
+    GEMM call shapes and its class does not depend on its batch.
     """
     imgs = np.asarray(images, dtype=np.float32)
     if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2] or imgs.shape[1] != m.arch.input_side:
         raise ShapeError(f"images {imgs.shape} incompatible with model")
-    block = inference_block(m.arch)
-    out = np.empty(imgs.shape[0], dtype=np.int64)
-    for start in range(0, imgs.shape[0], block):
-        logits = _forward_batch(m, imgs[start : start + block])
-        out[start : start + logits.shape[0]] = np.argmax(logits, axis=1)
+    n, block = imgs.shape[0], inference_block(m.arch)
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, block):
+        part = imgs[start : start + block]
+        if len(part) < block:
+            part = np.pad(part, ((0, block - len(part)), (0, 0), (0, 0)))
+        out[start : start + block] = np.argmax(_forward(m, part)[: n - start], axis=1)
     return out
-
-
-def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
-    """(c, h, w, n) -> the (c*k*k, oh*ow*n) matrix of every sample's k x k
-    patches at stride s, rows in weight order, one column per position."""
-    v = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-    c, oh, ow, n = v.shape[:4]
-    return v.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n), oh, ow
 
 
 def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) -> np.ndarray:
@@ -254,10 +275,10 @@ def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) 
 def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
     """Mean cross-entropy loss and its gradients for (images, labels).
 
-    Runs its own forward over the whole batch in a channel-major,
-    batch-last (c, h, w, n) layout, so each conv layer's forward, weight
-    gradient and patch gradient is one 2-D product over every sample's
-    patches, and every patch copy and scatter moves runs of n values.
+    Runs _forward over the whole batch, so each conv layer's forward,
+    weight gradient and patch gradient is one 2-D product over every
+    sample's patches, and every patch copy and scatter moves runs of n
+    values.
     """
     images, labels = batch
     images = np.asarray(images, dtype=np.float32)
@@ -275,18 +296,9 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
         raise ShapeError("labels must be per-sample integer class ids in [0, num_classes)")
 
     n = images.shape[0]
-    x = images.transpose(1, 2, 0)[None]
-    cache = []
-    for i, b in enumerate(m.arch.conv_blocks):
-        w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
-        cols, oh, ow = _im2col(x, b.kernel, b.stride)
-        z = w2 @ cols + m.weights[f"conv{i}_b"][:, None]
-        cache.append((x.shape, cols, z, oh, ow))
-        x = np.maximum(z, 0.0).reshape(b.filters, oh, ow, n)
-    gap = x.reshape(x.shape[0], -1, n).mean(axis=1).T
-    logits = gap @ m.weights["dense_w"].T + m.weights["dense_b"]
-
-    probs = _softmax64(logits)
+    cache: list = []
+    probs = _softmax64(_forward(m, images, cache))
+    *layers, gap = cache
     picked = probs[np.arange(n), labels]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     dlogits = probs
@@ -298,11 +310,13 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
         "dense_b": dlogits.sum(axis=0),
     }
     dgap = dlogits @ m.weights["dense_w"]
-    dx = np.broadcast_to((dgap.T / (oh * ow))[:, None, None, :], x.shape)
-    for i in range(len(m.arch.conv_blocks) - 1, -1, -1):
+    _, _, a, oh, ow = layers[-1]
+    dx = np.broadcast_to((dgap.T / (oh * ow))[:, None, :], (a.shape[0], oh * ow, n))
+    for i in range(len(layers) - 1, -1, -1):
         b = m.arch.conv_blocks[i]
-        xshape, cols, z, oh, ow = cache[i]
-        dz = dx.reshape(z.shape) * (z > 0.0)
+        xshape, cols, a, oh, ow = layers[i]
+        # a > 0 exactly where the pre-activation is > 0.
+        dz = dx.reshape(a.shape) * (a > 0.0)
         grads[f"conv{i}_b"] = dz.sum(axis=1)
         grads[f"conv{i}_w"] = (dz @ cols.T).reshape(m.weights[f"conv{i}_w"].shape)
         if i:  # nothing reads the input image's gradient

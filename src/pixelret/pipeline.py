@@ -10,8 +10,9 @@ other tiling or classes is refused rather than deployed.
 The caller and a kept pool of forked processes each classify one pixel
 chunk (model, raster and tiling passed as arguments) from one compressed
 field built per chunk.  Field values are reduced by the same ops in the
-same order whatever chunk holds them, and CNN ops work per pixel, so the
-map is bitwise identical for any worker count or batching.
+same order whatever chunk holds them, and the CNN classifies fixed-shape
+blocks in which a pixel's class does not depend on its slot or block-mates,
+so the map is bitwise identical for any worker count, chunking or region.
 """
 
 from __future__ import annotations
@@ -161,14 +162,21 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
     ys = g.origin[1] + np.arange(g.height) * inv
     for box in boxes:
         x0, y0, x1, y1 = box
-        if x1 <= x0 or y1 <= y0:
+        if not (x0 < x1 and y0 < y1):
             raise CoordError(f"degenerate region bbox {box}")
         if x0 < gx0 - 1e-9 or y0 < gy0 - 1e-9 or x1 > gx1 + 1e-9 or y1 > gy1 + 1e-9:
             raise CoordError(f"region bbox {box} outside grid area {g.bbox_nm()}")
-        cols = (xs >= x0) & (xs <= x1)
-        rows = (ys >= y0) & (ys <= y1)
-        mask |= rows[:, None] & cols[None, :]
+        # Centres increase along each axis, so those within the closed
+        # bounds form one index range per axis.
+        c0, c1 = np.searchsorted(xs, x0, "left"), np.searchsorted(xs, x1, "right")
+        r0, r1 = np.searchsorted(ys, y0, "left"), np.searchsorted(ys, y1, "right")
+        mask[r0:r1, c0:c1] = True
     return mask
+
+
+def _geometry(g: RasterGrid) -> tuple:
+    """(width, height, origin x, origin y, px_per_nm): where each pixel is."""
+    return (g.width, g.height, float(g.origin[0]), float(g.origin[1]), float(g.px_per_nm))
 
 
 def _all_flat(g: RasterGrid) -> np.ndarray:
@@ -211,7 +219,10 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 def _infer_chunk(
     args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
 ) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices."""
+    """Class values of the raster pixels with the given flat indices.  A
+    full inference block's windows, read from the field, are the very array
+    the CNN runs on; only the chunk's last block is copied, to pad it.
+    """
     m, raster, flat, tiling, class_values = args
     coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
     windows = window_field(raster, coords, tiling)
@@ -291,7 +302,8 @@ def recorrect(
 ) -> IipMap:
     """Re-run inference with m2 only on pixels inside the given regions and
     splice the new values into a copy of the prior map; everything outside
-    is bitwise untouched.
+    is bitwise untouched.  The prior must lie on the deployment raster's
+    pixels (size, origin and resolution), else CoordError.
     """
     _check_model(m2, cfg)
     if not region:
@@ -301,10 +313,11 @@ def recorrect(
             iik_checksum=prior.iik_checksum,
         )
     raster = deployment_raster(target, cfg.tiling)
-    if raster.shape != prior.grid.shape:
+    if _geometry(raster) != _geometry(prior.grid):
         raise CoordError(
-            f"prior map {prior.grid.shape} does not match deployment raster "
-            f"{raster.shape}"
+            f"prior map geometry {_geometry(prior.grid)} does not match the "
+            f"deployment raster's {_geometry(raster)} (width, height, origin "
+            "x and y in nm, px/nm)"
         )
     sel_flat = np.nonzero(_bbox_pixel_mask(raster, region).ravel())[0]
     values = _infer(m2, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from pixelret import classifier
 from pixelret.classifier import (
     BLOCK_BYTES,
+    BLOCK_IMAGES,
     ArchDescriptor,
     ConvBlock,
     ModelParams,
     TrainConfig,
-    _forward_batch,
+    _forward,
     _softmax64,
     backward,
     inference_block,
@@ -60,9 +62,9 @@ def tiny_dataset(cap=40):
     return split_dataset(ds, (0.6, 0.2, 0.2), seed=1)
 
 
-# Per-sample training step, kept as the oracle for backward's batch-wide
-# GEMMs: every conv product and patch scatter runs sample by sample in an
-# (n, c, h, w) layout, the shape inference still uses.
+# Per-sample training step, kept as the oracle for the shared forward's and
+# backward's batch-wide GEMMs: every conv product and patch scatter runs
+# sample by sample in an (n, c, h, w) layout.
 
 def _im2col(x, k, s):
     n, c, h, w = x.shape
@@ -99,6 +101,30 @@ def per_sample_forward(m, images):
     gap = x.mean(axis=(2, 3))
     logits = np.matmul(gap[:, None, :], m.weights["dense_w"].T)[:, 0] + m.weights["dense_b"]
     return logits, cache, gap, x.shape
+
+
+def record_forward(monkeypatch):
+    """Route classifier._forward through a recorder; returns the list of
+    (images, logits) of every call."""
+    calls = []
+
+    def recording(m, images, cache=None):
+        logits = _forward(m, images, cache)
+        calls.append((images, logits))
+        return logits
+
+    monkeypatch.setattr(classifier, "_forward", recording)
+    return calls
+
+
+def block_logits(m, images):
+    """Logits of images run in one fixed block each: images[i] goes to
+    slot i of a zero-padded inference block."""
+    block = inference_block(m.arch)
+    assert len(images) <= block
+    x = np.zeros((block,) + images.shape[1:], dtype=np.float32)
+    x[: len(images)] = images
+    return _forward(m, x)[: len(images)]
 
 
 def per_sample_backward(m, images, labels):
@@ -187,23 +213,26 @@ class TestInitAndForward:
     def test_forward_probability_simplex(self, rng):
         m = init_model(tiny_arch(), seed=0)
         x = rng.random((1, 8, 8)).astype(np.float32)
-        logits = _forward_batch(m, x)
+        logits = _forward(m, x)
         probs = _softmax64(logits)[0]
         assert probs.shape == (5,)
         assert logits.shape == (1, 5)
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_logits_independent_of_batch(self, rng):
-        # Deployment maps must not depend on batch size or chunking.
+    def test_logits_independent_of_batch(self, rng, monkeypatch):
+        # Deployment maps must not depend on batch size or chunking:
+        # predict_batch runs only full blocks, and an image's logits are
+        # those it gets alone in a zero-padded block.
         m = init_model(ArchDescriptor(8, 5, [ConvBlock(16), ConvBlock(64)]), seed=0)
-        xs = rng.random((64, 8, 8)).astype(np.float32)
-        alone = np.concatenate([_forward_batch(m, x[None]) for x in xs])
-        for n in (7, 64):
-            batched = np.concatenate(
-                [_forward_batch(m, xs[i : i + n]) for i in range(0, 64, n)]
-            )
-            assert np.array_equal(batched, alone)
+        block = inference_block(m.arch)
+        xs = rng.random((2 * block + 5, 8, 8)).astype(np.float32)
+        alone = np.concatenate([block_logits(m, x[None]) for x in xs])
+        calls = record_forward(monkeypatch)
+        predict_batch(m, xs)
+        assert [len(images) for images, _ in calls] == [block] * 3
+        batched = np.concatenate([logits for _, logits in calls])[: len(xs)]
+        assert np.array_equal(batched, alone)
 
     def test_predict_in_range(self, rng):
         m = init_model(tiny_arch(), seed=0)
@@ -212,8 +241,8 @@ class TestInitAndForward:
             assert 0 <= predict(m, x) < 5
 
     def test_predict_batch_matches_single(self, rng):
-        # The default CLI arch gets blocks of a few images, so this batch
-        # spans two of them.
+        # The default CLI arch gets small blocks, so this batch spans
+        # several of them.
         m = init_model(load_config(None, False, {}).arch(), seed=0)
         side = m.arch.input_side
         xs = rng.random((inference_block(m.arch) + 3, side, side)).astype(np.float32)
@@ -226,17 +255,87 @@ class TestInitAndForward:
         block = inference_block(arch)
         m = init_model(arch, seed=0)
         x = rng.random((block, arch.input_side, arch.input_side)).astype(np.float32)
-        _, cache, _, _ = per_sample_forward(m, x)
-        # Per layer: im2col columns, pre-activation and activation.
-        largest = max(cols.nbytes + 2 * z.nbytes for _, cols, z, _, _ in cache)
+        cache = []
+        _forward(m, x, cache)
+        # Per layer of the batch-last forward: im2col columns and activation.
+        largest = max(cols.nbytes + a.nbytes for _, cols, a, _, _ in cache[:-1])
         assert largest <= BLOCK_BYTES
         assert largest // block * (block + 1) > BLOCK_BYTES
-        assert inference_block(tiny_arch()) > inference_block(arch)
+        assert inference_block(tiny_arch()) == BLOCK_IMAGES > inference_block(arch)
 
     def test_predict_shape_mismatch(self, rng):
         m = init_model(tiny_arch(), seed=0)
         with pytest.raises(ShapeError):
             predict(m, rng.random((9, 9)).astype(np.float32))
+
+
+# The archs whose fixed-block invariance is checked: the two CLI profiles,
+# a tiny arch with thousands of images per block, and stride-1 blocks with a
+# 5x5 kernel.
+INVARIANCE_ARCHS = {
+    "toy": load_config(None, True, {}).arch(),
+    "default": load_config(None, False, {}).arch(),
+    "tiny": tiny_arch(),
+    "stride1": ArchDescriptor(12, 6, [ConvBlock(4, stride=1), ConvBlock(8, kernel=5, stride=1)]),
+}
+
+
+class TestFixedBlockInvariance:
+    """An image's logits in a block of inference_block images are bitwise
+    the same whatever its slot, its block-mates, a zero-padded tail or
+    predict_batch's batch size.  Deployed maps rely on this to be
+    independent of chunks, workers and recorrect regions; it comes from
+    the fixed GEMM call shapes, and is checked here, not assumed."""
+
+    @pytest.fixture(params=sorted(INVARIANCE_ARCHS))
+    def setup(self, request, rng):
+        arch = INVARIANCE_ARCHS[request.param]
+        m = init_model(arch, seed=2)
+        block, side = inference_block(arch), arch.input_side
+        pool = rng.random((max(2 * block + 3, 7), side, side)).astype(np.float32)
+        pool[1::3] = pool[1::3] > 0.5  # binary images, like rasterized layouts
+        probe = np.unique(np.r_[0, 1, 6, block - 1, block, block + 2,
+                                rng.integers(0, len(pool), 6)])
+        alone = {int(i): block_logits(m, pool[i : i + 1])[0] for i in probe}
+        return m, block, pool, alone
+
+    def test_slot_permutations(self, rng, setup):
+        m, block, pool, alone = setup
+        for _ in range(3):
+            perm = rng.permutation(block)
+            logits = _forward(m, pool[perm])
+            for slot, i in enumerate(perm):
+                if i in alone:
+                    assert np.array_equal(logits[slot], alone[i])
+
+    def test_block_mates(self, rng, setup):
+        m, block, pool, alone = setup
+        for i, want in alone.items():
+            mates = rng.choice(len(pool), block, replace=False)
+            slot = int(rng.integers(block))
+            mates[slot] = i
+            assert np.array_equal(_forward(m, pool[mates])[slot], want)
+
+    def test_zero_padded_tail(self, setup):
+        m, block, pool, alone = setup
+        for k in sorted({1, max(1, block // 2), block}):
+            logits = block_logits(m, pool[:k])
+            for i, want in alone.items():
+                if i < k:
+                    assert np.array_equal(logits[i], want)
+
+    def test_predict_batch_sizes(self, setup, monkeypatch):
+        m, block, pool, alone = setup
+        calls = record_forward(monkeypatch)
+        for n in (1, 7, block, block + 3):
+            calls.clear()
+            classes = predict_batch(m, pool[:n])
+            assert all(len(images) == block for images, _ in calls)
+            logits = np.concatenate([lg for _, lg in calls])[:n]
+            assert np.array_equal(classes, np.argmax(logits, axis=1))
+            for i, want in alone.items():
+                if i < n:
+                    assert np.array_equal(logits[i], want)
 
 
 class TestBackward:
@@ -246,7 +345,7 @@ class TestBackward:
         (load_config(None, True, {}).arch(), 32),
         (ArchDescriptor(12, 6, [ConvBlock(4, stride=1), ConvBlock(8, kernel=5, stride=1)]), 9),
     ])
-    def test_matches_per_sample_oracle(self, rng, arch, n):
+    def test_matches_per_sample_oracle(self, rng, monkeypatch, arch, n):
         m = init_model(arch, seed=4)
         images = rng.random((n, arch.input_side, arch.input_side)).astype(np.float32)
         labels = rng.integers(0, arch.num_classes, n).astype(np.uint16)
@@ -261,8 +360,19 @@ class TestBackward:
             assert grads[name].shape == m.weights[name].shape
             err = np.max(np.abs(grads[name] - g))
             assert err <= 1e-5 * np.max(np.abs(g)), name
-        # The oracle's forward is inference's arithmetic, bit for bit.
-        assert np.array_equal(per_sample_forward(m, images)[0], _forward_batch(m, images))
+        # The oracle's logits agree with the shared forward's to float32
+        # rounding, and backward's forward is inference's bit for bit on
+        # one full block.
+        want_logits = per_sample_forward(m, images)[0]
+        err = np.max(np.abs(_forward(m, images) - want_logits))
+        assert err <= 1e-5 * np.max(np.abs(want_logits))
+        side = arch.input_side
+        full = rng.random((inference_block(arch), side, side)).astype(np.float32)
+        calls = record_forward(monkeypatch)
+        backward(m, (full, np.zeros(len(full), dtype=np.int64)))
+        predict_batch(m, full)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0][1], calls[1][1])
 
     @pytest.mark.parametrize("labels", [[0, -1], [0.0, 1.0], [0, 5], [[0, 1]]])
     def test_bad_labels_rejected(self, rng, labels):

@@ -5,7 +5,7 @@ from pixelret import pipeline
 from pixelret.classifier import ArchDescriptor, ConvBlock, init_model
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid
-from pixelret.iip import IipConfig, class_value, make_iik, threshold_iip
+from pixelret.iip import IipConfig, IipMap, class_value, make_iik, threshold_iip
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.pipeline import (
     CleanupRules,
@@ -200,6 +200,26 @@ class TestRecorrect:
         with pytest.raises(CoordError):
             recorrect(prior, other, [box], m, toy_cfg())
 
+    def test_misaligned_prior_rejected(self):
+        # A prior predicted for the pattern shifted by (+5, +3) nm has the
+        # raster's shape but another origin; splicing into it would put
+        # every new value 5 x 3 px off.
+        m = toy_model()
+        raster = deployment_raster(PATTERN, toy_cfg().tiling)
+        shifted = predict_map(m, LayoutPattern([rect(13, 11, 29, 27)]), toy_cfg())
+        assert shifted.grid.shape == raster.shape
+        assert shifted.grid.origin != raster.origin
+        coarse = IipMap(
+            RasterGrid(raster.width, raster.height, raster.origin, 2.0, raster.values),
+            "", "",
+        )
+        box = raster.bbox_nm()
+        for prior in (shifted, coarse):
+            with pytest.raises(CoordError) as err:
+                recorrect(prior, PATTERN, [box], m, toy_cfg())
+            for g in (prior.grid, raster):
+                assert str(pipeline._geometry(g)) in str(err.value)
+
     def test_region_outside_grid_rejected(self):
         m = toy_model()
         prior = predict_map(m, PATTERN, toy_cfg())
@@ -216,6 +236,47 @@ class TestRecorrect:
         for num_classes in (3, 7):
             with pytest.raises(ShapeError):
                 recorrect(prior, PATTERN, [box], toy_model(num_classes), toy_cfg())
+
+
+class TestBboxPixelMask:
+    @staticmethod
+    def formula(g, boxes):
+        """Pixels whose centres lie in any box, bounds included: the
+        whole-raster comparison per box."""
+        xs = g.origin[0] + np.arange(g.width) * (1.0 / g.px_per_nm)
+        ys = g.origin[1] + np.arange(g.height) * (1.0 / g.px_per_nm)
+        mask = np.zeros(g.shape, dtype=bool)
+        for x0, y0, x1, y1 in boxes:
+            mask |= ((ys >= y0) & (ys <= y1))[:, None] & ((xs >= x0) & (xs <= x1))[None, :]
+        return mask
+
+    @pytest.mark.parametrize("px_per_nm, origin", [
+        (1.0, (0.5, 0.5)), (2.0, (-3.25, 7.75)), (3.0, (0.1, -2.0 / 3.0)),
+    ])
+    def test_matches_formula(self, rng, px_per_nm, origin):
+        g = RasterGrid(37, 23, origin, px_per_nm, np.zeros((23, 37)))
+        gx0, gy0, gx1, gy1 = g.bbox_nm()
+        xs = [g.pixel_center(i, 0)[0] for i in range(g.width)]
+        ys = [g.pixel_center(0, j)[1] for j in range(g.height)]
+        for trial in range(200):
+            boxes = []
+            for _ in range(int(rng.integers(1, 4))):
+                if trial % 2:  # every edge exactly on a pixel centre
+                    x0, x1 = sorted(rng.choice(xs, 2, replace=False))
+                    y0, y1 = sorted(rng.choice(ys, 2, replace=False))
+                else:
+                    x0, x1 = sorted(rng.uniform(gx0, gx1, 2))
+                    y0, y1 = sorted(rng.uniform(gy0, gy1, 2))
+                boxes.append((x0, y0, x1, y1))
+            assert np.array_equal(pipeline._bbox_pixel_mask(g, boxes), self.formula(g, boxes))
+        whole = [g.bbox_nm()]
+        assert pipeline._bbox_pixel_mask(g, whole).all()
+
+    def test_degenerate_box_rejected(self):
+        g = RasterGrid(8, 8, (0.5, 0.5), 1.0, np.zeros((8, 8)))
+        for box in [(2, 2, 2, 5), (2, 5, 4, 3), (float("nan"), 1, 4, 5)]:
+            with pytest.raises(CoordError):
+                pipeline._bbox_pixel_mask(g, [box])
 
 
 class TestCleanup:
