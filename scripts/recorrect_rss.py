@@ -21,17 +21,23 @@ from pixelret.iip import IipMap
 from pixelret.layout import LayoutPattern
 from pixelret.pipeline import deployment_raster, recorrect
 
-cfg = load_config(None, False, {})
-ccfg = cfg.correction(workers=1)
-target = LayoutPattern([[(0, 0), (1800, 0), (1800, 840), (0, 840)]])
-raster = deployment_raster(target, ccfg.tiling)
-prior = IipMap(raster.with_values(np.zeros(raster.shape)), "", "")
-x0, y0 = raster.pixel_center(raster.width // 2, raster.height // 2)
-x1, y1 = raster.pixel_center(raster.width // 2 + 29, raster.height // 2 + 29)
-model = init_model(cfg.arch(), cfg.init_seed)
-out = recorrect(prior, target, [(x0, y0, x1, y1)], model, ccfg)
-peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-changed = int(np.count_nonzero(out.grid.values != prior.grid.values))
-print(f"raster {raster.width}x{raster.height} px, {changed} px changed")
-print("map sha256", hashlib.sha256(out.grid.values).hexdigest())
-print(f"peak RSS up to the end of recorrect {peak_mib:.0f} MiB")
+
+def main() -> None:
+    cfg = load_config(None, False, {})
+    ccfg = cfg.correction(workers=1)
+    target = LayoutPattern([[(0, 0), (1800, 0), (1800, 840), (0, 840)]])
+    raster = deployment_raster(target, ccfg.tiling)
+    prior = IipMap(raster.with_values(np.zeros(raster.shape)), "", "")
+    x0, y0 = raster.pixel_center(raster.width // 2, raster.height // 2)
+    x1, y1 = raster.pixel_center(raster.width // 2 + 29, raster.height // 2 + 29)
+    model = init_model(cfg.arch(), cfg.init_seed)
+    out = recorrect(prior, target, [(x0, y0, x1, y1)], model, ccfg)
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    changed = int(np.count_nonzero(out.grid.values != prior.grid.values))
+    print(f"raster {raster.width}x{raster.height} px, {changed} px changed")
+    print("map sha256", hashlib.sha256(out.grid.values).hexdigest())
+    print(f"peak RSS up to the end of recorrect {peak_mib:.0f} MiB")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,7 @@ import copy
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import classifier as cls
@@ -31,31 +32,19 @@ from .errors import ConfigError, FormatError, PixelretError
 from .grid import write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
-# desk-scale experiments.
+# desk-scale experiments.  Sections and fields that a dataclass holds take
+# its defaults; the keys no dataclass holds are set here.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "litho": {"sigma_nm": 25.0, "radius_nm": 75.0, "resist_threshold": 0.5},
-    "ilt": {
-        "steps": 60,
-        "learning_rate": 8.0e5,
-        "sigmoid_steepness_resist": 25.0,
-        "sigmoid_steepness_mask": 2.0,
-        "init_mode": "target_copy",
-        "binarize_threshold": 0.5,
-    },
+    "litho": asdict(litho_mod.LithoConfig()),
+    "ilt": asdict(ilt_mod.IltConfig()),
     "iip": {
-        "num_classes": 100,
+        "num_classes": iip_mod.IipConfig.num_classes,
         "iik_sigma_nm": 10.0,
         "iik_radius_nm": 30.0,
-        "threshold": 0.5,
+        "threshold": iip_mod.IipConfig.threshold,
     },
-    "tiling": {
-        "interaction_distance": 400.0,
-        "px_per_nm": 2.0,
-        "compression_factor": 8,
-        "row_reducer": "mean",
-        "col_reducer": "max",
-    },
+    "tiling": asdict(tiling_mod.TilingConfig()),
     "arch": {
         "conv_blocks": [
             {"filters": 8, "kernel": 3, "stride": 2},
@@ -63,9 +52,13 @@ DEFAULT_CONFIG: dict = {
             {"filters": 32, "kernel": 3, "stride": 2},
         ],
     },
-    "train": {"epochs": 15, "batch_size": 32, "learning_rate": 0.05},
+    "train": {k: v for k, v in asdict(cls.TrainConfig()).items() if k != "seed"},
     "sampling": {"per_class_cap": 300, "split_fractions": [0.8, 0.1, 0.1]},
-    "correction": {"workers": 1, "cleanup_min_area": 25.0, "cleanup_min_edge": 0.0},
+    "correction": {
+        "workers": pipe.CorrectionConfig.workers,
+        "cleanup_min_area": 25.0,
+        "cleanup_min_edge": 0.0,
+    },
 }
 
 # The toy profile trades resolution for speed.  Its reducers are mean/mean
@@ -151,12 +144,7 @@ class RunConfig:
         return float(self.raw["tiling"]["px_per_nm"])
 
     def litho(self) -> litho_mod.LithoConfig:
-        s = self.raw["litho"]
-        return litho_mod.LithoConfig(
-            sigma_nm=s["sigma_nm"],
-            radius_nm=s["radius_nm"],
-            resist_threshold=s["resist_threshold"],
-        )
+        return litho_mod.LithoConfig(**self.raw["litho"])
 
     def ilt(self) -> ilt_mod.IltConfig:
         return ilt_mod.IltConfig(**self.raw["ilt"])
@@ -183,13 +171,7 @@ class RunConfig:
         )
 
     def train(self) -> cls.TrainConfig:
-        t = self.raw["train"]
-        return cls.TrainConfig(
-            epochs=t["epochs"],
-            batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"],
-            seed=self.seed + 3,
-        )
+        return cls.TrainConfig(**self.raw["train"], seed=self.seed + 3)
 
     def correction(self, workers: int | None = None) -> pipe.CorrectionConfig:
         s = self.raw["correction"]
@@ -349,7 +331,7 @@ def cmd_rasterize(args, cfg: RunConfig) -> int:
 def cmd_simulate(args, cfg: RunConfig) -> int:
     p = _read_pattern(args.layout)
     litho = cfg.litho()
-    g = layout_mod.rasterize(p, cfg.px_per_nm, layout_mod.raster_region(p, cfg.tiling().interaction_distance))
+    g = pipe.deployment_raster(p, cfg.tiling())
     kernel = litho.kernel(g.px_per_nm)
     aerial = litho_mod.aerial_image(g, kernel)
     printed = litho_mod.print_image(aerial, litho.resist_threshold)

@@ -89,6 +89,17 @@ class RasterGrid:
         return h.hexdigest()
 
 
+def iou(a: RasterGrid, b: RasterGrid) -> float:
+    """Intersection over union of binary grids; 1.0 when both are empty."""
+    if a.shape != b.shape:
+        raise DimMismatch(f"grids {a.shape} vs {b.shape}")
+    av, bv = a.values != 0, b.values != 0
+    union = int(np.logical_or(av, bv).sum())
+    if union == 0:
+        return 1.0
+    return float(np.logical_and(av, bv).sum() / union)
+
+
 def write_graymap(grid: RasterGrid, path) -> None:
     """Write the grid as binary PGM; values are clipped to [0, 1] first."""
     v = np.clip(np.asarray(grid.values, dtype=np.float64), 0.0, 1.0)

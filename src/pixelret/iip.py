@@ -76,27 +76,26 @@ def compute_iip(mask: RasterGrid, iik: Kernel) -> IipMap:
     )
 
 
-def bin_class(v: float, num_classes: int) -> int:
-    """Uniform binning: floor(v * C), top edge clamped into class C-1."""
-    if num_classes < 1:
-        raise ParamError(f"num_classes must be >= 1, got {num_classes}")
-    if not 0.0 <= v <= 1.0:
-        raise RangeError(f"IIP value {v} outside [0, 1]")
-    return min(int(v * num_classes), num_classes - 1)
-
-
 def bin_classes(values: np.ndarray, num_classes: int) -> np.ndarray:
-    """Vectorized bin_class over an array; returns uint16 class ids."""
+    """Uniform binning, floor(v * C) with the top edge clamped into class
+    C-1; returns uint16 class ids.  Values outside [0, 1] or NaN raise
+    RangeError.
+    """
     if num_classes < 1:
         raise ParamError(f"num_classes must be >= 1, got {num_classes}")
     v = np.asarray(values)
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise RangeError("IIP values outside [0, 1]")
     return np.minimum((v * num_classes).astype(np.int64), num_classes - 1).astype(np.uint16)
 
 
+def bin_class(v: float, num_classes: int) -> int:
+    """bin_classes of one value."""
+    return int(bin_classes(np.float64(v), num_classes))
+
+
 def class_value(c: int, num_classes: int) -> float:
-    """Bin midpoint; inverse of bin_class up to quantization."""
+    """Bin midpoint; inverse of bin_classes up to quantization."""
     if num_classes < 1:
         raise ParamError(f"num_classes must be >= 1, got {num_classes}")
     if not 0 <= c < num_classes:

@@ -32,7 +32,7 @@ from scipy.ndimage import binary_dilation
 from scipy.special import expit
 
 from .errors import DimMismatch, DivergenceError, ParamError, RangeError, ResolutionMismatch
-from .grid import RasterGrid
+from .grid import RasterGrid, iou
 from .litho import Kernel, LithoConfig, fft_convolver
 
 
@@ -71,15 +71,6 @@ class IltResult:
     mask: RasterGrid = field(repr=False)
     loss_history: list[float]
     final_fidelity: float
-
-
-def _iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Binary IoU; both-empty counts as a perfect match."""
-    aa, bb = a != 0, b != 0
-    union = int(np.logical_or(aa, bb).sum())
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(aa, bb).sum() / union)
 
 
 def _loss_and_grad(
@@ -184,7 +175,7 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
             mask = (m > cfg.binarize_threshold).astype(np.uint8)
             if checked is None or not np.array_equal(mask, checked[0]):
                 printed = forward(mask) >= thr
-                checked = (mask, _iou(printed, target.values))
+                checked = (mask, iou(target.with_values(printed), target))
             key = (-checked[1], loss, step)
             if best is None or key < best[:3]:
                 best = (*key, mask)

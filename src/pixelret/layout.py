@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import GeometryError, ParamError, ParseError, RegionError, ResolutionMismatch
+from .errors import GeometryError, ParamError, ParseError, RegionError
 from .grid import RasterGrid, sha256_bytes
 
 Vertex = tuple[float, float]
@@ -160,27 +160,20 @@ class LayoutPattern:
         return sha256_bytes(payload.encode())
 
 
-def snap_pattern(p: LayoutPattern, step: float = 1.0) -> LayoutPattern:
-    """Round every vertex to the nearest multiple of ``step`` nm.
+def snap_pattern(p: LayoutPattern) -> LayoutPattern:
+    """Round every vertex to the nearest integer nm.
 
     Raises GeometryError if rounding degenerates any polygon (e.g. collapses
     an edge); callers should clean up slivers first.
     """
     snapped = []
     for i, poly in enumerate(p.polygons):
-        ring = [
-            (np.floor(x / step + 0.5) * step, np.floor(y / step + 0.5) * step)
-            for x, y in poly
-        ]
+        ring = [(np.floor(x + 0.5), np.floor(y + 0.5)) for x, y in poly]
         for (x1, y1, x2, y2) in _edges_of(ring):
             if x1 == x2 and y1 == y2:
-                raise GeometryError(f"polygon {i}: snapping to {step} nm collapses an edge")
+                raise GeometryError(f"polygon {i}: snapping to 1 nm collapses an edge")
         snapped.append(ring)
     return LayoutPattern(snapped, p.layer)
-
-
-def expand_bbox(box: Bbox, margin: float) -> Bbox:
-    return (box[0] - margin, box[1] - margin, box[2] + margin, box[3] + margin)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +375,10 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
 
 def raster_region(p: LayoutPattern, margin: float) -> Bbox:
     """Pattern bbox expanded by ``margin`` nm on all sides."""
-    box = p.bbox
-    if box is None:
+    if p.is_empty:
         raise RegionError("empty pattern has no raster region")
-    return expand_bbox(box, margin)
+    x0, y0, x1, y1 = p.bbox
+    return (x0 - margin, y0 - margin, x1 + margin, y1 + margin)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +474,13 @@ def _rectangles_of(comp: np.ndarray) -> list[list[tuple[int, int]]]:
     ]
 
 
-def vectorize(g: RasterGrid, px_per_nm: float | None = None) -> LayoutPattern:
+def vectorize(g: RasterGrid) -> LayoutPattern:
     """Trace 4-connected components of 1-pixels into rectilinear polygons.
 
     Re-rasterizing the result at the grid's own resolution reproduces the
     grid exactly.  Components that enclose holes are emitted as several
     rectangles (the pattern format has no hole representation).
     """
-    if px_per_nm is not None and px_per_nm != g.px_per_nm:
-        raise ResolutionMismatch(
-            f"requested {px_per_nm} px/nm but grid carries {g.px_per_nm}"
-        )
     ppnm = g.px_per_nm
     v = g.values
     if not g.is_binary():
@@ -529,7 +518,6 @@ def generate_test_pattern(
     pitch: int | None = None,
     count: int = 1,
     length: int | None = None,
-    layer: int = 0,
 ) -> LayoutPattern:
     """Canonical test structures centered at the origin.
 
@@ -549,7 +537,7 @@ def generate_test_pattern(
         if length is None or length <= 0:
             raise ParamError("isolated_line needs length > 0")
         x0, y0 = -(width // 2), -(length // 2)
-        return LayoutPattern([rect(x0, y0, x0 + width, y0 + length)], layer)
+        return LayoutPattern([rect(x0, y0, x0 + width, y0 + length)])
     if topology == "line_space":
         if length is None or length <= 0:
             raise ParamError("line_space needs length > 0")
@@ -561,8 +549,8 @@ def generate_test_pattern(
             rect(x0 + i * pitch, y0, x0 + i * pitch + width, y0 + length)
             for i in range(count)
         ]
-        return LayoutPattern(polys, layer)
+        return LayoutPattern(polys)
     if topology == "square":
         x0 = -(width // 2)
-        return LayoutPattern([rect(x0, x0, x0 + width, x0 + width)], layer)
+        return LayoutPattern([rect(x0, x0, x0 + width, x0 + width)])
     raise ParamError(f"unknown topology {topology!r}")

@@ -55,14 +55,6 @@ class Kernel:
     def side(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def radius_px(self) -> int:
-        return self.side // 2
-
-    @property
-    def radius_nm(self) -> float:
-        return self.radius_px / self.px_per_nm
-
     def checksum(self) -> str:
         head = f"{self.side}:{self.px_per_nm!r}:".encode()
         return sha256_bytes(head + self.values.tobytes())

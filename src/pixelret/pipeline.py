@@ -30,7 +30,7 @@ import numpy as np
 
 from .classifier import ModelParams, inference_block, predict_batch
 from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
-from .grid import RasterGrid
+from .grid import RasterGrid, iou  # noqa: F401  (iou is re-exported)
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
 from .layout import (
     Bbox,
@@ -79,10 +79,6 @@ class ConfusionMatrix:
         if c.min() < 0:
             raise ParamError("confusion matrix counts must be >= 0")
         self.counts = c.astype(np.int64)
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -306,12 +302,6 @@ def recorrect(
     pixels (size, origin and resolution), else CoordError.
     """
     _check_model(m2, cfg)
-    if not region:
-        return IipMap(
-            grid=prior.grid.copy(),
-            source_mask_checksum=prior.source_mask_checksum,
-            iik_checksum=prior.iik_checksum,
-        )
     raster = deployment_raster(target, cfg.tiling)
     if _geometry(raster) != _geometry(prior.grid):
         raise CoordError(
@@ -387,17 +377,6 @@ def confusion_matrix(pred, ref, num_classes: int) -> ConfusionMatrix:
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (r.ravel().astype(np.int64), p.ravel().astype(np.int64)), 1)
     return ConfusionMatrix(counts)
-
-
-def iou(a: RasterGrid, b: RasterGrid) -> float:
-    """Intersection over union of binary grids; 1.0 when both are empty."""
-    if a.shape != b.shape:
-        raise DimMismatch(f"grids {a.shape} vs {b.shape}")
-    av, bv = a.values != 0, b.values != 0
-    union = int(np.logical_or(av, bv).sum())
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(av, bv).sum() / union)
 
 
 # ---------------------------------------------------------------------------

@@ -147,20 +147,6 @@ class PixelDataset:
             raise ParamError(f"unknown split {name!r}")
         return np.nonzero(self.splits == SPLIT_NAMES.index(name))[0]
 
-    def subset(self, indices: np.ndarray) -> "PixelDataset":
-        idx = np.asarray(indices)
-        meta = dict(self.meta)
-        src = meta.get("sample_source_index")
-        if src is not None:
-            meta["sample_source_index"] = [src[int(i)] for i in idx]
-        return PixelDataset(
-            images=self.images[idx].copy(),
-            labels=self.labels[idx].copy(),
-            coords=self.coords[idx].copy(),
-            splits=self.splits[idx].copy(),
-            meta=meta,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Window extraction and compression
@@ -265,22 +251,6 @@ def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callab
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
-def _target_raster_like(target: LayoutPattern, ref_mask: RasterGrid) -> RasterGrid:
-    inv = 1.0 / ref_mask.px_per_nm
-    region = (
-        ref_mask.origin[0] - 0.5 * inv,
-        ref_mask.origin[1] - 0.5 * inv,
-        ref_mask.origin[0] - 0.5 * inv + ref_mask.width * inv,
-        ref_mask.origin[1] - 0.5 * inv + ref_mask.height * inv,
-    )
-    raster = rasterize(target, ref_mask.px_per_nm, region)
-    if raster.shape != ref_mask.shape:
-        raise DimMismatch(
-            f"target raster {raster.shape} vs reference mask {ref_mask.shape}"
-        )
-    return raster
-
-
 def build_dataset(
     target: LayoutPattern,
     ref_mask: RasterGrid,
@@ -291,17 +261,22 @@ def build_dataset(
 ) -> PixelDataset:
     """Pair compressed target windows with IIP classes of the reference mask.
 
-    Pixels are selected per class up to per_class_cap via a seeded shuffle,
-    then assembled in coordinate order.  All samples start in the train
-    split; use split_dataset to partition.
+    Pixels are selected per class up to per_class_cap (an integer >= 1) via
+    a seeded shuffle, then assembled in coordinate order.  The target is
+    rasterized on the reference mask's pixels.  All samples start in the
+    train split; use split_dataset to partition.
     """
+    if type(per_class_cap) is not int or per_class_cap < 1:
+        raise ParamError(f"per_class_cap must be an integer >= 1, got {per_class_cap!r}")
     if iip_cfg.iik is None:
         raise ParamError("iip_cfg.iik is required to build a dataset")
     if tiling.px_per_nm != ref_mask.px_per_nm:
         raise ParamError(
             f"tiling at {tiling.px_per_nm} px/nm, mask at {ref_mask.px_per_nm}"
         )
-    raster = _target_raster_like(target, ref_mask)
+    raster = rasterize(target, ref_mask.px_per_nm, ref_mask.bbox_nm())
+    if raster.shape != ref_mask.shape:
+        raise DimMismatch(f"target raster {raster.shape} vs reference mask {ref_mask.shape}")
     if not raster.values.any() and not ref_mask.values.any():
         raise EmptyDataset("empty target and empty reference mask")
     iip = compute_iip(ref_mask, iip_cfg.iik)
@@ -372,12 +347,15 @@ def merge_datasets(parts: list[PixelDataset]) -> PixelDataset:
 def split_dataset(
     d: PixelDataset, fractions: tuple[float, float, float], seed: int
 ) -> PixelDataset:
-    """Assign train/val/test splits, stratified per class.
+    """Assign train/val/test splits, stratified per class; the result
+    shares d's arrays but for splits, and has its own meta dict.
 
     Each class's samples are shuffled with the seeded generator and cut by
-    the fractions (largest-remainder rounding, so per-class sizes are exact
-    up to +-1).
+    the three fractions (largest-remainder rounding, so per-class sizes are
+    exact up to +-1).
     """
+    if len(fractions) != len(SPLIT_NAMES):
+        raise ParamError(f"need {len(SPLIT_NAMES)} split fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ParamError(f"fractions must sum to 1, got {fractions}")
     if any(f < 0 for f in fractions):
@@ -399,9 +377,7 @@ def split_dataset(
         splits[idx[:stop1]] = 0
         splits[idx[stop1:stop2]] = 1
         splits[idx[stop2:]] = 2
-    out = d.subset(np.arange(len(d)))
-    out.splits = splits
-    return out
+    return PixelDataset(d.images, d.labels, d.coords, splits, dict(d.meta))
 
 
 # ---------------------------------------------------------------------------

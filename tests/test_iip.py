@@ -80,6 +80,17 @@ class TestBinning:
         with pytest.raises(RangeError):
             bin_class(1.01, 20)
 
+    def test_vectorized_edges(self):
+        vals = np.array([0.0, 0.049, 0.05, 0.5, 0.999, 1.0])
+        assert bin_classes(vals, 20).tolist() == [0, 0, 1, 10, 19, 19]
+        assert bin_classes(vals, 1).tolist() == [0] * 6
+        assert bin_classes(np.empty(0), 20).size == 0
+        for bad in (-0.01, 1.01, np.nan):
+            with pytest.raises(RangeError):
+                bin_classes(np.array([0.5, bad]), 20)
+        with pytest.raises(ParamError):
+            bin_classes(vals, 0)
+
     def test_vectorized_matches_scalar(self, rng):
         vals = rng.random(200)
         cs = bin_classes(vals, 100)

@@ -4,7 +4,6 @@ import pytest
 from pixelret.errors import GeometryError, ParamError, ParseError, RegionError
 from pixelret.layout import (
     LayoutPattern,
-    expand_bbox,
     generate_test_pattern,
     parse_layout,
     polygon_area,
@@ -66,9 +65,6 @@ class TestPolygonHelpers:
 
     def test_min_edge(self):
         assert polygon_min_edge(rect(0, 0, 3, 100)) == 3.0
-
-    def test_expand_bbox(self):
-        assert expand_bbox((0, 0, 10, 10), 5) == (-5, -5, 15, 15)
 
 
 class TestSnap:
@@ -200,6 +196,10 @@ class TestRasterize:
         p = LayoutPattern([rect(-7, -3, 13, 11)])
         g = rasterize(p, 4.0, raster_region(p, 2))
         assert g.values.sum() == pytest.approx(20 * 14 * 16, rel=1e-6)
+
+    def test_raster_region_expands_bbox(self):
+        p = LayoutPattern([rect(0, 0, 10, 10)])
+        assert raster_region(p, 5) == (-5, -5, 15, 15)
 
     def test_raster_region_empty_pattern(self):
         with pytest.raises(RegionError):

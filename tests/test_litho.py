@@ -37,13 +37,13 @@ class TestKernel:
 
     def test_disc_truncation(self):
         k = make_gaussian_kernel(10.0, 30.0, 1.0)
-        c = k.radius_px
+        c = k.side // 2
         assert k.values[0, 0] == 0.0
         assert k.values[c, 0] > 0.0
 
     def test_peak_at_center(self):
         k = make_gaussian_kernel(5.0, 20.0, 1.0)
-        c = k.radius_px
+        c = k.side // 2
         assert k.values[c, c] == k.values.max()
 
     def test_even_side_rejected(self):

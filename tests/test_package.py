@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pixelret
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in pixelret.__all__ if not hasattr(pixelret, name)]
@@ -12,13 +14,34 @@ def test_every_exported_name_resolves():
     assert len(set(pixelret.__all__)) == len(pixelret.__all__)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about 0.8 s and 48 MiB to import; nothing needs it.
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this pixelret."""
     path = [str(Path(pixelret.__file__).resolve().parent.parent)]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about 0.8 s and 48 MiB to import; nothing needs it.
     code = "import sys, pixelret, pixelret.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_scripts_load_without_running():
+    # Every script loads under another name than __main__, in one process:
+    # a library name a script imports cannot be deleted unnoticed, and no
+    # script may do its work at import.
+    scripts = sorted(str(p) for p in SCRIPTS.glob("*.py"))
+    assert scripts
+    code = (
+        "import runpy, sys\n"
+        "for path in sys.argv[1:]:\n"
+        "    runpy.run_path(path, run_name='not_main')\n"
+        "    print(path)\n"
+    )
+    out = _python("-c", code, *scripts)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == scripts

@@ -219,6 +219,9 @@ class TestRecorrect:
                 recorrect(prior, PATTERN, [box], m, toy_cfg())
             for g in (prior.grid, raster):
                 assert str(pipeline._geometry(g)) in str(err.value)
+        # An empty region splices nothing but must still refuse the prior.
+        with pytest.raises(CoordError):
+            recorrect(shifted, PATTERN, [], m, toy_cfg())
 
     def test_region_outside_grid_rejected(self):
         m = toy_model()

@@ -268,6 +268,12 @@ class TestBuildDataset:
         ds, _ = build_small(cap=10)
         assert np.bincount(ds.labels, minlength=5).max() <= 10
 
+    def test_cap_not_positive_integer_rejected(self):
+        # A cap of -1 used to drop one sample per class without a word.
+        for cap in (-1, 0, 2.5, True, "3"):
+            with pytest.raises(ParamError, match="per_class_cap"):
+                build_small(cap=cap)
+
     def test_deterministic(self):
         a, _ = build_small(seed=3)
         b, _ = build_small(seed=3)
@@ -332,6 +338,20 @@ class TestSplit:
         with pytest.raises(ParamError):
             split_dataset(ds, (0.8, 0.3, 0.1), seed=0)
 
+    def test_fraction_count_other_than_three_rejected(self):
+        ds, _ = build_small()
+        for fractions in ((1.0,), (0.5, 0.5), (0.4, 0.3, 0.2, 0.1)):
+            with pytest.raises(ParamError, match="3 split fractions"):
+                split_dataset(ds, fractions, seed=0)
+
+    def test_shares_arrays_with_own_meta(self):
+        ds, _ = build_small()
+        out = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        for name in ("images", "labels", "coords"):
+            assert getattr(out, name) is getattr(ds, name)
+        assert not ds.splits.any() and out.splits.any()
+        assert out.meta == ds.meta and out.meta is not ds.meta
+
 
 class TestMerge:
     def test_merge_and_subset(self):
@@ -340,8 +360,7 @@ class TestMerge:
         m = merge_datasets([a, b])
         assert len(m) == len(a) + len(b)
         assert m.meta["sample_source_index"][: len(a)] == [0] * len(a)
-        sub = m.subset(np.arange(len(a), len(m)))
-        assert len(sub) == len(b)
+        assert m.meta["sample_source_index"][len(a) :] == [1] * len(b)
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyDataset):
