@@ -19,7 +19,7 @@ slot in the block and whatever images share it (the tests check this).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +92,7 @@ class ArchDescriptor:
             self.feature_sides.append((side - b.kernel) // b.stride + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "input_side": self.input_side,
-            "num_classes": self.num_classes,
-            "conv_blocks": [
-                {"filters": b.filters, "kernel": b.kernel,
-                 "stride": b.stride, "activation": b.activation}
-                for b in self.conv_blocks
-            ],
-            "pool": self.pool,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ArchDescriptor":
@@ -137,11 +128,7 @@ class ModelParams:
     train_meta: dict = field(default_factory=dict)
 
     def tensor_names(self) -> list[str]:
-        names = []
-        for i in range(len(self.arch.conv_blocks)):
-            names += [f"conv{i}_w", f"conv{i}_b"]
-        names += ["dense_w", "dense_b"]
-        return names
+        return list(_tensor_shapes(self.arch))
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -158,24 +145,29 @@ class ModelParams:
         return sha256_bytes(h)
 
 
+def _tensor_shapes(arch: ArchDescriptor) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each weight tensor, in the model file's order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    cin = 1
+    for i, b in enumerate(arch.conv_blocks):
+        shapes[f"conv{i}_w"] = (b.filters, cin, b.kernel, b.kernel)
+        shapes[f"conv{i}_b"] = (b.filters,)
+        cin = b.filters
+    shapes["dense_w"] = (arch.num_classes, cin)
+    shapes["dense_b"] = (arch.num_classes,)
+    return shapes
+
+
 def init_model(arch: ArchDescriptor, seed: int) -> ModelParams:
     """Seeded uniform fan-in initialization; biases start at zero."""
     rng = np.random.Generator(np.random.PCG64(seed))
     weights: dict[str, np.ndarray] = {}
-    cin = 1
-    for i, b in enumerate(arch.conv_blocks):
-        fan_in = cin * b.kernel * b.kernel
-        bound = float(np.sqrt(1.0 / fan_in))
-        weights[f"conv{i}_w"] = rng.uniform(
-            -bound, bound, (b.filters, cin, b.kernel, b.kernel)
-        ).astype(np.float32)
-        weights[f"conv{i}_b"] = np.zeros(b.filters, dtype=np.float32)
-        cin = b.filters
-    bound = float(np.sqrt(1.0 / cin))
-    weights["dense_w"] = rng.uniform(
-        -bound, bound, (arch.num_classes, cin)
-    ).astype(np.float32)
-    weights["dense_b"] = np.zeros(arch.num_classes, dtype=np.float32)
+    for name, shape in _tensor_shapes(arch).items():
+        if len(shape) == 1:
+            weights[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            bound = float(np.sqrt(1.0 / int(np.prod(shape[1:]))))
+            weights[name] = rng.uniform(-bound, bound, shape).astype(np.float32)
     return ModelParams(arch=arch, weights=weights, seed=seed)
 
 
@@ -450,10 +442,15 @@ def load_model(path: str | Path) -> ModelParams:
     missing = [k for k in ("arch", "seed", "tensors", "payload_sha256") if k not in header]
     if missing:
         raise FormatError(f"{path}: model header lacks {', '.join(missing)}")
+    arch = ArchDescriptor.from_dict(header["arch"])
+    shapes = _tensor_shapes(arch)
+    manifest = [[name, list(shape)] for name, shape in shapes.items()]
+    if header["tensors"] != manifest:
+        raise FormatError(
+            f"{path}: tensor manifest {header['tensors']} does not match the arch's {manifest}"
+        )
     payload = data[nl + 1 :]
-    expected = sum(
-        int(np.prod(shape)) for _, shape in header["tensors"]
-    ) * 4
+    expected = 4 * sum(int(np.prod(shape)) for shape in shapes.values())
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, manifest needs {expected}"
@@ -462,13 +459,13 @@ def load_model(path: str | Path) -> ModelParams:
         raise ChecksumError(f"{path}: payload checksum mismatch")
     weights = {}
     offset = 0
-    for name, shape in header["tensors"]:
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         weights[name] = arr.reshape(shape).astype(np.float32)
         offset += count * 4
     return ModelParams(
-        arch=ArchDescriptor.from_dict(header["arch"]),
+        arch=arch,
         weights=weights,
         seed=int(header["seed"]),
         train_meta=header.get("train_meta", {}),

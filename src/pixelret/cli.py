@@ -209,9 +209,9 @@ _LEAF_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
 
 def _check_keys(given, known, name: str = "") -> None:
     """Refuse, by dotted name, any key in given that known (DEFAULT_CONFIG
-    or a part of it) lacks, and any value of another type than its default
-    (see _LEAF_TYPES); each item of a list is checked against the first
-    default item.
+    or a part of it) lacks, any value of another type than its default
+    (see _LEAF_TYPES) and any non-finite number; each item of a list is
+    checked against the first default item.
     """
     if isinstance(known, dict):
         if not isinstance(given, dict):
@@ -230,6 +230,9 @@ def _check_keys(given, known, name: str = "") -> None:
         types, what = _LEAF_TYPES[type(known)]
         if isinstance(given, bool) or not isinstance(given, types):
             raise ConfigError(f"config key {name} must hold {what}, got {given!r}")
+        # JSON's NaN and Infinity parse to floats; NaN fails the comparison.
+        if isinstance(given, float) and not abs(given) < float("inf"):
+            raise ConfigError(f"config key {name} must hold a finite number, got {given!r}")
 
 
 def load_config(path: str | None, toy: bool, overrides: dict) -> RunConfig:
@@ -319,9 +322,7 @@ def cmd_gen_patterns(args, cfg: RunConfig) -> int:
 
 
 def cmd_rasterize(args, cfg: RunConfig) -> int:
-    p = _read_pattern(args.layout)
-    margin = args.margin if args.margin is not None else cfg.tiling().interaction_distance
-    g = layout_mod.rasterize(p, cfg.px_per_nm, layout_mod.raster_region(p, margin))
+    g = pipe.deployment_raster(_read_pattern(args.layout), cfg.tiling())
     out = _outdir(args)
     write_graymap(g, out / "raster.pgm")
     print(f"raster {g.width}x{g.height} px -> {out / 'raster.pgm'}")
@@ -515,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rasterize", help="rasterize a layout to a graymap")
     _add_common(sp)
     sp.add_argument("--layout", required=True)
-    sp.add_argument("--margin", type=float, help="region margin in nm (default: interaction distance)")
     sp.set_defaults(func=cmd_rasterize)
 
     sp = sub.add_parser("simulate", help="aerial image and printed shape of a layout")

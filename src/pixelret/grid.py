@@ -78,9 +78,6 @@ class RasterGrid:
         """Same placement metadata, new pixel data."""
         return RasterGrid(self.width, self.height, self.origin, self.px_per_nm, values)
 
-    def copy(self) -> "RasterGrid":
-        return self.with_values(self.values.copy())
-
     def checksum(self) -> str:
         """SHA-256 over shape, placement, and raw pixel bytes."""
         h = hashlib.sha256()

@@ -22,17 +22,25 @@ from .litho import Kernel, convolve_fft, make_gaussian_kernel
 IIP_SIDECAR_VERSION = 1
 
 
-@dataclass
+def _check_num_classes(num_classes: int, least: int) -> None:
+    """Refuse a class count below least or above what uint16 class ids hold."""
+    most = int(np.iinfo(np.uint16).max) + 1
+    if not least <= num_classes <= most:
+        raise ParamError(
+            f"num_classes must be in [{least}, {most}] for uint16 class ids, got {num_classes}"
+        )
+
+
+@dataclass(kw_only=True)
 class IipConfig:
     """Class count, kernel, and mask-recovery threshold for IIP maps."""
 
     num_classes: int = 100
-    iik: Kernel | None = None
+    iik: Kernel
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ParamError(f"num_classes must be >= 2, got {self.num_classes}")
+        _check_num_classes(self.num_classes, 2)
         if not 0.0 < self.threshold < 1.0:
             raise ParamError(f"threshold must be in (0, 1), got {self.threshold}")
 
@@ -81,8 +89,7 @@ def bin_classes(values: np.ndarray, num_classes: int) -> np.ndarray:
     C-1; returns uint16 class ids.  Values outside [0, 1] or NaN raise
     RangeError.
     """
-    if num_classes < 1:
-        raise ParamError(f"num_classes must be >= 1, got {num_classes}")
+    _check_num_classes(num_classes, 1)
     v = np.asarray(values)
     if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise RangeError("IIP values outside [0, 1]")
@@ -96,8 +103,7 @@ def bin_class(v: float, num_classes: int) -> int:
 
 def class_value(c: int, num_classes: int) -> float:
     """Bin midpoint; inverse of bin_classes up to quantization."""
-    if num_classes < 1:
-        raise ParamError(f"num_classes must be >= 1, got {num_classes}")
+    _check_num_classes(num_classes, 1)
     if not 0 <= c < num_classes:
         raise RangeError(f"class {c} outside [0, {num_classes})")
     return (c + 0.5) / num_classes

@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 from scipy.special import expit
 
-from .errors import DimMismatch, DivergenceError, ParamError, RangeError, ResolutionMismatch
+from .errors import DimMismatch, DivergenceError, ParamError, RangeError
 from .grid import RasterGrid, iou
-from .litho import Kernel, LithoConfig, fft_convolver
+from .litho import LithoConfig, fft_convolver
 
 
 @dataclass
@@ -48,7 +47,6 @@ class IltConfig:
     learning_rate: float = 8.0e5
     sigmoid_steepness_resist: float = 25.0
     sigmoid_steepness_mask: float = 2.0
-    init_mode: str = "target_copy"
     binarize_threshold: float = 0.5
 
     def __post_init__(self):
@@ -58,8 +56,6 @@ class IltConfig:
             raise ParamError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.sigmoid_steepness_resist <= 0 or self.sigmoid_steepness_mask <= 0:
             raise ParamError("sigmoid steepness values must be > 0")
-        if self.init_mode not in ("target_copy", "dilated_target"):
-            raise ParamError(f"unknown init_mode {self.init_mode!r}")
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ParamError(
                 f"binarize_threshold must be in (0, 1), got {self.binarize_threshold}"
@@ -110,7 +106,6 @@ def ilt_loss(
     target: RasterGrid,
     litho: LithoConfig,
     cfg: IltConfig,
-    kernel: Kernel | None = None,
 ) -> tuple[float, RasterGrid]:
     """Relaxed print-error loss and its analytic gradient w.r.t. theta.
 
@@ -120,26 +115,15 @@ def ilt_loss(
     target_at = (target.shape, target.origin, target.px_per_nm)
     if theta_at != target_at:
         raise DimMismatch(f"theta (shape, origin, px/nm) {theta_at} vs target {target_at}")
-    k = kernel if kernel is not None else litho.kernel(theta.px_per_nm)
-    if k.px_per_nm != theta.px_per_nm:
-        raise ResolutionMismatch(f"kernel at {k.px_per_nm} px/nm, theta at {theta.px_per_nm}")
     loss, grad, _ = _loss_and_grad(
         theta.values.astype(np.float64),
         target.values.astype(np.float64),
-        *_convolvers(k.values, theta.shape),
+        *_convolvers(litho.kernel(theta.px_per_nm).values, theta.shape),
         litho.resist_threshold,
         cfg.sigmoid_steepness_mask,
         cfg.sigmoid_steepness_resist,
     )
     return loss, theta.with_values(grad)
-
-
-def _initial_theta(target: np.ndarray, cfg: IltConfig) -> np.ndarray:
-    signed = 2.0 * target - 1.0
-    if cfg.init_mode == "dilated_target":
-        grown = binary_dilation(target != 0, np.ones((3, 3), dtype=bool))
-        signed = 2.0 * grown.astype(np.float64) - 1.0
-    return cfg.sigmoid_steepness_mask * signed
 
 
 def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> IltResult:
@@ -159,7 +143,7 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     k_r = cfg.sigmoid_steepness_resist
     thr = litho.resist_threshold
 
-    theta = _initial_theta(tv, cfg)
+    theta = k_m * (2.0 * tv - 1.0)
     history: list[float] = []
     best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, mask)
     checked: tuple[np.ndarray, float] | None = None  # last binarized mask, its fidelity

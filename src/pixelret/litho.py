@@ -203,7 +203,6 @@ def print_image(aerial: RasterGrid, resist_threshold: float) -> RasterGrid:
     return aerial.with_values((aerial.values >= resist_threshold).astype(np.uint8))
 
 
-def simulate_print(mask: RasterGrid, cfg: LithoConfig, kernel: Kernel | None = None) -> RasterGrid:
+def simulate_print(mask: RasterGrid, cfg: LithoConfig) -> RasterGrid:
     """Aerial image then resist threshold in one step."""
-    k = kernel if kernel is not None else cfg.kernel(mask.px_per_nm)
-    return print_image(aerial_image(mask, k), cfg.resist_threshold)
+    return print_image(aerial_image(mask, cfg.kernel(mask.px_per_nm)), cfg.resist_threshold)

@@ -44,14 +44,19 @@ from .layout import (
 from .tiling import TilingConfig, provenance, window_field
 
 
+def _check_floors(min_area: float, min_edge: float) -> None:
+    # NaN fails the comparison; a NaN floor would otherwise drop every polygon.
+    if not (0 <= min_area < float("inf") and 0 <= min_edge < float("inf")):
+        raise ParamError(f"cleanup floors must be finite and >= 0, got {min_area}, {min_edge}")
+
+
 @dataclass
 class CleanupRules:
     min_area: float = 0.0
     min_edge: float = 0.0
 
     def __post_init__(self):
-        if self.min_area < 0 or self.min_edge < 0:
-            raise ParamError("cleanup thresholds must be >= 0")
+        _check_floors(self.min_area, self.min_edge)
 
 
 @dataclass
@@ -285,7 +290,7 @@ def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
     return IipMap(
         grid=grid,
         source_mask_checksum=target.checksum(),
-        iik_checksum=cfg.iip.iik.checksum() if cfg.iip.iik is not None else "",
+        iik_checksum=cfg.iip.iik.checksum(),
     )
 
 
@@ -326,8 +331,7 @@ def recorrect(
 
 def cleanup(p: LayoutPattern, min_area: float, min_edge: float) -> LayoutPattern:
     """Drop polygons below the area or edge-length floors (no repair)."""
-    if min_area < 0 or min_edge < 0:
-        raise ParamError("cleanup thresholds must be >= 0")
+    _check_floors(min_area, min_edge)
     keep = [
         poly
         for poly in p.polygons

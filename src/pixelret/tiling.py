@@ -35,7 +35,8 @@ from .layout import LayoutPattern, rasterize
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 
-_REDUCER_NAMES = ("mean", "max", "center_weighted")
+# Reducers by config name; compress_window and window_field reduce with these.
+_REDUCERS = {"mean": np.mean, "max": np.max}
 
 # Float64 bytes per band of window_field's row stack; bounds its working memory.
 _BAND_BYTES = 16 << 20
@@ -57,19 +58,20 @@ class TilingConfig:
     col_reducer: str = "max"
 
     def __post_init__(self):
-        if self.interaction_distance <= 0:
+        # Written so that NaN fails each comparison.
+        if not 0 < self.interaction_distance < float("inf"):
             raise ParamError(
-                f"interaction_distance must be > 0, got {self.interaction_distance}"
+                f"interaction_distance must be finite and > 0, got {self.interaction_distance}"
             )
-        if self.px_per_nm <= 0:
-            raise ParamError(f"px_per_nm must be > 0, got {self.px_per_nm}")
-        if self.compression_factor < 1:
+        if not 0 < self.px_per_nm < float("inf"):
+            raise ParamError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
+        if not self.compression_factor >= 1:
             raise ParamError(
                 f"compression_factor must be >= 1, got {self.compression_factor}"
             )
         for name in (self.row_reducer, self.col_reducer):
-            if name not in _REDUCER_NAMES:
-                raise ParamError(f"unknown reducer {name!r}; choose from {_REDUCER_NAMES}")
+            if name not in _REDUCERS:
+                raise ParamError(f"unknown reducer {name!r}; choose from {tuple(_REDUCERS)}")
         if self.window_side < self.compression_factor:
             raise ParamError("compression_factor exceeds the window side")
 
@@ -169,20 +171,6 @@ def extract_window(g: RasterGrid, coord: tuple[int, int], cfg: TilingConfig) -> 
     return RasterGrid(side, side, (ox, oy), g.px_per_nm, out)
 
 
-def _reduce(a: np.ndarray, axis: int, name: str, factor: int) -> np.ndarray:
-    if name == "mean":
-        return a.mean(axis=axis)
-    if name == "max":
-        return a.max(axis=axis)
-    # center_weighted: triangular weights peaking mid-block.
-    idx = np.arange(factor, dtype=np.float64)
-    w = 1.0 + np.minimum(idx, factor - 1 - idx)
-    w /= w.sum()
-    shape = [1] * a.ndim
-    shape[axis] = factor
-    return (a * w.reshape(shape)).sum(axis=axis)
-
-
 def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray:
     """Blockwise nonuniform compression.
 
@@ -199,8 +187,8 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
         raise ParamError(f"window side {v.shape[0]} smaller than factor {f}")
     v = v[:s, :s].astype(np.float64)
     blocks = v.reshape(s // f, f, s // f, f)
-    rows_done = _reduce(blocks, 1, cfg.row_reducer, f)
-    out = _reduce(rows_done, 2, cfg.col_reducer, f)
+    rows_done = _REDUCERS[cfg.row_reducer](blocks, axis=1)
+    out = _REDUCERS[cfg.col_reducer](rows_done, axis=2)
     return out.astype(np.float32)
 
 
@@ -233,9 +221,12 @@ def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callab
             a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
             pad = np.zeros((n + f - 1, w + f - 1))
             pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
-            rows = _reduce(np.stack([pad[a : a + n] for a in range(f)], 1), 1, cfg.row_reducer, f)
+            # The row stack stays unnamed, so it is freed before the gather below.
+            rows = _REDUCERS[cfg.row_reducer](
+                np.stack([pad[a : a + n] for a in range(f)], 1), axis=1
+            )
             cols = rows[:, np.arange(w)[:, None] + np.arange(f)]
-            field[v0 : v0 + n] = _reduce(cols, 2, cfg.col_reducer, f)
+            field[v0 : v0 + n] = _REDUCERS[cfg.col_reducer](cols, axis=2)
         view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
 
     def windows(c: np.ndarray) -> np.ndarray:
@@ -268,8 +259,6 @@ def build_dataset(
     """
     if type(per_class_cap) is not int or per_class_cap < 1:
         raise ParamError(f"per_class_cap must be an integer >= 1, got {per_class_cap!r}")
-    if iip_cfg.iik is None:
-        raise ParamError("iip_cfg.iik is required to build a dataset")
     if tiling.px_per_nm != ref_mask.px_per_nm:
         raise ParamError(
             f"tiling at {tiling.px_per_nm} px/nm, mask at {ref_mask.px_per_nm}"
@@ -356,10 +345,11 @@ def split_dataset(
     """
     if len(fractions) != len(SPLIT_NAMES):
         raise ParamError(f"need {len(SPLIT_NAMES)} split fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    # Written so that NaN fails both checks.
+    if not all(f >= 0 for f in fractions):
+        raise ParamError(f"fractions must be nonnegative numbers, got {fractions}")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ParamError(f"fractions must sum to 1, got {fractions}")
-    if any(f < 0 for f in fractions):
-        raise ParamError(f"fractions must be nonnegative, got {fractions}")
     rng = np.random.Generator(np.random.PCG64(seed))
     splits = np.zeros(len(d), dtype=np.uint8)
     for c in np.unique(d.labels):
@@ -398,15 +388,9 @@ def save_dataset(d: PixelDataset, dirpath: str | Path) -> None:
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "images": d.images.astype("<f4"),
-        "labels": d.labels.astype("<u2"),
-        "coords": d.coords.astype("<i4"),
-        "splits": d.splits.astype("u1"),
-    }
     checksums = {}
-    for key, (fname, _) in _FILES.items():
-        payload = arrays[key].tobytes()
+    for key, (fname, dtype) in _FILES.items():
+        payload = getattr(d, key).astype(dtype).tobytes()
         (dirpath / fname).write_bytes(payload)
         checksums[key] = sha256_bytes(payload)
     meta = dict(d.meta)

@@ -502,6 +502,27 @@ class TestModelIO:
         with pytest.raises(FormatError, match=field):
             load_model(p)
 
+    def test_arch_disagreeing_with_manifest_rejected(self, tmp_path):
+        # The arch claims 4 filters over a 2-filter payload whose digest holds.
+        p = tmp_path / "model.bin"
+        save_model(init_model(ArchDescriptor(8, 5, [ConvBlock(2)]), seed=0), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["arch"]["conv_blocks"][0]["filters"] = 4
+        p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match="manifest"):
+            load_model(p)
+
+    def test_renamed_tensor_rejected(self, tmp_path):
+        p = tmp_path / "model.bin"
+        save_model(init_model(tiny_arch(), seed=0), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["tensors"][0][0] = "conv0_weight"
+        p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match="conv0_weight"):
+            load_model(p)
+
     def test_missing_newline_rejected(self, tmp_path):
         p = tmp_path / "model.bin"
         p.write_bytes(b'{"format": "pixel-correction-model"}')

@@ -150,6 +150,7 @@ class TestConfig:
     @pytest.mark.parametrize("section, key", [
         ("litho", "sigma"), ("ilt", "step"), ("iip", "classes"), ("tiling", "factor"),
         ("train", "epoch"), ("sampling", "cap"), ("correction", "worker"),
+        ("ilt", "init_mode"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
         cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -178,6 +179,7 @@ class TestConfig:
         ("sampling", "per_class_cap", "x"),
         ("sampling", "per_class_cap", 0),
         ("correction", "workers", 0),
+        ("iip", "num_classes", 70000),  # class ids are uint16
     ])
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -193,6 +195,9 @@ class TestConfig:
         ("tiling", "compression_factor", 2.5, "an integer"),
         ("litho", "sigma_nm", "3", "a number"),
         ("tiling", "row_reducer", 1, "a string"),
+        # JSON's Infinity and NaN, which json.loads accepts.
+        ("tiling", "interaction_distance", float("inf"), "a finite number"),
+        ("correction", "cleanup_min_area", float("nan"), "a finite number"),
     ])
     def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, what):
         cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -206,6 +211,7 @@ class TestConfig:
         (0.5, "sampling.split_fractions"),
         ([0.6, "x", 0.2], "sampling.split_fractions[1]"),
         ([0.6, False, 0.2], "sampling.split_fractions[1]"),
+        ([float("nan"), 0.5, 0.5], "sampling.split_fractions[0]"),
     ])
     def test_split_fractions_need_numbers(self, tmp_path, capsys, value, name):
         cfg = json.loads(json.dumps(FAST_CONFIG))

@@ -90,6 +90,10 @@ class TestBinning:
                 bin_classes(np.array([0.5, bad]), 20)
         with pytest.raises(ParamError):
             bin_classes(vals, 0)
+        # Class ids are uint16: 65536 classes fit, more would wrap.
+        assert bin_classes(vals, 65536)[-1] == 65535
+        with pytest.raises(ParamError, match="uint16"):
+            bin_classes(vals, 70000)
 
     def test_vectorized_matches_scalar(self, rng):
         vals = rng.random(200)
@@ -136,15 +140,22 @@ class TestThreshold:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = IipConfig()
+        cfg = IipConfig(iik=iik())
         assert cfg.num_classes == 100
         assert cfg.threshold == 0.5
 
     def test_bad_values(self):
         with pytest.raises(ParamError):
-            IipConfig(num_classes=1)
+            IipConfig(num_classes=1, iik=iik())
         with pytest.raises(ParamError):
-            IipConfig(threshold=1.0)
+            IipConfig(threshold=1.0, iik=iik())
+        IipConfig(num_classes=65536, iik=iik())
+        with pytest.raises(ParamError, match="uint16"):
+            IipConfig(num_classes=65537, iik=iik())
+
+    def test_iik_required(self):
+        with pytest.raises(TypeError):
+            IipConfig()
 
 
 class TestExportImport:

@@ -2,16 +2,14 @@ import csv
 
 import numpy as np
 import pytest
-from scipy.ndimage import binary_dilation
 from scipy.special import expit
 
-from pixelret.errors import DimMismatch, ParamError, RangeError, ResolutionMismatch
+from pixelret.errors import DimMismatch, ParamError, RangeError
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask, save_loss_history
 from pixelret.litho import (
     LithoConfig,
     aerial_image,
     convolve_fft,
-    make_gaussian_kernel,
     print_image,
 )
 from pixelret.pipeline import iou
@@ -37,15 +35,12 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = IltConfig()
         assert cfg.steps > 0
-        assert cfg.init_mode == "target_copy"
 
     def test_bad_values(self):
         with pytest.raises(ParamError):
             IltConfig(steps=0)
         with pytest.raises(ParamError):
             IltConfig(learning_rate=0.0)
-        with pytest.raises(ParamError):
-            IltConfig(init_mode="zeros")
         with pytest.raises(ParamError):
             IltConfig(binarize_threshold=1.0)
 
@@ -96,13 +91,6 @@ class TestLossAndGradient:
         with pytest.raises(DimMismatch):
             ilt_loss(theta, target, small_litho(), IltConfig())
 
-    def test_kernel_resolution_mismatch(self, rng):
-        target = random_target(rng)
-        theta = target.with_values(np.zeros(target.shape))
-        kernel = make_gaussian_kernel(3.0, 9.0, 2.0)
-        with pytest.raises(ResolutionMismatch):
-            ilt_loss(theta, target, small_litho(), IltConfig(), kernel=kernel)
-
 
 class TestOptimize:
     def test_nonbinary_target_rejected(self, grid_factory):
@@ -146,12 +134,6 @@ class TestOptimize:
         assert np.array_equal(a.mask.values, b.mask.values)
         assert a.loss_history == b.loss_history
 
-    def test_init_modes_differ(self, rng):
-        target = random_target(rng)
-        a = optimize_mask(target, small_litho(), IltConfig(steps=1, init_mode="target_copy"))
-        b = optimize_mask(target, small_litho(), IltConfig(steps=1, init_mode="dilated_target"))
-        assert a.loss_history[0] != b.loss_history[0]
-
 
 def uncached_optimize(target, litho, cfg):
     """optimize_mask's loop as first written: every convolution transforms
@@ -182,10 +164,7 @@ def uncached_optimize(target, litho, cfg):
             return 1.0
         return float(np.logical_and(printed, wanted).sum() / union)
 
-    seed = tv
-    if cfg.init_mode == "dilated_target":
-        seed = binary_dilation(tv != 0, np.ones((3, 3), dtype=bool)).astype(np.float64)
-    theta = k_m * (2.0 * seed - 1.0)
+    theta = k_m * (2.0 * tv - 1.0)
     history, best, checked = [], None, []
     for step in range(cfg.steps + 1):
         loss, grad = loss_and_grad(theta)
@@ -203,10 +182,9 @@ def uncached_optimize(target, litho, cfg):
 
 
 class TestUncachedOracle:
-    @pytest.mark.parametrize("init_mode", ["target_copy", "dilated_target"])
-    def test_bitwise_equal_to_uncached_loop(self, rng, init_mode):
+    def test_bitwise_equal_to_uncached_loop(self, rng):
         litho = small_litho()
-        cfg = IltConfig(steps=20, learning_rate=2e4, init_mode=init_mode)
+        cfg = IltConfig(steps=20, learning_rate=2e4)
         changes = repeats = 0
         for side in (20, 27):
             target = random_target(rng, side=side)

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -5,13 +8,33 @@ from pathlib import Path
 
 import pixelret
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in pixelret.__all__ if not hasattr(pixelret, name)]
     assert missing == []
     assert len(set(pixelret.__all__)) == len(pixelret.__all__)
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark under perfbench/ imports these names from the library,
+    # some inside functions; a deletion that would break it fails here.
+    wanted = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and not node.level \
+                    and node.module.split(".")[0] == "pixelret":
+                wanted.update((node.module, alias.name) for alias in node.names)
+    assert wanted
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(wanted)
+        if not hasattr(importlib.import_module(module), name)
+        and importlib.util.find_spec(f"{module}.{name}") is None
+    ]
+    assert missing == []
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

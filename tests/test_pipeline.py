@@ -95,6 +95,11 @@ class TestConfigs:
     def test_cleanup_rules(self):
         with pytest.raises(ParamError):
             CleanupRules(min_area=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParamError, match="finite"):
+                CleanupRules(min_area=value)
+            with pytest.raises(ParamError, match="finite"):
+                CleanupRules(min_edge=value)
 
     def test_workers_positive(self):
         with pytest.raises(ParamError):
@@ -306,6 +311,13 @@ class TestCleanup:
     def test_negative_rejected(self):
         with pytest.raises(ParamError):
             cleanup(LayoutPattern([]), -1.0, 0.0)
+
+    def test_nan_floor_rejected(self):
+        # area >= nan is False, so a NaN floor would drop every polygon.
+        p = LayoutPattern([rect(0, 0, 5, 5)])
+        for floors in ((float("nan"), 0.0), (0.0, float("nan"))):
+            with pytest.raises(ParamError, match="finite"):
+                cleanup(p, *floors)
 
 
 class TestCorrect:
