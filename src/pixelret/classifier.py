@@ -116,7 +116,8 @@ class TrainConfig:
             raise ParamError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ParamError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
+        # Written so that NaN fails.
+        if not self.learning_rate >= 0:
             raise ParamError(f"learning_rate must be >= 0, got {self.learning_rate}")
 
 
@@ -326,7 +327,8 @@ def train(
 ) -> tuple[ModelParams, dict]:
     """SGD with momentum over the train split; history carries per-epoch
     train loss and val accuracy; the best-val-accuracy weights are returned
-    (ties go to the earlier epoch).
+    (ties go to the earlier epoch).  Each batch and validation block is read
+    from the dataset when it runs.
     """
     if d.num_classes != m.arch.num_classes:
         raise ShapeError(
@@ -343,9 +345,7 @@ def train(
     if val_idx.size == 0:
         raise EmptyDataset("val split is empty")
 
-    x_train = d.images[train_idx]
     y_train = d.labels[train_idx]
-    x_val = d.images[val_idx]
     y_val = d.labels[val_idx]
 
     cur = m.copy()
@@ -353,6 +353,7 @@ def train(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     lr = np.float32(cfg.learning_rate)
     mu = np.float32(MOMENTUM)
+    block = inference_block(m.arch)
 
     history: dict = {"train_loss": [], "val_accuracy": []}
     best_acc = -1.0
@@ -363,12 +364,16 @@ def train(
         losses = []
         for start in range(0, order.size, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            loss, grads = backward(cur, (x_train[sel], y_train[sel]))
+            loss, grads = backward(cur, (d.images[train_idx[sel]], y_train[sel]))
             losses.append(loss)
             for k in cur.weights:
                 velocity[k] = mu * velocity[k] - lr * grads[k]
                 cur.weights[k] = cur.weights[k] + velocity[k]
-        val_pred = predict_batch(cur, x_val)
+        # One inference block per call: the blocks predict_batch would run.
+        val_pred = np.concatenate([
+            predict_batch(cur, d.images[val_idx[start : start + block]])
+            for start in range(0, val_idx.size, block)
+        ])
         acc = float(np.mean(val_pred == y_val))
         history["train_loss"].append(float(np.mean(losses)))
         history["val_accuracy"].append(acc)
@@ -442,7 +447,10 @@ def load_model(path: str | Path) -> ModelParams:
     missing = [k for k in ("arch", "seed", "tensors", "payload_sha256") if k not in header]
     if missing:
         raise FormatError(f"{path}: model header lacks {', '.join(missing)}")
-    arch = ArchDescriptor.from_dict(header["arch"])
+    try:
+        arch = ArchDescriptor.from_dict(header["arch"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed arch in model header: {e!r}") from None
     shapes = _tensor_shapes(arch)
     manifest = [[name, list(shape)] for name, shape in shapes.items()]
     if header["tensors"] != manifest:

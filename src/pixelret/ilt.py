@@ -10,8 +10,11 @@ the initial iterate binarizes back to the target itself, candidates are
 restricted to iterates whose relaxed loss does not exceed the initial loss,
 and selection maximizes printed-vs-target IoU over those candidates.
 
-Cost: the spectra of the kernel and of the flipped kernel are computed
-once per optimize_mask call, so a step transforms only its two images.
+Cost: the kernel's spectrum is computed once per optimize_mask call, so a
+step transforms only its two images.  Every kernel here comes from
+make_gaussian_kernel, which is bitwise point-symmetric, so the adjoint
+(correlation) is the same convolution and one convolver serves the
+image, the gradient and the fidelity check.
 The IoU check images the *binarized* mask, not the step's relaxed mask,
 so the step's aerial image cannot stand in for it without changing bits;
 instead the check is skipped when the binarized mask equals the last one
@@ -72,33 +75,26 @@ class IltResult:
 def _loss_and_grad(
     theta: np.ndarray,
     target: np.ndarray,
-    forward: Callable[[np.ndarray], np.ndarray],
-    adjoint: Callable[[np.ndarray], np.ndarray],
+    convolve: Callable[[np.ndarray], np.ndarray],
     resist_threshold: float,
     k_mask: float,
     k_resist: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, its gradient and the relaxed mask m = sigmoid_mask(theta);
-    forward convolves with the kernel, adjoint with the flipped kernel."""
+    convolve convolves with a point-symmetric kernel."""
     m = expit(k_mask * theta)
-    i = forward(m)
+    i = convolve(m)
     p = expit(k_resist * (i - resist_threshold))
     r = p - target
     n = theta.size
     loss = float(np.dot(r.ravel(), r.ravel()) / n)
     # Chain rule: dL/dp, through the resist sigmoid, the convolution adjoint
-    # (correlation = convolution with the flipped kernel), and the mask sigmoid.
+    # (correlation = convolution with the flipped kernel, which is the kernel
+    # itself), and the mask sigmoid.
     dldi = (2.0 / n) * r * k_resist * p * (1.0 - p)
-    dldm = adjoint(dldi)
+    dldm = convolve(dldi)
     grad = dldm * k_mask * m * (1.0 - m)
     return loss, grad, m
-
-
-def _convolvers(kernel: np.ndarray, shape: tuple[int, int]):
-    """Forward and adjoint convolvers for one image shape.  The adjoint
-    transforms the flipped kernel: conjugating the forward spectrum would
-    shift its phase by the padding and change bits."""
-    return fft_convolver(kernel, shape), fft_convolver(kernel[::-1, ::-1], shape)
 
 
 def ilt_loss(
@@ -118,7 +114,7 @@ def ilt_loss(
     loss, grad, _ = _loss_and_grad(
         theta.values.astype(np.float64),
         target.values.astype(np.float64),
-        *_convolvers(litho.kernel(theta.px_per_nm).values, theta.shape),
+        fft_convolver(litho.kernel(theta.px_per_nm).values, theta.shape),
         litho.resist_threshold,
         cfg.sigmoid_steepness_mask,
         cfg.sigmoid_steepness_resist,
@@ -138,7 +134,7 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     if not target.is_binary():
         raise RangeError("ILT target must be a binary grid")
     tv = target.values.astype(np.float64)
-    forward, adjoint = _convolvers(litho.kernel(target.px_per_nm).values, tv.shape)
+    convolve = fft_convolver(litho.kernel(target.px_per_nm).values, tv.shape)
     k_m = cfg.sigmoid_steepness_mask
     k_r = cfg.sigmoid_steepness_resist
     thr = litho.resist_threshold
@@ -149,7 +145,7 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     checked: tuple[np.ndarray, float] | None = None  # last binarized mask, its fidelity
     loss0 = None
     for step in range(cfg.steps + 1):
-        loss, grad, m = _loss_and_grad(theta, tv, forward, adjoint, thr, k_m, k_r)
+        loss, grad, m = _loss_and_grad(theta, tv, convolve, thr, k_m, k_r)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became non-finite at step {step}")
         history.append(loss)
@@ -158,7 +154,7 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
         if loss <= loss0:
             mask = (m > cfg.binarize_threshold).astype(np.uint8)
             if checked is None or not np.array_equal(mask, checked[0]):
-                printed = forward(mask) >= thr
+                printed = convolve(mask) >= thr
                 checked = (mask, iou(target.with_values(printed), target))
             key = (-checked[1], loss, step)
             if best is None or key < best[:3]:

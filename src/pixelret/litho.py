@@ -63,6 +63,8 @@ class Kernel:
 def make_gaussian_kernel(sigma_nm: float, radius_nm: float, px_per_nm: float) -> Kernel:
     """Isotropic Gaussian sampled at pixel centers, truncated to a disc of
     radius_nm, normalized to unit sum (so a fully open mask images to 1.0).
+    The samples sit at +-k/px_per_nm, so the kernel is bitwise
+    point-symmetric, which ILT's adjoint relies on.
     """
     if sigma_nm <= 0:
         raise ParamError(f"sigma_nm must be > 0, got {sigma_nm}")

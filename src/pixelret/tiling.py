@@ -7,11 +7,14 @@ directional pair keeps horizontal and vertical context distinguishable) and
 paired with the pixel's IIP class to form a dataset.  window_field builds
 one compressed field per pixel set and reads each window as a strided view
 of it, for dataset building and deployment alike; extract_window plus
-compress_window is its one-pixel reference.
+compress_window is its one-pixel reference.  A dataset keeps each source's
+field and reads a sample's window from it on demand (WindowStack), so no
+step from build to training holds a stack of every sample's image.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
@@ -38,7 +41,8 @@ SPLIT_NAMES = ("train", "val", "test")
 # Reducers by config name; compress_window and window_field reduce with these.
 _REDUCERS = {"mean": np.mean, "max": np.max}
 
-# Float64 bytes per band of window_field's row stack; bounds its working memory.
+# Float64 bytes per band of window_field's row stack, and bytes per block of
+# images save_dataset writes; bounds their working memory.
 _BAND_BYTES = 16 << 20
 
 
@@ -98,28 +102,80 @@ def provenance(tiling: TilingConfig, num_classes: int) -> dict:
     return {**asdict(tiling), "num_classes": num_classes}
 
 
+class WindowStack:
+    """Read-on-demand (n, side, side) float32 stack of sample windows.
+
+    A source is a values array and a 4-D (rows, cols, side, side) view of
+    it: window_field's strided view of one compressed field, or a stored
+    image stack seen as (n, 1, side, side).  Sample i is window pos[i] =
+    (row, col) of source src[i].  Indexing by int, slice, index array or
+    mask reads those windows into a new ndarray; np.asarray reads them all.
+    """
+
+    ndim = 3
+    dtype = np.dtype(np.float32)
+
+    def __init__(
+        self, sources: list[tuple[np.ndarray, np.ndarray]], src: np.ndarray, pos: np.ndarray
+    ):
+        self.sources, self.src, self.pos = sources, src, pos
+        self.shape = (len(src), *sources[0][1].shape[2:])
+
+    @classmethod
+    def of_array(cls, images: np.ndarray) -> "WindowStack":
+        images = np.asarray(images, dtype=np.float32)
+        if images.ndim != 3 or images.shape[1] != images.shape[2]:
+            raise FormatError(f"images must be (n, side, side), got {images.shape}")
+        n = len(images)
+        pos = np.stack([np.arange(n), np.zeros(n, np.intp)], axis=1)
+        return cls([(images, images[:, None])], np.zeros(n, np.intp), pos)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        pos = self.pos[key]
+        src, (row, col) = np.atleast_1d(self.src[key]), pos.reshape(-1, 2).T
+        if len(self.sources) == 1:
+            out = self.sources[0][1][row, col]
+        else:
+            out = np.empty((len(src), *self.shape[1:]), dtype=np.float32)
+            for s, (_, view) in enumerate(self.sources):
+                k = src == s
+                out[k] = view[row[k], col[k]]
+        return out if pos.ndim == 2 else out[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self[:]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass
 class PixelDataset:
     """Column-oriented sample store: images, labels, coords, split codes.
 
     Samples are kept in coordinate-sorted order (y then x).  splits holds
-    indices into SPLIT_NAMES per sample.
+    indices into SPLIT_NAMES per sample.  images reads each sample's window
+    from its source on demand; an (n, side, side) array passed in is taken
+    as one source.
     """
 
-    images: np.ndarray = field(repr=False)  # (n, side, side) float32
+    images: WindowStack = field(repr=False)  # (n, side, side) float32
     labels: np.ndarray = field(repr=False)  # (n,) uint16
     coords: np.ndarray = field(repr=False)  # (n, 2) int32, columns (x, y)
     splits: np.ndarray = field(repr=False)  # (n,) uint8
     meta: dict
 
     def __post_init__(self):
-        n = self.images.shape[0]
-        if self.images.ndim != 3 or self.images.shape[1] != self.images.shape[2]:
-            raise FormatError(f"images must be (n, side, side), got {self.images.shape}")
+        if not isinstance(self.images, WindowStack):
+            self.images = WindowStack.of_array(self.images)
+        n = len(self.images)
         if self.labels.shape != (n,) or self.coords.shape != (n, 2) or self.splits.shape != (n,):
             raise FormatError("labels/coords/splits length mismatch with images")
-        if n and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise FormatError("image values outside [0, 1]")
+        # A source's range bounds its windows'.  Written so that NaN fails.
+        for values, _ in self.images.sources:
+            if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+                raise FormatError("image values outside [0, 1]")
         if n and self.splits.max() >= len(SPLIT_NAMES):
             raise FormatError("split code out of range")
         # Sample identity is (source, coord); single-source datasets leave
@@ -134,7 +190,7 @@ class PixelDataset:
             raise FormatError("duplicate (coord, source) pairs in dataset")
 
     def __len__(self) -> int:
-        return int(self.images.shape[0])
+        return len(self.images)
 
     @property
     def image_side(self) -> int:
@@ -192,24 +248,27 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
     return out.astype(np.float32)
 
 
-def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callable:
-    """Build the compressed field over the box the windows of coords[i] =
-    (x, y) cover; return windows(c), the float32 windows of pixels c inside
-    coords' bounding box, bitwise equal to compress_window(extract_window).
+def _field(
+    g: RasterGrid, coords: np.ndarray, cfg: TilingConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compressed field over the box the windows of coords[i] = (x, y)
+    cover, its (rows, cols, side, side) window view and the box's low
+    corner (x0, y0); the window of (x, y) is view[y - y0, x - x0].
 
-    With (x0, y0) the box's low corner, field value (v, u) compresses the
-    f x f block of the zero-padded raster at top-left pixel (x0 - r + u,
-    y0 - r + v), so the window of (x, y) is field[y - y0 + i*f, x - x0 + j*f].
-    Row bands, each within _BAND_BYTES, reduce rows over the f shifted rows
-    on axis 1, then columns gathered f wide into a contiguous last axis: the
-    layouts compress_window reduces in, so the bits match.
+    Field value (v, u) compresses the f x f block of the zero-padded
+    raster at top-left pixel (x0 - r + u, y0 - r + v), so the window of
+    (x, y) is field[y - y0 + i*f, x - x0 + j*f].  Row bands, each within
+    _BAND_BYTES, reduce rows over the f shifted rows on axis 1, then
+    columns gathered f wide into a contiguous last axis: the layouts
+    compress_window reduces in, so the bits match.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (g.width, g.height))).any():
         raise CoordError(f"pixel coords outside grid {g.width}x{g.height}")
     side, f = cfg.output_side, cfg.compression_factor
     span = (side - 1) * f + 1
-    lo, view = np.zeros(2, np.int64), np.empty((0, 0, side, side), np.float32)
+    lo, field = np.zeros(2, np.int64), np.empty((0, 0), np.float32)
+    view = np.empty((0, 0, side, side), np.float32)
     if len(coords):
         lo = coords.min(axis=0)
         (x, y), (w, h) = lo - cfg.window_radius, np.ptp(coords, axis=0) + span
@@ -228,6 +287,15 @@ def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callab
             cols = rows[:, np.arange(w)[:, None] + np.arange(f)]
             field[v0 : v0 + n] = _REDUCERS[cfg.col_reducer](cols, axis=2)
         view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
+    return field, view, lo
+
+
+def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callable:
+    """Build the compressed field over the box the windows of coords[i] =
+    (x, y) cover; return windows(c), the float32 windows of pixels c inside
+    coords' bounding box, bitwise equal to compress_window(extract_window).
+    """
+    _, view, lo = _field(g, coords, cfg)
 
     def windows(c: np.ndarray) -> np.ndarray:
         u, v = (np.asarray(c, dtype=np.int64).reshape(-1, 2) - lo).T
@@ -254,7 +322,8 @@ def build_dataset(
 
     Pixels are selected per class up to per_class_cap (an integer >= 1) via
     a seeded shuffle, then assembled in coordinate order.  The target is
-    rasterized on the reference mask's pixels.  All samples start in the
+    rasterized on the reference mask's pixels, and the dataset keeps the
+    compressed field its windows are read from.  All samples start in the
     train split; use split_dataset to partition.
     """
     if type(per_class_cap) is not int or per_class_cap < 1:
@@ -285,6 +354,7 @@ def build_dataset(
 
     ys, xs = np.unravel_index(sel, label_map.shape)
     coords = np.stack([xs, ys], axis=1)
+    values, view, lo = _field(raster, coords, tiling)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "image_side": tiling.output_side,
@@ -296,7 +366,9 @@ def build_dataset(
         "source_pattern_checksum": target.checksum(),
     }
     return PixelDataset(
-        images=window_field(raster, coords, tiling)(coords),
+        images=WindowStack(
+            [(values, view)], np.zeros(sel.size, np.intp), (coords - lo)[:, ::-1]
+        ),
         labels=flat_labels[sel].astype(np.uint16),
         coords=coords.astype(np.int32),
         splits=np.zeros(sel.size, dtype=np.uint8),
@@ -310,7 +382,7 @@ def merge_datasets(parts: list[PixelDataset]) -> PixelDataset:
     Per-part provenance moves into meta: meta["sources"] lists each part's
     pattern checksum and meta["sample_source_index"] tags every sample with
     its part, so (source, coord) stays unique while coords remain per-source
-    pixel indices.
+    pixel indices.  The result reads its images from the parts' sources.
     """
     if not parts:
         raise EmptyDataset("nothing to merge")
@@ -324,8 +396,14 @@ def merge_datasets(parts: list[PixelDataset]) -> PixelDataset:
     meta = dict(parts[0].meta)
     meta["sources"] = [p.meta.get("source_pattern_checksum", "") for p in parts]
     meta["sample_source_index"] = part_ids
+    stacks = [p.images for p in parts]
+    first = np.cumsum([0] + [len(s.sources) for s in stacks])
     return PixelDataset(
-        images=np.concatenate([p.images for p in parts]),
+        images=WindowStack(
+            [source for s in stacks for source in s.sources],
+            np.concatenate([s.src + k for s, k in zip(stacks, first)]),
+            np.concatenate([s.pos for s in stacks]),
+        ),
         labels=np.concatenate([p.labels for p in parts]),
         coords=np.concatenate([p.coords for p in parts]),
         splits=np.concatenate([p.splits for p in parts]),
@@ -384,15 +462,21 @@ _FILES = {
 
 def save_dataset(d: PixelDataset, dirpath: str | Path) -> None:
     """Write a dataset directory: `meta` JSON plus flat little-endian
-    binary tensors, each checksummed in meta.
+    binary tensors, each checksummed in meta.  Each tensor is read and
+    written in blocks of samples, so the image stack is never held whole.
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    block = max(1, _BAND_BYTES // (4 * d.image_side**2))
     checksums = {}
     for key, (fname, dtype) in _FILES.items():
-        payload = getattr(d, key).astype(dtype).tobytes()
-        (dirpath / fname).write_bytes(payload)
-        checksums[key] = sha256_bytes(payload)
+        column, digest = getattr(d, key), hashlib.sha256()
+        with open(dirpath / fname, "wb") as f:
+            for start in range(0, len(d), block):
+                payload = column[start : start + block].astype(dtype).tobytes()
+                f.write(payload)
+                digest.update(payload)
+        checksums[key] = digest.hexdigest()
     meta = dict(d.meta)
     meta["format_version"] = DATASET_FORMAT_VERSION
     meta["num_samples"] = len(d)

@@ -32,7 +32,13 @@ from pixelret.errors import (
 )
 from pixelret.iip import IipConfig, make_iik
 from pixelret.layout import LayoutPattern, rasterize
-from pixelret.tiling import TilingConfig, build_dataset, split_dataset
+from pixelret.tiling import (
+    PixelDataset,
+    TilingConfig,
+    build_dataset,
+    merge_datasets,
+    split_dataset,
+)
 
 
 def rect(x0, y0, x1, y1):
@@ -194,6 +200,8 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ParamError):
             TrainConfig(learning_rate=-0.1)
+        with pytest.raises(ParamError, match="learning_rate"):
+            TrainConfig(learning_rate=float("nan"))
         TrainConfig(learning_rate=0.0)  # freeze is legal
 
 
@@ -431,6 +439,29 @@ class TestTraining:
                     "row_reducer", "col_reducer", "num_classes"):
             assert key in out.train_meta
 
+    def test_field_backed_matches_materialized(self):
+        # Two sources, so batches read windows from both fields.
+        tiling = TilingConfig(
+            interaction_distance=8.0, px_per_nm=1.0, compression_factor=2,
+            row_reducer="mean", col_reducer="mean",
+        )
+        ref = rasterize(LayoutPattern([rect(6, 6, 26, 26)]), 1.0, (0, 0, 32, 32))
+        iip_cfg = IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 1.0))
+        parts = [
+            build_dataset(LayoutPattern([r]), ref, tiling, iip_cfg, per_class_cap=30, seed=s)
+            for s, r in enumerate((rect(8, 8, 24, 24), rect(4, 10, 28, 20)))
+        ]
+        ds = split_dataset(merge_datasets(parts), (0.6, 0.2, 0.2), seed=1)
+        assert len(ds.images.sources) == 2
+        flat = PixelDataset(np.asarray(ds.images), ds.labels, ds.coords, ds.splits, dict(ds.meta))
+        m = init_model(tiny_arch(), seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+        got, got_hist = train(m, ds, cfg)
+        want, want_hist = train(m, flat, cfg)
+        assert got_hist == want_hist
+        for k in want.weights:
+            assert np.array_equal(got.weights[k], want.weights[k])
+
     def test_class_count_mismatch(self):
         ds = tiny_dataset()
         m = init_model(tiny_arch(num_classes=7), seed=0)
@@ -511,6 +542,22 @@ class TestModelIO:
         header["arch"]["conv_blocks"][0]["filters"] = 4
         p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(FormatError, match="manifest"):
+            load_model(p)
+
+    @pytest.mark.parametrize("arch", [
+        {"num_classes": 5, "conv_blocks": [{"filters": 2}]},  # no input_side
+        {"input_side": 8, "num_classes": 5, "conv_blocks": [{"filterz": 2}]},
+        {"input_side": "eight", "num_classes": 5, "conv_blocks": [{"filters": 2}]},
+        [8, 5],
+    ])
+    def test_malformed_arch_rejected(self, tmp_path, arch):
+        p = tmp_path / "model.bin"
+        save_model(init_model(tiny_arch(), seed=0), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["arch"] = arch
+        p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match="malformed arch"):
             load_model(p)
 
     def test_renamed_tensor_rejected(self, tmp_path):

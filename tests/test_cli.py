@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -419,3 +420,16 @@ class TestModelCompat:
         ])
         assert rc == 2
         assert "cannot read model file" in capsys.readouterr().err
+
+    def test_malformed_model_arch(self, ws, model_path, tmp_path, capsys):
+        head, payload = Path(model_path).read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        del header["arch"]["input_side"]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        rc = main([
+            "correct", "--config", ws.cfg, "--layout", ws.layout,
+            "--model", str(bad), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "malformed arch" in capsys.readouterr().err

@@ -35,6 +35,14 @@ class TestKernel:
         assert np.allclose(v, v[:, ::-1])
         assert np.allclose(v, v.T)
 
+    @pytest.mark.parametrize("kernel", [
+        *(LithoConfig().kernel(ppn) for ppn in (0.5, 1.0, 1.5, 2.0, 3.0)),
+        *(make_gaussian_kernel(*a) for a in ((2.0, 5.0, 1.0), (10.0, 30.0, 3.0), (7.3, 19.1, 1.7))),
+    ])
+    def test_bitwise_point_symmetric(self, kernel):
+        # ILT runs its adjoint with the kernel itself, which needs exact symmetry.
+        assert np.array_equal(kernel.values, kernel.values[::-1, ::-1])
+
     def test_disc_truncation(self):
         k = make_gaussian_kernel(10.0, 30.0, 1.0)
         c = k.side // 2

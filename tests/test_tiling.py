@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -418,3 +420,114 @@ class TestPixelDataset:
         splits = np.concatenate([ds.splits, ds.splits[:1]])
         with pytest.raises(FormatError):
             PixelDataset(images, labels, coords, splits, dict(ds.meta))
+
+
+class TestFieldBackedImages:
+    """Datasets keep each source's compressed field and read windows on demand."""
+
+    @staticmethod
+    def parts():
+        ref = rasterize(LayoutPattern([rect(6, 6, 26, 26)]), 1.0, (0, 0, 32, 32))
+        iip_cfg = IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 1.0))
+        patterns = [LayoutPattern([rect(8, 8, 24, 24)]), LayoutPattern([rect(4, 12, 30, 18)])]
+        t = toy_tiling(row_reducer="max")
+        parts = [
+            build_dataset(p, ref, t, iip_cfg, per_class_cap=30, seed=k)
+            for k, p in enumerate(patterns)
+        ]
+        rasters = [rasterize(p, 1.0, ref.bbox_nm()) for p in patterns]
+        return parts, rasters, t
+
+    @staticmethod
+    def assert_windows(ds, rasters, t):
+        sources = ds.meta.get("sample_source_index", [0] * len(ds))
+        oracle = np.stack([
+            compress_window(extract_window(rasters[s], (int(x), int(y)), t), t)
+            for s, (x, y) in zip(sources, ds.coords)
+        ])
+        assert np.array_equal(np.asarray(ds.images), oracle)
+        assert np.array_equal(ds.images[:], oracle)
+        idx = np.random.default_rng(0).permutation(len(ds))[:17]
+        assert np.array_equal(ds.images[idx], oracle[idx])
+        assert np.array_equal(ds.images[5:9], oracle[5:9])
+        assert np.array_equal(ds.images[-1], oracle[-1])
+        assert np.array_equal(ds.images[3], oracle[3])
+        every_third = np.arange(len(ds)) % 3 == 0
+        assert np.array_equal(ds.images[every_third], oracle[every_third])
+
+    def test_every_step_reads_the_oracle_windows(self, tmp_path):
+        parts, rasters, t = self.parts()
+        for k, p in enumerate(parts):
+            self.assert_windows(p, rasters[k:], t)
+            # window_field's reader over the same coords gives the same windows.
+            want = window_field(rasters[k], p.coords, t)(p.coords)
+            assert np.array_equal(np.asarray(p.images), want)
+        merged = merge_datasets(parts)
+        self.assert_windows(merged, rasters, t)
+        ds = split_dataset(merged, (0.6, 0.2, 0.2), seed=0)
+        self.assert_windows(ds, rasters, t)
+        save_dataset(ds, tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        self.assert_windows(back, rasters, t)
+        # Saving the loaded dataset writes the same bytes.
+        save_dataset(back, tmp_path / "e")
+        for fname in ("meta", "images.f32", "labels.u16", "coords.i32", "splits.u8"):
+            assert (tmp_path / "d" / fname).read_bytes() == (tmp_path / "e" / fname).read_bytes()
+
+    def test_images_interface(self):
+        (ds, _), _, t = self.parts()
+        side = t.output_side
+        assert (len(ds.images), ds.images.shape, ds.images.ndim) == (len(ds), (len(ds), side, side), 3)
+        assert ds.images.dtype == np.float32
+        assert isinstance(ds.images[0], np.ndarray) and ds.images[0].shape == (side, side)
+        assert np.asarray(ds.images, dtype=np.float64).dtype == np.float64
+        # The dataset holds its field, not an (n, side, side) stack.
+        (values, view), = ds.images.sources
+        assert values.ndim == 2 and values.size < len(ds) * side * side
+        assert np.shares_memory(view, values)
+
+    def test_loaded_source_is_the_image_array(self, tmp_path):
+        (ds, _), _, _ = self.parts()
+        save_dataset(ds, tmp_path / "d")
+        (values, view), = load_dataset(tmp_path / "d").images.sources
+        assert values.shape == ds.images.shape and view.shape == (len(ds), 1, *ds.images.shape[1:])
+
+    def test_out_of_range_source_rejected(self):
+        (ds, _), _, _ = self.parts()
+        for bad in (-0.5, 1.5, np.nan):
+            images = np.asarray(ds.images)
+            images[2, 1, 1] = bad
+            with pytest.raises(FormatError, match=r"\[0, 1\]"):
+                PixelDataset(images, ds.labels, ds.coords, ds.splits, dict(ds.meta))
+
+    def test_no_step_allocates_the_image_stack(self):
+        from pixelret.classifier import ArchDescriptor, ConvBlock, TrainConfig, init_model, train
+
+        # 4,096 samples of 30x30 px: a 14.7 MB stack per part, which no step
+        # may allocate; a quarter of it bounds each step's traced peak.
+        t = TilingConfig(interaction_distance=30.0, px_per_nm=1.0, compression_factor=2)
+        iip_cfg = IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 1.0))
+        ref = rasterize(LayoutPattern([rect(16, 16, 48, 48)]), 1.0, (0, 0, 64, 64))
+        target = LayoutPattern([rect(18, 18, 46, 46)])
+        stack = 64 * 64 * t.output_side**2 * 4
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parts, peaks = [], {}
+        for seed in (0, 1):
+            ds, peaks[f"build {seed}"] = traced(
+                lambda: build_dataset(target, ref, t, iip_cfg, per_class_cap=4096, seed=seed)
+            )
+            assert len(ds) == 64 * 64
+            parts.append(ds)
+        merged, peaks["merge"] = traced(lambda: merge_datasets(parts))
+        ds, peaks["split"] = traced(lambda: split_dataset(merged, (0.8, 0.1, 0.1), seed=0))
+        m = init_model(ArchDescriptor(t.output_side, 5, [ConvBlock(4), ConvBlock(8)]), seed=0)
+        _, peaks["train"] = traced(lambda: train(m, ds, TrainConfig(epochs=1)))
+        assert max(peaks.values()) < stack / 4, peaks
