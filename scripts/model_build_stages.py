@@ -2,12 +2,15 @@
 
 Prints the host's CPU count; for each of the six case-study families
 (iso40, iso140, ls40, ls140, iso60, iso100) the ILT target shape, the
-real-FFT transform shape its convolutions run at, and optimize_mask's
-milliseconds per gradient step; the median milliseconds of one backward
-step on 32 training images of the toy arch; and the wall time of one
-epoch of train on the dataset built from the four training families'
-ILT masks (the criterion 7 recipe, seeded by the toy config).  OpenBLAS
-is pinned to one thread, as in the benchmark.
+real-FFT transform shape its convolutions run at (the one
+litho.fft_convolver's docstring states), optimize_mask's milliseconds per
+gradient step, the median milliseconds of one convolution, and how one
+loss-and-gradient evaluation splits between its two convolutions and its
+elementwise work (medians over 20 evaluations at the ILT mask); the
+median milliseconds of one backward step on 32 training images of the toy
+arch; and the wall time of one epoch of train on the dataset built from
+the four training families' ILT masks (the criterion 7 recipe, seeded by
+the toy config).  OpenBLAS is pinned to one thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/model_build_stages.py [--reps N]
 """
@@ -22,11 +25,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-from pixelret import litho
 from pixelret.classifier import backward, init_model, train
 from pixelret.cli import CANONICAL_PATTERNS, load_config
-from pixelret.ilt import optimize_mask
+from pixelret.ilt import _loss_and_grad, optimize_mask
+from pixelret.litho import fft_convolver
 from pixelret.layout import generate_test_pattern
 from pixelret.pipeline import deployment_raster
 from pixelret.tiling import build_dataset, merge_datasets, split_dataset
@@ -34,22 +38,45 @@ from pixelret.tiling import build_dataset, merge_datasets, split_dataset
 TRAIN_FAMILIES = ("iso40", "iso140", "ls40", "ls140")
 FAMILIES = TRAIN_FAMILIES + ("iso60", "iso100")
 BATCH = 32
+ILT_REPS = 20
 
 
-def transform_shapes(run):
-    """Run run() and return the set of transform shapes litho's rfftn saw."""
-    seen = set()
-    rfftn = litho.rfftn
+def transform_shape(shape, kernel_side):
+    """The H x W transform fft_convolver runs images of shape at."""
+    r = kernel_side // 2
+    return next_fast_len(shape[0] + r, True), next_fast_len(shape[1] + r, True)
 
-    def recording(x, s=None, *args, **kwargs):
-        seen.add(tuple(s))
-        return rfftn(x, s, *args, **kwargs)
 
-    litho.rfftn = recording
-    try:
-        return run(), seen
-    finally:
-        litho.rfftn = rfftn
+def step_split(target, mask, litho_cfg, icfg, reps):
+    """Median ms of one convolution, and of one _loss_and_grad evaluation's
+    two convolutions and its elementwise remainder, at theta = the mask's
+    logit."""
+    convolve = fft_convolver(litho_cfg.kernel(target.px_per_nm).values, target.shape)
+    tv = target.values.astype(np.float64)
+    theta = icfg.sigmoid_steepness_mask * (2.0 * mask.values.astype(np.float64) - 1.0)
+    spent = []
+
+    def timed(img):
+        t0 = time.perf_counter()
+        out = convolve(img)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    conv, fft_ms, rest_ms = [], [], []
+    for _ in range(reps):
+        spent.clear()
+        timed(tv)
+        conv.append(spent[0])
+        spent.clear()
+        t0 = time.perf_counter()
+        _loss_and_grad(
+            theta, tv, timed, litho_cfg.resist_threshold,
+            icfg.sigmoid_steepness_mask, icfg.sigmoid_steepness_resist,
+        )
+        wall = time.perf_counter() - t0
+        fft_ms.append(sum(spent))
+        rest_ms.append(wall - sum(spent))
+    return tuple(1000.0 * float(np.median(x)) for x in (conv, fft_ms, rest_ms))
 
 
 def main() -> None:
@@ -66,13 +93,15 @@ def main() -> None:
         patterns[name] = generate_test_pattern(**CANONICAL_PATTERNS[name])
         target = deployment_raster(patterns[name], tiling)
         t0 = time.perf_counter()
-        result, shapes = transform_shapes(lambda: optimize_mask(target, litho_cfg, icfg))
+        result = optimize_mask(target, litho_cfg, icfg)
         ms = 1000.0 * (time.perf_counter() - t0) / icfg.steps
         masks[name] = result.mask
+        h, w = transform_shape(target.shape, litho_cfg.kernel(target.px_per_nm).side)
+        conv, fft_ms, rest_ms = step_split(target, result.mask, litho_cfg, icfg, ILT_REPS)
         print(
-            f"ilt {name:7s} {target.height}x{target.width} px  transform "
-            + ", ".join(f"{h}x{w}" for h, w in sorted(shapes))
-            + f"  {ms:.1f} ms/step"
+            f"ilt {name:7s} {target.height}x{target.width} px  transform {h}x{w}"
+            f"  {ms:.1f} ms/step  {conv:.2f} ms/convolution"
+            f"  loss+grad: 2 convolutions {fft_ms:.2f} ms + elementwise {rest_ms:.2f} ms"
         )
 
     t0 = time.perf_counter()

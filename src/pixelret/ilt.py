@@ -11,7 +11,10 @@ restricted to iterates whose relaxed loss does not exceed the initial loss,
 and selection maximizes printed-vs-target IoU over those candidates.
 
 Cost: the kernel's spectrum is computed once per optimize_mask call, so a
-step transforms only its two images.  Every kernel here comes from
+step transforms only its two images, through fft_convolver's pruned
+passes and its reused work buffer, and the step's elementwise work writes
+into arrays it already owns, in the order of the plain expressions.
+Every kernel here comes from
 make_gaussian_kernel, which is bitwise point-symmetric, so the adjoint
 (correlation) is the same convolution and one convolver serves the
 image, the gradient and the fidelity check.
@@ -20,7 +23,8 @@ so the step's aerial image cannot stand in for it without changing bits;
 instead the check is skipped when the binarized mask equals the last one
 checked, and the result's fidelity is the best iterate's checked IoU.
 Masks, loss history and fidelity are bitwise those of the loop that
-convolves afresh with convolve_fft at every use.
+convolves afresh at every use, with one rfftn/irfftn pair over the whole
+padded transform, and allocates every intermediate.
 """
 
 from __future__ import annotations
@@ -55,10 +59,12 @@ class IltConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ParamError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ParamError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.sigmoid_steepness_resist <= 0 or self.sigmoid_steepness_mask <= 0:
-            raise ParamError("sigmoid steepness values must be > 0")
+        # Written so that NaN fails each comparison.
+        if not 0 < self.learning_rate < float("inf"):
+            raise ParamError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for k in (self.sigmoid_steepness_resist, self.sigmoid_steepness_mask):
+            if not 0 < k < float("inf"):
+                raise ParamError(f"sigmoid steepness values must be finite and > 0, got {k}")
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ParamError(
                 f"binarize_threshold must be in (0, 1), got {self.binarize_threshold}"
@@ -81,19 +87,32 @@ def _loss_and_grad(
     k_resist: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, its gradient and the relaxed mask m = sigmoid_mask(theta);
-    convolve convolves with a point-symmetric kernel."""
-    m = expit(k_mask * theta)
-    i = convolve(m)
-    p = expit(k_resist * (i - resist_threshold))
+    convolve convolves with a point-symmetric kernel and returns a new
+    array.  Every elementwise step writes into an array this call owns,
+    in the order of the plain expressions, so the bits are theirs."""
+    m = np.multiply(theta, k_mask)
+    expit(m, out=m)
+    p = convolve(m)
+    p -= resist_threshold
+    p *= k_resist
+    expit(p, out=p)
     r = p - target
     n = theta.size
     loss = float(np.dot(r.ravel(), r.ravel()) / n)
     # Chain rule: dL/dp, through the resist sigmoid, the convolution adjoint
     # (correlation = convolution with the flipped kernel, which is the kernel
-    # itself), and the mask sigmoid.
-    dldi = (2.0 / n) * r * k_resist * p * (1.0 - p)
-    dldm = convolve(dldi)
-    grad = dldm * k_mask * m * (1.0 - m)
+    # itself), and the mask sigmoid: dldi = (2/n) * r * k_resist * p * (1 - p),
+    # then grad = convolve(dldi) * k_mask * m * (1 - m).
+    dldi = r
+    dldi *= 2.0 / n
+    dldi *= k_resist
+    dldi *= p
+    one_minus = np.subtract(1.0, p, out=p)
+    dldi *= one_minus
+    grad = convolve(dldi)
+    grad *= k_mask
+    grad *= m
+    grad *= np.subtract(1.0, m, out=one_minus)
     return loss, grad, m
 
 
@@ -160,7 +179,8 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
             if best is None or key < best[:3]:
                 best = (*key, mask)
         if step < cfg.steps:
-            theta = theta - cfg.learning_rate * grad
+            grad *= cfg.learning_rate
+            theta -= grad
     assert best is not None
     return IltResult(
         mask=target.with_values(best[3]),

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 
 from .errors import (
     DimMismatch,
@@ -47,8 +47,8 @@ class Kernel:
             raise ParamError("kernel has non-finite weights")
         if np.any(v < 0):
             raise ParamError("kernel weights must be nonnegative")
-        if self.px_per_nm <= 0:
-            raise ParamError(f"px_per_nm must be > 0, got {self.px_per_nm}")
+        if not 0 < self.px_per_nm < float("inf"):
+            raise ParamError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
         self.values = v
 
     @property
@@ -66,12 +66,10 @@ def make_gaussian_kernel(sigma_nm: float, radius_nm: float, px_per_nm: float) ->
     The samples sit at +-k/px_per_nm, so the kernel is bitwise
     point-symmetric, which ILT's adjoint relies on.
     """
-    if sigma_nm <= 0:
-        raise ParamError(f"sigma_nm must be > 0, got {sigma_nm}")
-    if radius_nm <= 0:
-        raise ParamError(f"radius_nm must be > 0, got {radius_nm}")
-    if px_per_nm <= 0:
-        raise ParamError(f"px_per_nm must be > 0, got {px_per_nm}")
+    # Written so that NaN fails each comparison.
+    for name, v in (("sigma_nm", sigma_nm), ("radius_nm", radius_nm), ("px_per_nm", px_per_nm)):
+        if not 0 < v < float("inf"):
+            raise ParamError(f"{name} must be finite and > 0, got {v}")
     r = int(round(radius_nm * px_per_nm))
     if r < 1:
         raise ParamError("kernel radius rounds to zero pixels")
@@ -120,14 +118,24 @@ def fft_convolver(
     """True 2D convolution via FFT for images of one shape, same-size
     output, zero padding; the kernel spectrum is computed here, once.
 
-    Both sides are transformed at the next fast real-FFT length of
-    h + kh//2 by w + kw//2, multiplied, transformed back and the centred
-    image-sized part kept.  A circular length N folds full-convolution
-    term j >= N onto j - N <= h + kh - 2 - N, which lies before the kept
-    rows [kh//2, kh//2 + h) exactly when N >= h + kh//2, for any kernel
-    size (kernel taps cropped by a shorter N reach only past the kept
-    window).  The full length h + kh - 1 that SciPy's fftconvolve uses is
-    not needed, so the result agrees with it to round-off, not bitwise.
+    The transform is H x W, the next fast real-FFT lengths of h + kh//2
+    and w + kw//2.  A circular length N folds full-convolution term
+    j >= N onto j - N <= h + kh - 2 - N, which lies before the kept rows
+    [kh//2, kh//2 + h) exactly when N >= h + kh//2, for any kernel size
+    (kernel taps cropped by a shorter N reach only past the kept window).
+    The full length h + kh - 1 that SciPy's fftconvolve uses is not
+    needed, so the result agrees with it to round-off, not bitwise.
+
+    The passes are those of irfftn(rfftn(img, (H, W)) * spectrum, (H, W))
+    with the work on rows that are zero or thrown away left out: the
+    row-wise r2c runs over the h image rows only, the column c2c over
+    them zero-padded to H, and the row-wise c2r over the h kept rows only.
+    Both inverse passes are unscaled and the kept pixels are multiplied by
+    1/(H*W) at the end, which is where and how irfftn applies its scale,
+    so the result is bitwise irfftn's.  The column passes run in place in
+    a work buffer the convolver keeps, the size of the spectrum, so a
+    convolver is for one thread at a time; a call traces less memory than
+    the unpruned transform does.
     """
     ker = np.asarray(kernel, dtype=np.float64)
     if len(shape) != 2 or ker.ndim != 2:
@@ -137,16 +145,28 @@ def fft_convolver(
     h, w = shape
     kh, kw = ker.shape
     y0, x0 = kh // 2, kw // 2
-    fshape = (next_fast_len(h + y0, True), next_fast_len(w + x0, True))
-    spectrum = rfftn(ker, fshape)
+    H, W = next_fast_len(h + y0, True), next_fast_len(w + x0, True)
+    spectrum = rfftn(ker, (H, W))
+    # pocketfft's irfftn scale: 1/N in long double, rounded to float64.
+    scale = float(1 / np.longdouble(H * W))
+    # The convolver's one work buffer: the column pass runs in place on
+    # grid, and its first h rows, seen as float64, hold the padded image.
+    grid = np.empty((H, W // 2 + 1), dtype=np.complex128)
+    rows = grid.view(np.float64)[:h, :W]
 
     def convolve(img: np.ndarray) -> np.ndarray:
-        img = np.asarray(img, dtype=np.float64)
+        img = np.asarray(img)
         if img.shape != (h, w):
             raise DimMismatch(f"image {img.shape} vs convolver shape {(h, w)}")
-        f = rfftn(img, fshape)
+        rows[:, :w] = img
+        rows[:, w:] = 0.0
+        grid[:h] = rfft(rows, axis=1)
+        grid[h:] = 0.0
+        f = fft(grid, axis=0, overwrite_x=True)
         f *= spectrum
-        return irfftn(f, fshape)[y0 : y0 + h, x0 : x0 + w].copy()
+        f = ifft(f, axis=0, norm="forward", overwrite_x=True)
+        f = irfft(f[y0 : y0 + h], W, axis=1, norm="forward")
+        return f[:, x0 : x0 + w] * scale
 
     return convolve
 
@@ -170,6 +190,11 @@ class LithoConfig:
     resist_threshold: float = 0.5
 
     def __post_init__(self):
+        # Written so that NaN fails each comparison.
+        for name in ("sigma_nm", "radius_nm"):
+            v = getattr(self, name)
+            if not 0 < v < float("inf"):
+                raise ParamError(f"{name} must be finite and > 0, got {v}")
         if not 0.0 < self.resist_threshold < 1.0:
             raise ParamError(
                 f"resist_threshold must be in (0, 1), got {self.resist_threshold}"

@@ -38,11 +38,12 @@ from .layout import LayoutPattern, rasterize
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 
-# Reducers by config name; compress_window and window_field reduce with these.
-_REDUCERS = {"mean": np.mean, "max": np.max}
+# Reducer names; compress_window and _field reduce with _reduce.
+_REDUCERS = ("mean", "max")
 
-# Float64 bytes per band of window_field's row stack, and bytes per block of
-# images save_dataset writes; bounds their working memory.
+# Float64 bytes of one band of _field's three arrays (padded raster, rows
+# reduced, field rows), and bytes per block of images save_dataset writes;
+# bounds their working memory.
 _BAND_BYTES = 16 << 20
 
 
@@ -75,7 +76,7 @@ class TilingConfig:
             )
         for name in (self.row_reducer, self.col_reducer):
             if name not in _REDUCERS:
-                raise ParamError(f"unknown reducer {name!r}; choose from {tuple(_REDUCERS)}")
+                raise ParamError(f"unknown reducer {name!r}; choose from {_REDUCERS}")
         if self.window_side < self.compression_factor:
             raise ParamError("compression_factor exceeds the window side")
 
@@ -232,7 +233,8 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
 
     The far edge is trimmed so the side divides by compression_factor; each
     factor x factor block collapses its row axis with row_reducer, then the
-    remaining column axis with col_reducer.  Returns float32.
+    remaining column axis with col_reducer, each in index order (_reduce).
+    Returns float32.
     """
     v = w.values if isinstance(w, RasterGrid) else np.asarray(w)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -242,10 +244,25 @@ def compress_window(w: RasterGrid | np.ndarray, cfg: TilingConfig) -> np.ndarray
     if s == 0:
         raise ParamError(f"window side {v.shape[0]} smaller than factor {f}")
     v = v[:s, :s].astype(np.float64)
-    blocks = v.reshape(s // f, f, s // f, f)
-    rows_done = _REDUCERS[cfg.row_reducer](blocks, axis=1)
-    out = _REDUCERS[cfg.col_reducer](rows_done, axis=2)
-    return out.astype(np.float32)
+    rows = _reduce([v[k::f] for k in range(f)], cfg.row_reducer)
+    return _reduce([rows[:, k::f] for k in range(f)], cfg.col_reducer).astype(np.float32)
+
+
+def _reduce(parts: list[np.ndarray], reducer: str) -> np.ndarray:
+    """Reduce same-shape float64 arrays elementwise, one part after another
+    from the first, the order numpy reduces an axis that is not its inner
+    loop; the mean starts from 0.0, as numpy's does, and divides by the
+    part count."""
+    if reducer == "max":
+        acc = parts[0].copy()
+        for part in parts[1:]:
+            np.maximum(acc, part, out=acc)
+        return acc
+    acc = parts[0] + 0.0
+    for part in parts[1:]:
+        acc += part
+    acc /= len(parts)
+    return acc
 
 
 def _field(
@@ -258,9 +275,8 @@ def _field(
     Field value (v, u) compresses the f x f block of the zero-padded
     raster at top-left pixel (x0 - r + u, y0 - r + v), so the window of
     (x, y) is field[y - y0 + i*f, x - x0 + j*f].  Row bands, each within
-    _BAND_BYTES, reduce rows over the f shifted rows on axis 1, then
-    columns gathered f wide into a contiguous last axis: the layouts
-    compress_window reduces in, so the bits match.
+    _BAND_BYTES, reduce the f shifted rows, then the f shifted columns,
+    with compress_window's _reduce, so the bits match.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (g.width, g.height))).any():
@@ -273,19 +289,15 @@ def _field(
         lo = coords.min(axis=0)
         (x, y), (w, h) = lo - cfg.window_radius, np.ptp(coords, axis=0) + span
         field = np.empty((h, w), dtype=np.float32)
-        band = max(1, _BAND_BYTES // (8 * f * (w + f - 1)))
+        band = max(1, _BAND_BYTES // (8 * 3 * (w + f - 1)))
         b0, b1 = np.clip((x, x + w + f - 1), 0, g.width)
         for v0 in range(0, h, band):
             n, top = min(band, h - v0), y + v0
             a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
             pad = np.zeros((n + f - 1, w + f - 1))
             pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
-            # The row stack stays unnamed, so it is freed before the gather below.
-            rows = _REDUCERS[cfg.row_reducer](
-                np.stack([pad[a : a + n] for a in range(f)], 1), axis=1
-            )
-            cols = rows[:, np.arange(w)[:, None] + np.arange(f)]
-            field[v0 : v0 + n] = _REDUCERS[cfg.col_reducer](cols, axis=2)
+            rows = _reduce([pad[k : k + n] for k in range(f)], cfg.row_reducer)
+            field[v0 : v0 + n] = _reduce([rows[:, k : k + w] for k in range(f)], cfg.col_reducer)
         view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
     return field, view, lo
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from pixelret.grid import RasterGrid
 
@@ -23,6 +24,23 @@ def make_grid(values, px_per_nm=1.0, origin=(0.5, 0.5)):
 @pytest.fixture
 def grid_factory():
     return make_grid
+
+
+def unpruned_convolver(kernel, shape):
+    """litho.fft_convolver as one rfftn/irfftn pair over the whole padded
+    transform: the reference its pruned passes must equal bitwise."""
+    h, w = shape
+    kh, kw = kernel.shape
+    y0, x0 = kh // 2, kw // 2
+    fshape = (next_fast_len(h + y0, True), next_fast_len(w + x0, True))
+    spectrum = rfftn(np.asarray(kernel, dtype=np.float64), fshape)
+
+    def convolve(img):
+        f = rfftn(np.asarray(img, dtype=np.float64), fshape)
+        f *= spectrum
+        return irfftn(f, fshape)[y0 : y0 + h, x0 : x0 + w].copy()
+
+    return convolve
 
 
 # Acceptance criterion results, printed one line per criterion after the run.

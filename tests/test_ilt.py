@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from conftest import make_grid, unpruned_convolver
 from scipy.special import expit
 
 from pixelret.errors import DimMismatch, ParamError, RangeError
@@ -43,6 +44,14 @@ class TestConfig:
             IltConfig(learning_rate=0.0)
         with pytest.raises(ParamError):
             IltConfig(binarize_threshold=1.0)
+
+    @pytest.mark.parametrize(
+        "key", ["learning_rate", "sigmoid_steepness_resist", "sigmoid_steepness_mask"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ParamError):
+            IltConfig(**{key: value})
 
 
 class TestLossAndGradient:
@@ -135,11 +144,12 @@ class TestOptimize:
         assert a.loss_history == b.loss_history
 
 
-def uncached_optimize(target, litho, cfg):
+def uncached_optimize(target, litho, cfg, convolve_fft=convolve_fft):
     """optimize_mask's loop as first written: every convolution transforms
-    the kernel again, every admissible iterate is imaged, and the winner
-    is imaged once more for its fidelity.  Also returns how often the
-    binarized mask changed between admissible iterates, and their count."""
+    the kernel again, every elementwise step allocates its result, every
+    admissible iterate is imaged, and the winner is imaged once more for
+    its fidelity.  Also returns how often the binarized mask changed
+    between admissible iterates, and their count."""
     kv = litho.kernel(target.px_per_nm).values
     tv = target.values.astype(np.float64)
     k_m, k_r, thr = cfg.sigmoid_steepness_mask, cfg.sigmoid_steepness_resist, litho.resist_threshold
@@ -199,6 +209,38 @@ class TestUncachedOracle:
         # The binarized mask both changed and repeated between checks, so
         # the fidelity memo was both missed and hit.
         assert changes > 0 and repeats > 0
+
+    def test_bitwise_equal_to_unpruned_transform_loop(self, rng):
+        # The same loop with every convolution one rfftn/irfftn pair over
+        # the whole padded transform.  The toy kernel (151 px) is longer
+        # than the 40 x 56 target.  Steepnesses that are not powers of
+        # two, so reordering any product would change bits.
+        def unpruned(img, ker):
+            return unpruned_convolver(ker, img.shape)(img)
+
+        wide = make_grid(np.pad(random_target(rng, side=40).values, ((0, 0), (0, 16))))
+        for litho, target in ((small_litho(), random_target(rng, side=27)), (LithoConfig(), wide)):
+            cfg = IltConfig(
+                steps=12, learning_rate=2e4,
+                sigmoid_steepness_resist=23.0, sigmoid_steepness_mask=1.7,
+            )
+            mask, history, fid, _, _ = uncached_optimize(target, litho, cfg, unpruned)
+            res = optimize_mask(target, litho, cfg)
+            assert np.array_equal(res.mask.values, mask)
+            assert res.loss_history == history
+            assert res.final_fidelity == fid
+            # A step's update is mostly below theta's last bit, so pin the
+            # gradient itself: the plain expressions on the plain transform.
+            theta = rng.normal(0.0, 3.0, target.shape)
+            kv = litho.kernel(target.px_per_nm).values
+            k_m, k_r, n = cfg.sigmoid_steepness_mask, cfg.sigmoid_steepness_resist, theta.size
+            m = expit(k_m * theta)
+            p = expit(k_r * (unpruned(m, kv) - litho.resist_threshold))
+            r = p - target.values.astype(np.float64)
+            want = unpruned((2.0 / n) * r * k_r * p * (1.0 - p), kv) * k_m * m * (1.0 - m)
+            loss, grad = ilt_loss(target.with_values(theta), target, litho, cfg)
+            assert loss == float(np.dot(r.ravel(), r.ravel()) / n)
+            assert np.array_equal(grad.values.view(np.uint64), want.view(np.uint64))
 
 
 class TestLossHistoryFile:

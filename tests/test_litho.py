@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import unpruned_convolver
 from scipy.signal import fftconvolve
 
 from pixelret.errors import (
@@ -145,6 +148,46 @@ class TestConvolution:
             img = rng.random((20, 30))
             assert np.array_equal(conv(img), convolve_fft(img, ker))
 
+    @pytest.mark.parametrize("img_shape, ker_shape", [
+        ((300, 240), (151, 151)), ((300, 320), (151, 151)), ((64, 48), (151, 151)),
+        ((1, 23), (5, 5)), ((1, 1), (1, 1)), ((17, 1), (5, 3)), ((2, 2), (3, 3)),
+        ((121, 200), (121, 121)), ((125, 97), (31, 9)), ((45, 64), (7, 1)),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
+    def test_bitwise_equals_unpruned_transform(self, rng, img_shape, ker_shape, dtype):
+        # Kernels longer than the image, 1-row and 1-column images, and
+        # transform lengths that are already fast (h + kh//2 = 375, 96) or
+        # are rounded up (395 -> 400, 139 -> 144), odd and even.
+        img = rng.random(img_shape)
+        img = (img > 0.5).astype(dtype) if dtype in (np.uint8, bool) else img.astype(dtype)
+        ker = rng.random(ker_shape)
+        conv = fft_convolver(ker, img_shape)
+        want = unpruned_convolver(ker, img_shape)(img)
+        for _ in range(2):  # the work buffer is reused across calls
+            out = conv(img)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("img_shape", [(300, 240), (300, 320), (600, 1083), (64, 48), (1, 23)])
+    def test_traces_no_more_than_unpruned(self, rng, img_shape):
+        # One call as simulate_print and compute_iip make it, convolver
+        # included; recorrect's layout is rasterized at 600 x 1083 px.
+        img = rng.random(img_shape)
+        ker = make_gaussian_kernel(25.0, 75.0, 1.0).values
+
+        def traced_peak(run):
+            run()  # transform plans are cached on first use
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pruned = traced_peak(lambda: convolve_fft(img, ker))
+        unpruned = traced_peak(lambda: unpruned_convolver(ker, img_shape)(img))
+        assert pruned <= unpruned
+
     def test_convolver_shape_mismatch(self, rng):
         conv = fft_convolver(rng.random((3, 3)), (8, 8))
         with pytest.raises(DimMismatch):
@@ -211,6 +254,21 @@ class TestAerialImage:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("key", ["sigma_nm", "radius_nm", "px_per_nm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_rejected(self, key, value):
+        # radius_nm=inf used to overflow in kernel(), NaN sigma_nm to fail
+        # only there, as non-finite kernel weights, and a kernel at NaN
+        # px/nm to be refused only when used, as a resolution mismatch.
+        args = {"sigma_nm": 25.0, "radius_nm": 75.0, "px_per_nm": 1.0, key: value}
+        with pytest.raises(ParamError):
+            make_gaussian_kernel(**args)
+        with pytest.raises(ParamError):
+            if key == "px_per_nm":
+                Kernel(values=np.ones((1, 1)), px_per_nm=value)
+            else:
+                LithoConfig(**{key: value})
+
     def test_radius_must_cover_sigma(self):
         with pytest.raises(ParamError):
             LithoConfig(sigma_nm=30.0, radius_nm=20.0)

@@ -44,6 +44,30 @@ def toy_tiling(**kw):
     return TilingConfig(**base)
 
 
+def blockwise_loops(v, f, row_reducer, col_reducer):
+    """compress_window's arithmetic as scalar loops: in each f x f block,
+    each column's f rows in order, then the f column values in order; a
+    mean sums from 0.0 and divides by f."""
+    def reduce(xs, name):
+        if name == "max":
+            return max(xs)
+        acc = 0.0
+        for x in xs:
+            acc += x
+        return acc / len(xs)
+
+    n = v.shape[0] // f
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            cols = [
+                reduce([float(v[i * f + k, j * f + c]) for k in range(f)], row_reducer)
+                for c in range(f)
+            ]
+            out[i, j] = reduce(cols, col_reducer)
+    return out.astype(np.float32)
+
+
 class TestWindowGeometry:
     def test_default_window(self):
         t = TilingConfig()
@@ -184,6 +208,30 @@ class TestWindowField:
                         assert np.array_equal(
                             window_field(g, coords[perm], t)(coords[perm]), oracle[perm]
                         )
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_shifted_reduction_matches_oracle(self, grid_factory, rng, f, binary):
+        # Non-binary values of both signs far apart in magnitude, so the
+        # mean's sums cancel and any other order of its additions shows
+        # even after the cast to float32.  compress_window is checked
+        # against scalar loops, and window_field against compress_window.
+        values = rng.choice([1e16, -1e16, 1.0, 0.375, 3.0], (30, 41))
+        g = grid_factory(np.zeros((30, 41)))
+        g = g.with_values((values > 0.5).astype(np.float64) if binary else values)
+        coords = np.array([(x, y) for y in range(0, 30, 3) for x in range(0, 41, 4)])
+        for rr in ("mean", "max"):
+            for cr in ("mean", "max"):
+                t = TilingConfig(
+                    interaction_distance=9.0, px_per_nm=1.0,
+                    compression_factor=f, row_reducer=rr, col_reducer=cr,
+                )
+                windows = [extract_window(g, (int(x), int(y)), t).values for x, y in coords]
+                oracle = np.stack([compress_window(w, t) for w in windows])
+                for w, o in zip(windows[::9], oracle[::9]):
+                    assert np.array_equal(o.view(np.uint32), blockwise_loops(w, f, rr, cr).view(np.uint32))
+                got = window_field(g, coords, t)(coords)
+                assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
 
     def test_far_apart_boxes_read_by_block(self, grid_factory, rng, monkeypatch):
         # Two 4x3 boxes at opposite corners of a 37x53 raster; the field
