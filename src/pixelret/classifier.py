@@ -14,6 +14,8 @@ depend on its batch, chunk or worker count; so inference runs blocks of
 exactly inference_block images, the last one zero-padded.  At those fixed
 call shapes every image's logits come out bitwise the same whatever its
 slot in the block and whatever images share it (the tests check this).
+predict_batch is the one place that cuts blocks; validation and deployment
+hand it a WindowStack, and it reads one block of windows at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .grid import sha256_bytes
-from .tiling import PROVENANCE_KEYS, PixelDataset
+from .tiling import PROVENANCE_KEYS, PixelDataset, WindowStack
 
 MODEL_FORMAT_VERSION = 1
 MOMENTUM = 0.9
@@ -58,12 +60,12 @@ class ConvBlock:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.filters < 1:
-            raise ArchError(f"filters must be >= 1, got {self.filters}")
-        if self.kernel < 1 or self.kernel % 2 != 1:
-            raise ArchError(f"kernel must be odd >= 1, got {self.kernel}")
-        if self.stride < 1:
-            raise ArchError(f"stride must be >= 1, got {self.stride}")
+        for name in ("filters", "kernel", "stride"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ArchError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.kernel % 2 != 1:
+            raise ArchError(f"kernel must be odd, got {self.kernel}")
         if self.activation != "relu":
             raise ArchError(f"unsupported activation {self.activation!r}")
 
@@ -112,10 +114,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParamError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParamError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
         # Written so that NaN fails.
         if not self.learning_rate >= 0:
             raise ParamError(f"learning_rate must be >= 0, got {self.learning_rate}")
@@ -234,20 +236,24 @@ def inference_block(arch: ArchDescriptor) -> int:
     return max(1, min(BLOCK_IMAGES, BLOCK_BYTES // largest))
 
 
-def predict_batch(m: ModelParams, images: np.ndarray) -> np.ndarray:
+def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarray:
     """Argmax class per image; ties resolve to the lower class index.
 
     Images run through _forward in blocks of exactly inference_block
     images, the last one zero-padded, so every image goes through the same
-    GEMM call shapes and its class does not depend on its batch.
+    GEMM call shapes and its class does not depend on its batch.  This is
+    the one loop that cuts inference blocks: it reads one block of a
+    WindowStack at a time, so the whole image stack is never held.
     """
-    imgs = np.asarray(images, dtype=np.float32)
-    if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2] or imgs.shape[1] != m.arch.input_side:
-        raise ShapeError(f"images {imgs.shape} incompatible with model")
-    n, block = imgs.shape[0], inference_block(m.arch)
+    if not isinstance(images, WindowStack):
+        images = np.asarray(images)
+    shape = images.shape
+    if len(shape) != 3 or shape[1] != shape[2] or shape[1] != m.arch.input_side:
+        raise ShapeError(f"images {shape} incompatible with model")
+    n, block = shape[0], inference_block(m.arch)
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, block):
-        part = imgs[start : start + block]
+        part = np.asarray(images[start : start + block], dtype=np.float32)
         if len(part) < block:
             part = np.pad(part, ((0, block - len(part)), (0, 0), (0, 0)))
         out[start : start + block] = np.argmax(_forward(m, part)[: n - start], axis=1)
@@ -353,7 +359,6 @@ def train(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     lr = np.float32(cfg.learning_rate)
     mu = np.float32(MOMENTUM)
-    block = inference_block(m.arch)
 
     history: dict = {"train_loss": [], "val_accuracy": []}
     best_acc = -1.0
@@ -369,12 +374,7 @@ def train(
             for k in cur.weights:
                 velocity[k] = mu * velocity[k] - lr * grads[k]
                 cur.weights[k] = cur.weights[k] + velocity[k]
-        # One inference block per call: the blocks predict_batch would run.
-        val_pred = np.concatenate([
-            predict_batch(cur, d.images[val_idx[start : start + block]])
-            for start in range(0, val_idx.size, block)
-        ])
-        acc = float(np.mean(val_pred == y_val))
+        acc = float(np.mean(predict_batch(cur, d.images.take(val_idx)) == y_val))
         history["train_loss"].append(float(np.mean(losses)))
         history["val_accuracy"].append(acc)
         if acc > best_acc:

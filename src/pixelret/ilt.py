@@ -57,8 +57,8 @@ class IltConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParamError(f"steps must be >= 1, got {self.steps}")
+        if type(self.steps) is not int or self.steps < 1:
+            raise ParamError(f"steps must be an integer >= 1, got {self.steps!r}")
         # Written so that NaN fails each comparison.
         if not 0 < self.learning_rate < float("inf"):
             raise ParamError(f"learning_rate must be finite and > 0, got {self.learning_rate}")

@@ -8,11 +8,13 @@ bench_scaling) first checks it against the config, so a model trained on
 other tiling or classes is refused rather than deployed.
 
 The caller and a kept pool of forked processes each classify one pixel
-chunk (model, raster and tiling passed as arguments) from one compressed
-field built per chunk.  Field values are reduced by the same ops in the
-same order whatever chunk holds them, and the CNN classifies fixed-shape
-blocks in which a pixel's class does not depend on its slot or block-mates,
-so the map is bitwise identical for any worker count, chunking or region.
+chunk (model, raster and tiling passed as arguments): window_field builds
+one compressed field per chunk, and predict_batch reads its windows one
+inference block at a time.  Field values are reduced by the same ops in
+the same order whatever chunk holds them, and the CNN classifies
+fixed-shape blocks in which a pixel's class does not depend on its slot or
+block-mates, so the map is bitwise identical for any worker count,
+chunking or region.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ModelParams, inference_block, predict_batch
+from .classifier import ModelParams, predict_batch
 from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from .grid import RasterGrid, iou  # noqa: F401  (iou is re-exported)
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
@@ -67,8 +69,8 @@ class CorrectionConfig:
     cleanup: CleanupRules = field(default_factory=CleanupRules)
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ParamError(f"workers must be >= 1, got {self.workers}")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ParamError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -126,7 +128,7 @@ class ScalingReport:
 # Chunk planning
 # ---------------------------------------------------------------------------
 
-def plan_chunks(n_pixels: int, workers: int) -> list[tuple[int, int]]:
+def _plan_chunks(n_pixels: int, workers: int) -> list[tuple[int, int]]:
     """Balanced contiguous partition into half-open (start, end) ranges;
     sizes differ by at most one and empty chunks are omitted.
     """
@@ -220,19 +222,10 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 def _infer_chunk(
     args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
 ) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices.  A
-    full inference block's windows, read from the field, are the very array
-    the CNN runs on; only the chunk's last block is copied, to pad it.
-    """
+    """Class values of the raster pixels with the given flat indices."""
     m, raster, flat, tiling, class_values = args
     coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
-    windows = window_field(raster, coords, tiling)
-    block = inference_block(m.arch)
-    out = np.empty(flat.size, dtype=np.float64)
-    for start in range(0, flat.size, block):
-        images = windows(coords[start : start + block])
-        out[start : start + len(images)] = class_values[predict_batch(m, images)]
-    return out
+    return class_values[predict_batch(m, window_field(raster, coords, tiling))]
 
 
 def _infer(
@@ -246,7 +239,7 @@ def _infer(
     class_values = np.array([class_value(c, num_classes) for c in range(num_classes)])
     tasks = [
         (m, raster, sel_flat[start:end], tiling, class_values)
-        for start, end in plan_chunks(sel_flat.size, workers)
+        for start, end in _plan_chunks(sel_flat.size, workers)
     ]
     if len(tasks) <= 1:
         parts = [_infer_chunk(t) for t in tasks]

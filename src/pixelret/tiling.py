@@ -5,18 +5,18 @@ interaction distance: everything that can influence that pixel's correction.
 Windows are compressed blockwise with separate row/column reducers (the
 directional pair keeps horizontal and vertical context distinguishable) and
 paired with the pixel's IIP class to form a dataset.  window_field builds
-one compressed field per pixel set and reads each window as a strided view
-of it, for dataset building and deployment alike; extract_window plus
+one compressed field per pixel set and returns a WindowStack that reads each
+window as a strided view of it on demand; that one reader serves dataset
+building, training and deployment alike, and extract_window plus
 compress_window is its one-pixel reference.  A dataset keeps each source's
-field and reads a sample's window from it on demand (WindowStack), so no
-step from build to training holds a stack of every sample's image.
+field, so no step from build to training holds a stack of every sample's
+image.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -38,12 +38,12 @@ from .layout import LayoutPattern, rasterize
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 
-# Reducer names; compress_window and _field reduce with _reduce.
+# Reducer names; compress_window and window_field reduce with _reduce.
 _REDUCERS = ("mean", "max")
 
-# Float64 bytes of one band of _field's three arrays (padded raster, rows
-# reduced, field rows), and bytes per block of images save_dataset writes;
-# bounds their working memory.
+# Float64 bytes of one band of window_field's three arrays (padded raster,
+# rows reduced, field rows), and bytes per block of images save_dataset
+# writes; bounds their working memory.
 _BAND_BYTES = 16 << 20
 
 
@@ -70,9 +70,9 @@ class TilingConfig:
             )
         if not 0 < self.px_per_nm < float("inf"):
             raise ParamError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
-        if not self.compression_factor >= 1:
+        if type(self.compression_factor) is not int or self.compression_factor < 1:
             raise ParamError(
-                f"compression_factor must be >= 1, got {self.compression_factor}"
+                f"compression_factor must be an integer >= 1, got {self.compression_factor!r}"
             )
         for name in (self.row_reducer, self.col_reducer):
             if name not in _REDUCERS:
@@ -110,7 +110,8 @@ class WindowStack:
     it: window_field's strided view of one compressed field, or a stored
     image stack seen as (n, 1, side, side).  Sample i is window pos[i] =
     (row, col) of source src[i].  Indexing by int, slice, index array or
-    mask reads those windows into a new ndarray; np.asarray reads them all.
+    mask reads those windows into a new ndarray; np.asarray reads them all;
+    take(idx) selects samples without reading any.
     """
 
     ndim = 3
@@ -145,6 +146,9 @@ class WindowStack:
                 k = src == s
                 out[k] = view[row[k], col[k]]
         return out if pos.ndim == 2 else out[0]
+
+    def take(self, idx) -> "WindowStack":
+        return WindowStack(self.sources, self.src[idx], self.pos[idx])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = self[:]
@@ -184,8 +188,8 @@ class PixelDataset:
         src = self.meta.get("sample_source_index")
         if src is None:
             src = [0] * n
-        elif len(src) != n:
-            raise FormatError("sample_source_index length mismatch")
+        elif not isinstance(src, list) or len(src) != n or any(type(s) is not int for s in src):
+            raise FormatError("sample_source_index must list one integer per sample")
         keys = {(s, int(x), int(y)) for s, (x, y) in zip(src, self.coords)}
         if n != len(keys):
             raise FormatError("duplicate (coord, source) pairs in dataset")
@@ -265,16 +269,15 @@ def _reduce(parts: list[np.ndarray], reducer: str) -> np.ndarray:
     return acc
 
 
-def _field(
-    g: RasterGrid, coords: np.ndarray, cfg: TilingConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compressed field over the box the windows of coords[i] = (x, y)
-    cover, its (rows, cols, side, side) window view and the box's low
-    corner (x0, y0); the window of (x, y) is view[y - y0, x - x0].
+def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> WindowStack:
+    """The windows of pixels coords[i] = (x, y), in coords order, read on
+    demand from one compressed field over the box they cover; each is
+    bitwise compress_window(extract_window(g, coords[i], cfg), cfg).
 
     Field value (v, u) compresses the f x f block of the zero-padded
-    raster at top-left pixel (x0 - r + u, y0 - r + v), so the window of
-    (x, y) is field[y - y0 + i*f, x - x0 + j*f].  Row bands, each within
+    raster at top-left pixel (x0 - r + u, y0 - r + v), where (x0, y0) is
+    the box's low corner, so the window of (x, y) is
+    field[y - y0 + i*f, x - x0 + j*f].  Row bands, each within
     _BAND_BYTES, reduce the f shifted rows, then the f shifted columns,
     with compress_window's _reduce, so the bits match.
     """
@@ -299,23 +302,7 @@ def _field(
             rows = _reduce([pad[k : k + n] for k in range(f)], cfg.row_reducer)
             field[v0 : v0 + n] = _reduce([rows[:, k : k + w] for k in range(f)], cfg.col_reducer)
         view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
-    return field, view, lo
-
-
-def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Callable:
-    """Build the compressed field over the box the windows of coords[i] =
-    (x, y) cover; return windows(c), the float32 windows of pixels c inside
-    coords' bounding box, bitwise equal to compress_window(extract_window).
-    """
-    _, view, lo = _field(g, coords, cfg)
-
-    def windows(c: np.ndarray) -> np.ndarray:
-        u, v = (np.asarray(c, dtype=np.int64).reshape(-1, 2) - lo).T
-        if ((u < 0) | (u >= view.shape[1]) | (v < 0) | (v >= view.shape[0])).any():
-            raise CoordError(f"pixels outside the field's box at {tuple(lo)}")
-        return view[v, u]
-
-    return windows
+    return WindowStack([(field, view)], np.zeros(len(coords), np.intp), (coords - lo)[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +353,6 @@ def build_dataset(
 
     ys, xs = np.unravel_index(sel, label_map.shape)
     coords = np.stack([xs, ys], axis=1)
-    values, view, lo = _field(raster, coords, tiling)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "image_side": tiling.output_side,
@@ -378,9 +364,7 @@ def build_dataset(
         "source_pattern_checksum": target.checksum(),
     }
     return PixelDataset(
-        images=WindowStack(
-            [(values, view)], np.zeros(sel.size, np.intp), (coords - lo)[:, ::-1]
-        ),
+        images=window_field(raster, coords, tiling),
         labels=flat_labels[sel].astype(np.uint16),
         coords=coords.astype(np.int32),
         splits=np.zeros(sel.size, dtype=np.uint8),
@@ -506,6 +490,8 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"meta file is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError("meta file must hold a JSON object")
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatError(
             f"dataset format version {meta.get('format_version')} "
@@ -514,6 +500,12 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
     for key in ("num_samples", "image_side", "num_classes", "checksums"):
         if key not in meta:
             raise FormatError(f"meta missing field {key!r}")
+    for key, least in (("num_samples", 0), ("image_side", 1), ("num_classes", 2)):
+        if type(meta[key]) is not int or meta[key] < least:
+            raise FormatError(f"meta field {key!r} must be an integer >= {least}, "
+                              f"got {meta[key]!r}")
+    if not isinstance(meta["checksums"], dict):
+        raise FormatError(f"meta field 'checksums' must be an object, got {meta['checksums']!r}")
     n, side = meta["num_samples"], meta["image_side"]
     raw = {}
     for key, (fname, dtype) in _FILES.items():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from pixelret.layout import LayoutPattern, rasterize
 from pixelret.tiling import (
     PixelDataset,
     TilingConfig,
+    WindowStack,
     build_dataset,
     merge_datasets,
     split_dataset,
+    window_field,
 )
 
 
@@ -168,6 +171,10 @@ class TestArchValidation:
             ConvBlock(8, stride=0)
         with pytest.raises(ArchError):
             ConvBlock(8, activation="tanh")
+        # Counts must be integers; a float or a bool is refused by name.
+        for key, value in (("filters", 2.5), ("filters", True), ("kernel", 3.0), ("stride", 2.0)):
+            with pytest.raises(ArchError, match=key):
+                ConvBlock(**{"filters": 4, key: value})
 
     def test_descriptor_params(self):
         with pytest.raises(ArchError):
@@ -203,6 +210,9 @@ class TestTrainConfig:
         with pytest.raises(ParamError, match="learning_rate"):
             TrainConfig(learning_rate=float("nan"))
         TrainConfig(learning_rate=0.0)  # freeze is legal
+        for key, value in (("epochs", 1.5), ("epochs", True), ("batch_size", 2.5)):
+            with pytest.raises(ParamError, match=key):
+                TrainConfig(**{key: value})
 
 
 class TestInitAndForward:
@@ -334,6 +344,7 @@ class TestFixedBlockInvariance:
 
     def test_predict_batch_sizes(self, setup, monkeypatch):
         m, block, pool, alone = setup
+        stack = WindowStack.of_array(pool)
         calls = record_forward(monkeypatch)
         for n in (1, 7, block, block + 3):
             calls.clear()
@@ -344,6 +355,33 @@ class TestFixedBlockInvariance:
             for i, want in alone.items():
                 if i < n:
                     assert np.array_equal(logits[i], want)
+            # A WindowStack runs the same blocks as the materialized array.
+            calls.clear()
+            assert np.array_equal(predict_batch(m, stack.take(np.arange(n))), classes)
+            assert [len(images) for images, _ in calls] == [block] * -(-n // block)
+
+
+def test_predict_batch_reads_one_block_at_a_time():
+    # 8,190 field-backed windows of 16x16 px in 64 blocks: an 8.4 MB stack,
+    # which predict_batch must never hold; a quarter of it bounds the peak.
+    t = TilingConfig(interaction_distance=16.0, px_per_nm=1.0, compression_factor=2)
+    raster = rasterize(LayoutPattern([rect(20, 20, 80, 70)]), 1.0, (0, 0, 100, 100))
+    ys, xs = np.mgrid[5:95, 5:96]
+    windows = window_field(raster, np.stack([xs.ravel(), ys.ravel()], axis=1), t)
+    m = init_model(tiny_arch(input_side=t.output_side), seed=0)
+    stack = 4 * len(windows) * t.output_side**2
+    assert inference_block(m.arch) * 60 < len(windows)
+    tracemalloc.start()
+    try:
+        classes = predict_batch(m, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack / 4, peak
+    assert np.array_equal(classes, predict_batch(m, np.asarray(windows)))
+    # The shape is checked before any window is read.
+    with pytest.raises(ShapeError):
+        predict_batch(init_model(tiny_arch(), seed=0), windows)
 
 
 class TestBackward:

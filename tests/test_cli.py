@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -433,3 +434,14 @@ class TestModelCompat:
         ])
         assert rc == 2
         assert "malformed arch" in capsys.readouterr().err
+
+    def test_malformed_dataset_meta(self, ws, model_path, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ws.root / "data" / "dataset", data)
+        meta = json.loads((data / "meta").read_text())
+        meta["image_side"] = str(meta["image_side"])
+        (data / "meta").write_text(json.dumps(meta))
+        rc = main(["train", "--config", ws.cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "image_side" in err and "Traceback" not in err

@@ -44,6 +44,9 @@ class TestConfig:
             IltConfig(learning_rate=0.0)
         with pytest.raises(ParamError):
             IltConfig(binarize_threshold=1.0)
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ParamError, match="steps"):
+                IltConfig(steps=value)
 
     @pytest.mark.parametrize(
         "key", ["learning_rate", "sigmoid_steepness_resist", "sigmoid_steepness_mask"]

@@ -11,13 +11,13 @@ from pixelret.pipeline import (
     CleanupRules,
     ConfusionMatrix,
     CorrectionConfig,
+    _plan_chunks,
     bench_scaling,
     cleanup,
     confusion_matrix,
     correct,
     deployment_raster,
     iou,
-    plan_chunks,
     predict_map,
     recorrect,
     write_confusion_csv,
@@ -64,19 +64,19 @@ PATTERN = LayoutPattern([rect(8, 8, 24, 24)])
 
 class TestPlanChunks:
     def test_ten_over_three(self):
-        assert plan_chunks(10, 3) == [(0, 4), (4, 7), (7, 10)]
+        assert _plan_chunks(10, 3) == [(0, 4), (4, 7), (7, 10)]
 
     def test_more_workers_than_pixels(self):
-        assert plan_chunks(5, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert _plan_chunks(5, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     def test_zero_pixels(self):
-        assert plan_chunks(0, 4) == []
+        assert _plan_chunks(0, 4) == []
 
     def test_covers_without_overlap(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 500))
             w = int(rng.integers(1, 17))
-            chunks = plan_chunks(n, w)
+            chunks = _plan_chunks(n, w)
             assert chunks[0][0] == 0
             assert chunks[-1][1] == n
             for a, b in zip(chunks, chunks[1:]):
@@ -86,9 +86,9 @@ class TestPlanChunks:
 
     def test_bad_args(self):
         with pytest.raises(ParamError):
-            plan_chunks(-1, 2)
+            _plan_chunks(-1, 2)
         with pytest.raises(ParamError):
-            plan_chunks(5, 0)
+            _plan_chunks(5, 0)
 
 
 class TestConfigs:
@@ -104,6 +104,9 @@ class TestConfigs:
     def test_workers_positive(self):
         with pytest.raises(ParamError):
             toy_cfg(workers=0)
+        for value in (1.5, 2.0, True):
+            with pytest.raises(ParamError, match="workers"):
+                toy_cfg(workers=value)
 
 
 class TestPredictMap:

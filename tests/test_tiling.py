@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,9 @@ class TestWindowGeometry:
             TilingConfig(interaction_distance=0.0)
         with pytest.raises(ParamError):
             TilingConfig(compression_factor=0)
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ParamError, match="compression_factor"):
+                TilingConfig(compression_factor=value)
         with pytest.raises(ParamError):
             TilingConfig(row_reducer="median")
         for key in ("interaction_distance", "px_per_nm"):
@@ -200,13 +204,13 @@ class TestWindowField:
                         compress_window(extract_window(g, (int(x), int(y)), t), t)
                         for x, y in coords
                     ])
-                    assert np.array_equal(window_field(g, coords, t)(coords), oracle)
+                    assert np.array_equal(np.asarray(window_field(g, coords, t)), oracle)
                     part = coords[40:47]
-                    assert np.array_equal(window_field(g, part, t)(part), oracle[40:47])
+                    assert np.array_equal(np.asarray(window_field(g, part, t)), oracle[40:47])
                     with monkeypatch.context() as mp:
                         mp.setattr(tiling, "_BAND_BYTES", 1)
                         assert np.array_equal(
-                            window_field(g, coords[perm], t)(coords[perm]), oracle[perm]
+                            np.asarray(window_field(g, coords[perm], t)), oracle[perm]
                         )
 
     @pytest.mark.parametrize("f", [1, 2, 3, 4, 8, 9])
@@ -230,7 +234,7 @@ class TestWindowField:
                 oracle = np.stack([compress_window(w, t) for w in windows])
                 for w, o in zip(windows[::9], oracle[::9]):
                     assert np.array_equal(o.view(np.uint32), blockwise_loops(w, f, rr, cr).view(np.uint32))
-                got = window_field(g, coords, t)(coords)
+                got = np.asarray(window_field(g, coords, t))
                 assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
 
     def test_far_apart_boxes_read_by_block(self, grid_factory, rng, monkeypatch):
@@ -251,24 +255,14 @@ class TestWindowField:
         for start in range(0, len(coords), 5):
             block = coords[start : start + 5]
             oracle = [compress_window(extract_window(g, tuple(c), t), t) for c in block]
-            assert np.array_equal(windows(block), np.stack(oracle))
-
-    def test_outside_field_rejected(self, grid_factory):
-        g = grid_factory(np.ones((10, 10)))
-        windows = window_field(g, np.array([(3, 3), (5, 4)]), toy_tiling())
-        assert windows(np.array([(4, 3), (5, 3)])).shape == (2, 8, 8)
-        for outside in ((2, 3), (6, 3), (3, 2), (3, 5)):
-            with pytest.raises(CoordError):
-                windows(np.array([outside]))
+            assert np.array_equal(windows[start : start + 5], np.stack(oracle))
 
     def test_empty_selection(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
         empty = np.empty((0, 2), dtype=np.int64)
-        out = window_field(g, empty, toy_tiling())(empty)
+        out = np.asarray(window_field(g, empty, toy_tiling()))
         assert out.shape == (0, 8, 8)
         assert out.dtype == np.float32
-        with pytest.raises(CoordError):
-            window_field(g, empty, toy_tiling())(np.array([(3, 3)]))
 
     def test_out_of_bounds_rejected(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
@@ -454,8 +448,24 @@ class TestDatasetIO:
     def test_meta_garbage_rejected(self, tmp_path):
         ds, _ = build_small(cap=30)
         save_dataset(ds, tmp_path / "d")
-        (tmp_path / "d" / "meta").write_text("{not json")
-        with pytest.raises(FormatError):
+        for text in ("{not json", "[1, 2]"):
+            (tmp_path / "d" / "meta").write_text(text)
+            with pytest.raises(FormatError):
+                load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("key, value", [
+        ("image_side", "4"), ("image_side", 4.0), ("image_side", 0),
+        ("num_samples", None), ("num_samples", -1), ("num_samples", True),
+        ("num_classes", "5"), ("checksums", []), ("sample_source_index", 5),
+        ("sample_source_index", [[0]]),  # one unhashable entry per sample
+    ])
+    def test_malformed_meta_rejected(self, tmp_path, key, value):
+        ds, _ = build_small(cap=30)
+        save_dataset(ds, tmp_path / "d")
+        meta = json.loads((tmp_path / "d" / "meta").read_text())
+        meta[key] = value * meta["num_samples"] if isinstance(value, list) and value else value
+        (tmp_path / "d" / "meta").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=key):
             load_dataset(tmp_path / "d")
 
 
@@ -507,8 +517,8 @@ class TestFieldBackedImages:
         parts, rasters, t = self.parts()
         for k, p in enumerate(parts):
             self.assert_windows(p, rasters[k:], t)
-            # window_field's reader over the same coords gives the same windows.
-            want = window_field(rasters[k], p.coords, t)(p.coords)
+            # window_field over the same coords gives the same windows.
+            want = np.asarray(window_field(rasters[k], p.coords, t))
             assert np.array_equal(np.asarray(p.images), want)
         merged = merge_datasets(parts)
         self.assert_windows(merged, rasters, t)
@@ -528,6 +538,11 @@ class TestFieldBackedImages:
         assert (len(ds.images), ds.images.shape, ds.images.ndim) == (len(ds), (len(ds), side, side), 3)
         assert ds.images.dtype == np.float32
         assert isinstance(ds.images[0], np.ndarray) and ds.images[0].shape == (side, side)
+        # take selects samples without reading them; they are read later.
+        idx = np.array([5, 1, 3])
+        sub = ds.images.take(idx)
+        assert sub.sources is ds.images.sources and sub.shape == (3, side, side)
+        assert np.array_equal(np.asarray(sub), ds.images[idx])
         assert np.asarray(ds.images, dtype=np.float64).dtype == np.float64
         # The dataset holds its field, not an (n, side, side) stack.
         (values, view), = ds.images.sources
