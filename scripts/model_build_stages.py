@@ -6,8 +6,10 @@ real-FFT transform shape its convolutions run at (the one
 litho.fft_convolver's docstring states), optimize_mask's milliseconds per
 gradient step, the median milliseconds of one convolution, and how one
 loss-and-gradient evaluation splits between its two convolutions and its
-elementwise work (medians over 20 evaluations at the ILT mask); the
-median milliseconds of one backward step on 32 training images of the toy
+elementwise work (medians over 20 evaluations at the ILT mask), and the
+ILT mask's sha256 (RasterGrid.checksum, first 16 hex digits) and
+final_fidelity, so that two commits' runs show whether their masks agree;
+the median milliseconds of one backward step on 32 training images of the toy
 arch; and the wall time of one epoch of train on the dataset built from
 the four training families' ILT masks (the criterion 7 recipe, seeded by
 the toy config).  OpenBLAS is pinned to one thread, as in the benchmark.
@@ -102,6 +104,10 @@ def main() -> None:
             f"ilt {name:7s} {target.height}x{target.width} px  transform {h}x{w}"
             f"  {ms:.1f} ms/step  {conv:.2f} ms/convolution"
             f"  loss+grad: 2 convolutions {fft_ms:.2f} ms + elementwise {rest_ms:.2f} ms"
+        )
+        print(
+            f"ilt {name:7s} mask sha256 {result.mask.checksum()[:16]}"
+            f"  final_fidelity {result.final_fidelity!r}"
         )
 
     t0 = time.perf_counter()

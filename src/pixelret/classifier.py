@@ -80,8 +80,10 @@ class ArchDescriptor:
     def __post_init__(self):
         if not self.conv_blocks:
             raise ArchError("at least one conv block is required")
-        if self.num_classes < 2:
-            raise ArchError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name, least in (("input_side", 1), ("num_classes", 2)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ArchError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.pool != "global_average":
             raise ArchError(f"unsupported pool {self.pool!r}")
         self.feature_sides = [self.input_side]
@@ -118,9 +120,9 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
-        # Written so that NaN fails.
-        if not self.learning_rate >= 0:
-            raise ParamError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # Written so that NaN fails each comparison.
+        if not 0 <= self.learning_rate < float("inf"):
+            raise ParamError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass

@@ -25,9 +25,10 @@ IIP_SIDECAR_VERSION = 1
 def _check_num_classes(num_classes: int, least: int) -> None:
     """Refuse a class count below least or above what uint16 class ids hold."""
     most = int(np.iinfo(np.uint16).max) + 1
-    if not least <= num_classes <= most:
+    if type(num_classes) is not int or not least <= num_classes <= most:
         raise ParamError(
-            f"num_classes must be in [{least}, {most}] for uint16 class ids, got {num_classes}"
+            f"num_classes must be an integer in [{least}, {most}] for uint16 class ids,"
+            f" got {num_classes!r}"
         )
 
 

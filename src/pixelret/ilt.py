@@ -25,6 +25,15 @@ checked, and the result's fidelity is the best iterate's checked IoU.
 Masks, loss history and fidelity are bitwise those of the loop that
 convolves afresh at every use, with one rfftn/irfftn pair over the whole
 padded transform, and allocates every intermediate.
+
+The sigmoid is numpy's 1 / (1 + exp(-x)), not scipy.special.expit, whose
+scalar loop takes about four times as long (844 against 207 us on a
+300 x 240 array, 2-CPU AVX-512 host).  Its bits follow the
+exp that numpy dispatches for the host's CPU (a SIMD routine on AVX-512,
+libm elsewhere), as the BLAS bits elsewhere follow the BLAS build; the
+SIMD exp is within 4 ulp of libm's.  Against expit, loss histories moved
+by at most 6.4e-16 relative, and masks and fidelities of the case-study
+layouts were unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimMismatch, DivergenceError, ParamError, RangeError
 from .grid import RasterGrid, iou
@@ -78,6 +86,17 @@ class IltResult:
     final_fidelity: float
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)), written into x and returned.
+    exp(-x) overflows to inf below x = -709, which gives the correct 0,
+    so that overflow is not reported."""
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
 def _loss_and_grad(
     theta: np.ndarray,
     target: np.ndarray,
@@ -90,12 +109,11 @@ def _loss_and_grad(
     convolve convolves with a point-symmetric kernel and returns a new
     array.  Every elementwise step writes into an array this call owns,
     in the order of the plain expressions, so the bits are theirs."""
-    m = np.multiply(theta, k_mask)
-    expit(m, out=m)
+    m = _sigmoid(np.multiply(theta, k_mask))
     p = convolve(m)
     p -= resist_threshold
     p *= k_resist
-    expit(p, out=p)
+    p = _sigmoid(p)
     r = p - target
     n = theta.size
     loss = float(np.dot(r.ravel(), r.ravel()) / n)

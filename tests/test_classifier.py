@@ -183,6 +183,14 @@ class TestArchValidation:
             ArchDescriptor(8, 1, [ConvBlock(4)])
         with pytest.raises(ArchError):
             ArchDescriptor(8, 5, [ConvBlock(4)], pool="max")
+        # Counts must be integers; a float or a bool is refused by name.
+        for key, value in (
+            ("num_classes", 2.5), ("num_classes", 5.0), ("num_classes", True),
+            ("input_side", 50.0), ("input_side", True), ("input_side", 0),
+        ):
+            with pytest.raises(ArchError, match=key):
+                ArchDescriptor(**{"input_side": 8, "num_classes": 5, key: value,
+                                  "conv_blocks": [ConvBlock(4)]})
 
     def test_spatial_collapse_rejected(self):
         # 8 -> 3 -> 1, a third 3x3 block has nothing left to convolve
@@ -207,8 +215,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ParamError):
             TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ParamError, match="learning_rate"):
-            TrainConfig(learning_rate=float("nan"))
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParamError, match="learning_rate"):
+                TrainConfig(learning_rate=value)
         TrainConfig(learning_rate=0.0)  # freeze is legal
         for key, value in (("epochs", 1.5), ("epochs", True), ("batch_size", 2.5)):
             with pytest.raises(ParamError, match=key):

@@ -94,6 +94,9 @@ class TestBinning:
         assert bin_classes(vals, 65536)[-1] == 65535
         with pytest.raises(ParamError, match="uint16"):
             bin_classes(vals, 70000)
+        for bad in (2.5, 20.0, True):
+            with pytest.raises(ParamError, match="num_classes"):
+                bin_classes(vals, bad)
 
     def test_vectorized_matches_scalar(self, rng):
         vals = rng.random(200)
@@ -152,6 +155,9 @@ class TestConfig:
         IipConfig(num_classes=65536, iik=iik())
         with pytest.raises(ParamError, match="uint16"):
             IipConfig(num_classes=65537, iik=iik())
+        for bad in (2.5, 20.0, True):
+            with pytest.raises(ParamError, match="num_classes"):
+                IipConfig(num_classes=bad, iik=iik())
 
     def test_iik_required(self):
         with pytest.raises(TypeError):

@@ -1,10 +1,12 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from conftest import make_grid, unpruned_convolver
 from scipy.special import expit
 
+from pixelret import ilt
 from pixelret.errors import DimMismatch, ParamError, RangeError
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask, save_loss_history
 from pixelret.litho import (
@@ -147,6 +149,50 @@ class TestOptimize:
         assert a.loss_history == b.loss_history
 
 
+def sigmoid(x):
+    """The plain logistic expression, allocating its result."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+class TestSigmoid:
+    def test_close_to_expit(self):
+        x = np.linspace(-40.0, 40.0, 200_001)
+        got = ilt._sigmoid(x.copy())
+        want = expit(x)
+        # numpy's exp may be a SIMD routine a few ulp from libm's.
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+
+    def test_saturates_without_warnings(self):
+        x = np.array([-800.0, -710.0, 710.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ilt._sigmoid(x)
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_nan_and_in_place(self):
+        x = np.array([np.nan, 0.0, 3.0])
+        want = sigmoid(x)
+        got = ilt._sigmoid(x)
+        assert got is x
+        assert np.isnan(got[0])
+        assert np.array_equal(got[1:], want[1:])
+
+    def test_masks_same_as_with_expit(self, rng, monkeypatch):
+        # numpy's exp and libm's differ in the last bits of a few elements;
+        # that must not reach the masks or fidelities of the seeded targets.
+        litho = small_litho()
+        cfg = IltConfig(steps=20, learning_rate=2e4)
+        targets = [random_target(rng, side=side) for side in (16, 20, 27)]
+        ours = [optimize_mask(t, litho, cfg) for t in targets]
+        monkeypatch.setattr(ilt, "_sigmoid", lambda x: expit(x, out=x))
+        for target, res in zip(targets, ours):
+            ref = optimize_mask(target, litho, cfg)
+            assert np.array_equal(res.mask.values, ref.mask.values)
+            assert res.final_fidelity == ref.final_fidelity
+            have, want = np.array(res.loss_history), np.array(ref.loss_history)
+            assert np.all(np.abs(have - want) <= 1e-14 * np.abs(want))
+
+
 def uncached_optimize(target, litho, cfg, convolve_fft=convolve_fft):
     """optimize_mask's loop as first written: every convolution transforms
     the kernel again, every elementwise step allocates its result, every
@@ -158,8 +204,8 @@ def uncached_optimize(target, litho, cfg, convolve_fft=convolve_fft):
     k_m, k_r, thr = cfg.sigmoid_steepness_mask, cfg.sigmoid_steepness_resist, litho.resist_threshold
 
     def loss_and_grad(theta):
-        m = expit(k_m * theta)
-        p = expit(k_r * (convolve_fft(m, kv) - thr))
+        m = sigmoid(k_m * theta)
+        p = sigmoid(k_r * (convolve_fft(m, kv) - thr))
         r = p - tv
         n = theta.size
         dldi = (2.0 / n) * r * k_r * p * (1.0 - p)
@@ -167,7 +213,7 @@ def uncached_optimize(target, litho, cfg, convolve_fft=convolve_fft):
         return float(np.dot(r.ravel(), r.ravel()) / n), grad
 
     def binarize(theta):
-        return (expit(k_m * theta) > cfg.binarize_threshold).astype(np.uint8)
+        return (sigmoid(k_m * theta) > cfg.binarize_threshold).astype(np.uint8)
 
     def fidelity(mask):
         aerial = np.clip(convolve_fft(mask.astype(np.float64), kv), 0.0, 1.0)
@@ -237,8 +283,8 @@ class TestUncachedOracle:
             theta = rng.normal(0.0, 3.0, target.shape)
             kv = litho.kernel(target.px_per_nm).values
             k_m, k_r, n = cfg.sigmoid_steepness_mask, cfg.sigmoid_steepness_resist, theta.size
-            m = expit(k_m * theta)
-            p = expit(k_r * (unpruned(m, kv) - litho.resist_threshold))
+            m = sigmoid(k_m * theta)
+            p = sigmoid(k_r * (unpruned(m, kv) - litho.resist_threshold))
             r = p - target.values.astype(np.float64)
             want = unpruned((2.0 / n) * r * k_r * p * (1.0 - p), kv) * k_m * m * (1.0 - m)
             loss, grad = ilt_loss(target.with_values(theta), target, litho, cfg)
