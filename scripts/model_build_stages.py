@@ -4,9 +4,11 @@ Prints the host's CPU count; for each of the six case-study families
 (iso40, iso140, ls40, ls140, iso60, iso100) the ILT target shape, the
 real-FFT transform shape its convolutions run at (the one
 litho.fft_convolver's docstring states), optimize_mask's milliseconds per
-gradient step, the median milliseconds of one convolution, and how one
-loss-and-gradient evaluation splits between its two convolutions and its
-elementwise work (medians over 20 evaluations at the ILT mask), and the
+gradient step, the median milliseconds of one float32 convolution (the
+precision optimize_mask descends in) and, for comparison, of one float64
+convolution, and how one float32 loss-and-gradient evaluation splits
+between its two convolutions and its elementwise work (medians over 20
+evaluations at the ILT mask), and the
 ILT mask's sha256 (RasterGrid.checksum, first 16 hex digits) and
 final_fidelity, so that two commits' runs show whether their masks agree;
 the median milliseconds of one backward step on 32 training images of the toy
@@ -50,12 +52,15 @@ def transform_shape(shape, kernel_side):
 
 
 def step_split(target, mask, litho_cfg, icfg, reps):
-    """Median ms of one convolution, and of one _loss_and_grad evaluation's
-    two convolutions and its elementwise remainder, at theta = the mask's
-    logit."""
-    convolve = fft_convolver(litho_cfg.kernel(target.px_per_nm).values, target.shape)
-    tv = target.values.astype(np.float64)
-    theta = icfg.sigmoid_steepness_mask * (2.0 * mask.values.astype(np.float64) - 1.0)
+    """Median ms of one float32 and of one float64 convolution, and of one
+    float32 _loss_and_grad evaluation's two convolutions and its
+    elementwise remainder, at theta = the mask's logit, as optimize_mask
+    runs them."""
+    kernel = litho_cfg.kernel(target.px_per_nm).values
+    convolve = fft_convolver(kernel, target.shape, np.float32)
+    convolve64 = fft_convolver(kernel, target.shape)
+    tv = target.values.astype(np.float32)
+    theta = icfg.sigmoid_steepness_mask * (2.0 * mask.values.astype(np.float32) - 1.0)
     spent = []
 
     def timed(img):
@@ -64,11 +69,14 @@ def step_split(target, mask, litho_cfg, icfg, reps):
         spent.append(time.perf_counter() - t0)
         return out
 
-    conv, fft_ms, rest_ms = [], [], []
+    conv, conv64, fft_ms, rest_ms = [], [], [], []
     for _ in range(reps):
         spent.clear()
         timed(tv)
         conv.append(spent[0])
+        t0 = time.perf_counter()
+        convolve64(tv)
+        conv64.append(time.perf_counter() - t0)
         spent.clear()
         t0 = time.perf_counter()
         _loss_and_grad(
@@ -78,7 +86,7 @@ def step_split(target, mask, litho_cfg, icfg, reps):
         wall = time.perf_counter() - t0
         fft_ms.append(sum(spent))
         rest_ms.append(wall - sum(spent))
-    return tuple(1000.0 * float(np.median(x)) for x in (conv, fft_ms, rest_ms))
+    return tuple(1000.0 * float(np.median(x)) for x in (conv, conv64, fft_ms, rest_ms))
 
 
 def main() -> None:
@@ -99,10 +107,12 @@ def main() -> None:
         ms = 1000.0 * (time.perf_counter() - t0) / icfg.steps
         masks[name] = result.mask
         h, w = transform_shape(target.shape, litho_cfg.kernel(target.px_per_nm).side)
-        conv, fft_ms, rest_ms = step_split(target, result.mask, litho_cfg, icfg, ILT_REPS)
+        conv, conv64, fft_ms, rest_ms = step_split(
+            target, result.mask, litho_cfg, icfg, ILT_REPS
+        )
         print(
             f"ilt {name:7s} {target.height}x{target.width} px  transform {h}x{w}"
-            f"  {ms:.1f} ms/step  {conv:.2f} ms/convolution"
+            f"  {ms:.1f} ms/step  {conv:.2f} ms/convolution (float64 {conv64:.2f})"
             f"  loss+grad: 2 convolutions {fft_ms:.2f} ms + elementwise {rest_ms:.2f} ms"
         )
         print(

@@ -101,8 +101,8 @@ class ArchDescriptor:
     @staticmethod
     def from_dict(d: dict) -> "ArchDescriptor":
         return ArchDescriptor(
-            input_side=int(d["input_side"]),
-            num_classes=int(d["num_classes"]),
+            input_side=d["input_side"],
+            num_classes=d["num_classes"],
             conv_blocks=[ConvBlock(**b) for b in d["conv_blocks"]],
             pool=d.get("pool", "global_average"),
         )
@@ -451,7 +451,7 @@ def load_model(path: str | Path) -> ModelParams:
         raise FormatError(f"{path}: model header lacks {', '.join(missing)}")
     try:
         arch = ArchDescriptor.from_dict(header["arch"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (ArchError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed arch in model header: {e!r}") from None
     shapes = _tensor_shapes(arch)
     manifest = [[name, list(shape)] for name, shape in shapes.items()]

@@ -6,9 +6,25 @@ differentiable; gradient descent runs for a fixed step count and the best
 admissible iterate is returned.
 
 The returned mask is guaranteed no worse than the target-as-mask baseline:
-the initial iterate binarizes back to the target itself, candidates are
-restricted to iterates whose relaxed loss does not exceed the initial loss,
-and selection maximizes printed-vs-target IoU over those candidates.
+candidates are restricted to iterates whose relaxed loss does not exceed
+the initial loss, selection maximizes printed-vs-target IoU over those
+candidates, and the winner is then printed in float64 next to the target
+itself, which is returned instead if it prints better.  final_fidelity is
+that float64 print's IoU, the number simulate_print gives.
+
+Precision: the descent runs in float32 and everything a caller sees
+outside it stays float64.  optimize_mask runs both convolutions of each
+step through a float32 fft_convolver, and the step's elementwise work,
+theta and the per-iterate fidelity checks in float32; the loss is summed
+in float64, and the winner and the target are printed in float64.  On
+the 8 canonical patterns and the benchmark's 2 layouts the masks and
+fidelities are bitwise the float64 descent's, loss histories moved by at
+most 6.2e-6 relative, and optimize_mask took 0.58x the time (2-CPU
+AVX-512 host).  ilt_loss, convolve_fft, aerial_image and compute_iip stay
+float64: with float32 convolutions, ilt_loss's gradient reads a worst
+relative error of 1.67 against central differences at h = 1e-3 (criterion
+3 allows 1e-3; float64 reads 1.6e-5), since at pixels with small
+gradients a 1e-3 step moves the loss less than float32 round-off does.
 
 Cost: the kernel's spectrum is computed once per optimize_mask call, so a
 step transforms only its two images, through fft_convolver's pruned
@@ -21,19 +37,16 @@ image, the gradient and the fidelity check.
 The IoU check images the *binarized* mask, not the step's relaxed mask,
 so the step's aerial image cannot stand in for it without changing bits;
 instead the check is skipped when the binarized mask equals the last one
-checked, and the result's fidelity is the best iterate's checked IoU.
-Masks, loss history and fidelity are bitwise those of the loop that
-convolves afresh at every use, with one rfftn/irfftn pair over the whole
-padded transform, and allocates every intermediate.
+checked.  Masks, loss history and fidelity are bitwise those of the
+float32 loop that convolves afresh at every use, with one rfftn/irfftn
+pair over the whole padded transform, and allocates every intermediate.
 
 The sigmoid is numpy's 1 / (1 + exp(-x)), not scipy.special.expit, whose
 scalar loop takes about four times as long (844 against 207 us on a
-300 x 240 array, 2-CPU AVX-512 host).  Its bits follow the
+300 x 240 float64 array, 2-CPU AVX-512 host).  Its bits follow the
 exp that numpy dispatches for the host's CPU (a SIMD routine on AVX-512,
 libm elsewhere), as the BLAS bits elsewhere follow the BLAS build; the
-SIMD exp is within 4 ulp of libm's.  Against expit, loss histories moved
-by at most 6.4e-16 relative, and masks and fidelities of the case-study
-layouts were unchanged.
+SIMD exp is within 4 ulp of libm's.
 """
 
 from __future__ import annotations
@@ -108,7 +121,8 @@ def _loss_and_grad(
     """Loss, its gradient and the relaxed mask m = sigmoid_mask(theta);
     convolve convolves with a point-symmetric kernel and returns a new
     array.  Every elementwise step writes into an array this call owns,
-    in the order of the plain expressions, so the bits are theirs."""
+    in the order of the plain expressions, so the bits are theirs.  The
+    arrays keep the inputs' dtype; the loss is summed in float64."""
     m = _sigmoid(np.multiply(theta, k_mask))
     p = convolve(m)
     p -= resist_threshold
@@ -116,7 +130,8 @@ def _loss_and_grad(
     p = _sigmoid(p)
     r = p - target
     n = theta.size
-    loss = float(np.dot(r.ravel(), r.ravel()) / n)
+    rr = r.ravel().astype(np.float64, copy=False)
+    loss = float(np.dot(rr, rr) / n)
     # Chain rule: dL/dp, through the resist sigmoid, the convolution adjoint
     # (correlation = convolution with the flipped kernel, which is the kernel
     # itself), and the mask sigmoid: dldi = (2/n) * r * k_resist * p * (1 - p),
@@ -165,13 +180,15 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
 
     Admissible means relaxed loss <= initial loss; among those the iterate
     with the highest printed-vs-target IoU wins (ties: lower loss, then
-    earlier step).  loss_history has steps+1 entries, non-finite loss raises
+    earlier step); the target itself is returned if it prints better in
+    float64.  loss_history has steps+1 entries, non-finite loss raises
     DivergenceError.
     """
     if not target.is_binary():
         raise RangeError("ILT target must be a binary grid")
-    tv = target.values.astype(np.float64)
-    convolve = fft_convolver(litho.kernel(target.px_per_nm).values, tv.shape)
+    tv = target.values.astype(np.float32)
+    kernel = litho.kernel(target.px_per_nm).values
+    convolve = fft_convolver(kernel, tv.shape, np.float32)
     k_m = cfg.sigmoid_steepness_mask
     k_r = cfg.sigmoid_steepness_resist
     thr = litho.resist_threshold
@@ -200,10 +217,19 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
             grad *= cfg.learning_rate
             theta -= grad
     assert best is not None
+    # The float32 checks rank the iterates; the returned mask is the
+    # winner or the target, whichever prints better in float64.
+    print64 = fft_convolver(kernel, tv.shape)
+    mask, as_is = best[3], tv.astype(np.uint8)
+    fidelity, baseline = (
+        iou(target.with_values(print64(x) >= thr), target) for x in (mask, as_is)
+    )
+    if fidelity < baseline:
+        mask, fidelity = as_is, baseline
     return IltResult(
-        mask=target.with_values(best[3]),
+        mask=target.with_values(mask),
         loss_history=history,
-        final_fidelity=-best[0],
+        final_fidelity=fidelity,
     )
 
 

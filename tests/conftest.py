@@ -26,17 +26,20 @@ def grid_factory():
     return make_grid
 
 
-def unpruned_convolver(kernel, shape):
+def unpruned_convolver(kernel, shape, dtype=np.float64):
     """litho.fft_convolver as one rfftn/irfftn pair over the whole padded
-    transform: the reference its pruned passes must equal bitwise."""
+    transform: the reference its pruned passes must equal bitwise.  For
+    float32 the float64 kernel spectrum is cast to complex64 and the image
+    to float32."""
     h, w = shape
     kh, kw = kernel.shape
     y0, x0 = kh // 2, kw // 2
     fshape = (next_fast_len(h + y0, True), next_fast_len(w + x0, True))
     spectrum = rfftn(np.asarray(kernel, dtype=np.float64), fshape)
+    spectrum = spectrum.astype(np.result_type(dtype, np.complex64))
 
     def convolve(img):
-        f = rfftn(np.asarray(img, dtype=np.float64), fshape)
+        f = rfftn(np.asarray(img, dtype=dtype), fshape)
         f *= spectrum
         return irfftn(f, fshape)[y0 : y0 + h, x0 : x0 + w].copy()
 

@@ -607,6 +607,23 @@ class TestModelIO:
         with pytest.raises(FormatError, match="malformed arch"):
             load_model(p)
 
+    @pytest.mark.parametrize("saved, field, value", [
+        ({"num_classes": 2}, "num_classes", 2.5),
+        ({"input_side": 50}, "input_side", 50.9),
+        ({}, "num_classes", True),
+    ])
+    def test_non_integer_arch_count_rejected(self, tmp_path, saved, field, value):
+        # Truncated to an integer, 2.5 and 50.9 would name the saved
+        # model's own counts, and the file would load.
+        p = tmp_path / "model.bin"
+        save_model(init_model(tiny_arch(**saved), seed=0), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["arch"][field] = value
+        p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match=f"malformed arch.*{field}"):
+            load_model(p)
+
     def test_renamed_tensor_rejected(self, tmp_path):
         p = tmp_path / "model.bin"
         save_model(init_model(tiny_arch(), seed=0), p)

@@ -76,6 +76,15 @@ class TestKernel:
             make_gaussian_kernel(10.0, 0.2, 1.0)
 
 
+# Image and kernel shapes the pruned passes are checked on against the
+# unpruned transform.
+UNPRUNED_CASES = [
+    ((300, 240), (151, 151)), ((300, 320), (151, 151)), ((64, 48), (151, 151)),
+    ((1, 23), (5, 5)), ((1, 1), (1, 1)), ((17, 1), (5, 3)), ((2, 2), (3, 3)),
+    ((121, 200), (121, 121)), ((125, 97), (31, 9)), ((45, 64), (7, 1)),
+]
+
+
 class TestConvolution:
     def test_delta_kernel_identity(self, rng):
         img = rng.random((9, 9))
@@ -148,11 +157,7 @@ class TestConvolution:
             img = rng.random((20, 30))
             assert np.array_equal(conv(img), convolve_fft(img, ker))
 
-    @pytest.mark.parametrize("img_shape, ker_shape", [
-        ((300, 240), (151, 151)), ((300, 320), (151, 151)), ((64, 48), (151, 151)),
-        ((1, 23), (5, 5)), ((1, 1), (1, 1)), ((17, 1), (5, 3)), ((2, 2), (3, 3)),
-        ((121, 200), (121, 121)), ((125, 97), (31, 9)), ((45, 64), (7, 1)),
-    ])
+    @pytest.mark.parametrize("img_shape, ker_shape", UNPRUNED_CASES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
     def test_bitwise_equals_unpruned_transform(self, rng, img_shape, ker_shape, dtype):
         # Kernels longer than the image, 1-row and 1-column images, and
@@ -167,6 +172,34 @@ class TestConvolution:
             out = conv(img)
             assert out.dtype == np.float64 and out.flags.c_contiguous
             assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("img_shape, ker_shape", UNPRUNED_CASES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
+    def test_float32_bitwise_equals_unpruned_transform(self, rng, img_shape, ker_shape, dtype):
+        img = rng.random(img_shape)
+        img = (img > 0.5).astype(dtype) if dtype in (np.uint8, bool) else img.astype(dtype)
+        ker = rng.random(ker_shape)
+        conv = fft_convolver(ker, img_shape, np.float32)
+        want = unpruned_convolver(ker, img_shape, np.float32)(img)
+        for _ in range(2):
+            out = conv(img)
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+            assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("img_shape, ker_shape", [
+        ((300, 240), (151, 151)), ((64, 48), (151, 151)), ((125, 97), (31, 9)),
+    ])
+    def test_float32_close_to_float64(self, rng, img_shape, ker_shape):
+        img = rng.random(img_shape)
+        ker = rng.random(ker_shape)
+        want = fft_convolver(ker, img_shape)(img)
+        got = fft_convolver(ker, img_shape, np.float32)(img)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.complex64, np.int32, bool])
+    def test_other_dtype_rejected(self, rng, dtype):
+        with pytest.raises(ParamError, match="dtype"):
+            fft_convolver(rng.random((3, 3)), (8, 8), dtype)
 
     @pytest.mark.parametrize("img_shape", [(300, 240), (300, 320), (600, 1083), (64, 48), (1, 23)])
     def test_traces_no_more_than_unpruned(self, rng, img_shape):
@@ -190,6 +223,9 @@ class TestConvolution:
 
     def test_convolver_shape_mismatch(self, rng):
         conv = fft_convolver(rng.random((3, 3)), (8, 8))
+        with pytest.raises(DimMismatch):
+            conv(rng.random((8, 9)))
+        conv = fft_convolver(rng.random((3, 3)), (8, 8), np.float32)
         with pytest.raises(DimMismatch):
             conv(rng.random((8, 9)))
         with pytest.raises(DimMismatch):
