@@ -29,7 +29,7 @@ from . import litho as litho_mod
 from . import pipeline as pipe
 from . import tiling as tiling_mod
 from .errors import ConfigError, FormatError, PixelretError
-from .grid import write_graymap
+from .grid import iou, write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
 # desk-scale experiments.  Sections and fields that a dataclass holds take
@@ -339,7 +339,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     out = _outdir(args)
     write_graymap(aerial, out / "aerial.pgm")
     write_graymap(printed, out / "printed.pgm")
-    fidelity = pipe.iou(printed, g)
+    fidelity = iou(printed, g)
     print(f"printed-vs-target IoU {fidelity:.4f}; wrote aerial.pgm, printed.pgm")
     return 0
 
@@ -447,7 +447,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     cm = pipe.confusion_matrix(corrected.iip_map, ref_iip, ccfg.iip.num_classes)
     out = _outdir(args)
     pipe.write_confusion_csv(cm, out / "confusion.csv")
-    score = pipe.iou(corrected.grid, result.mask)
+    score = iou(corrected.grid, result.mask)
     metrics = {
         "iou_vs_reference": score,
         "class_accuracy": cm.accuracy(),

@@ -42,8 +42,11 @@ class RasterGrid:
             raise DimMismatch(
                 f"values shape {self.values.shape} != (height={self.height}, width={self.width})"
             )
-        if self.px_per_nm <= 0:
-            raise RangeError(f"px_per_nm must be > 0, got {self.px_per_nm}")
+        # NaN fails every comparison, so these also refuse NaN.
+        if not 0 < self.px_per_nm < float("inf"):
+            raise RangeError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
+        if not all(abs(c) < float("inf") for c in self.origin):
+            raise RangeError(f"origin must be finite, got {self.origin}")
         if self.values.dtype.kind == "f" and not np.all(np.isfinite(self.values)):
             raise RangeError("real grid contains non-finite values")
 

@@ -17,11 +17,17 @@ Layout file format (UTF-8 text, one object)::
       ],
     }
 
+The text is JSON, except that field names may be unquoted and a list or
+object may end with a trailing comma.  ``units`` must be ``"nm"``, ``layer``
+is an int (default 0), and ``polygons`` (default empty) holds flat int lists
+with |coordinate| <= 2**53, exact as floats; no other or repeated field.
 Polygons are implicitly closed, vertices flattened as x0,y0,x1,y1,...
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,68 +186,17 @@ def snap_pattern(p: LayoutPattern) -> LayoutPattern:
 # Text format
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c in "{}[]:,":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string literal")
-            tokens.append(("str", text[i + 1 : j]))
-            i = j + 1
-        elif c == "-" or c.isdigit():
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE+-"):
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} at offset {i}")
-    return tokens
+# A bare field name after "{" or ",", and a comma right before "]" or "}":
+# the two places where the layout format is looser than JSON.
+_BARE_NAME = re.compile(r"([{,]\s*)([A-Za-z_]\w*)(\s*:)")
+_TRAILING_COMMA = re.compile(r",(\s*[]}])")
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of file")
-        self.pos += 1
-        return t
-
-    def expect(self, tok):
-        t = self.next()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}")
-
-
-def _parse_int(ts: _TokenStream, what: str) -> int:
-    t = ts.next()
-    if not (isinstance(t, tuple) and t[0] == "num"):
-        raise ParseError(f"expected integer for {what}, got {t!r}")
-    try:
-        return int(t[1])
-    except ValueError:
-        raise ParseError(f"{what} must be an integer nm value, got {t[1]!r}") from None
+def _fields(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ParseError(f"duplicate field among {[key for key, _ in pairs]}")
+    return obj
 
 
 def parse_layout(text: str) -> LayoutPattern:
@@ -250,59 +205,32 @@ def parse_layout(text: str) -> LayoutPattern:
     Raises ParseError on malformed syntax and GeometryError when a polygon
     violates a geometric invariant; both name the offending polygon index.
     """
-    ts = _TokenStream(_tokenize(text))
-    ts.expect("{")
-    units = None
-    layer = 0
+    text = _TRAILING_COMMA.sub(r"\1", _BARE_NAME.sub(r'\1"\2"\3', text))
+    try:
+        obj = json.loads(text, object_pairs_hook=_fields)
+    except ValueError as exc:  # bad syntax, or an int past Python's digit limit
+        raise ParseError(f"malformed layout: {exc}") from None
+    if type(obj) is not dict:
+        raise ParseError("a layout is one {...} object")
+    unknown = sorted(obj.keys() - {"units", "layer", "polygons"})
+    if unknown:
+        raise ParseError(f"unknown field {unknown[0]!r}")
+    if obj.get("units") != "nm":
+        raise ParseError(f'units must be "nm", got {obj.get("units")!r}')
+    layer = obj.get("layer", 0)
+    if type(layer) is not int:
+        raise ParseError(f"layer must be an integer, got {layer!r}")
+    flats = obj.get("polygons", [])
+    if type(flats) is not list:
+        raise ParseError(f"polygons must be a list, got {flats!r}")
     polygons: list[Polygon] = []
-    seen = set()
-    while True:
-        t = ts.peek()
-        if t == "}":
-            ts.next()
-            break
-        key = ts.next()
-        if isinstance(key, tuple) and key[0] in ("name", "str"):
-            key = key[1]
-        else:
-            raise ParseError(f"expected field name, got {key!r}")
-        if key in seen:
-            raise ParseError(f"duplicate field {key!r}")
-        seen.add(key)
-        ts.expect(":")
-        if key == "units":
-            t = ts.next()
-            if not (isinstance(t, tuple) and t[0] == "str"):
-                raise ParseError("units must be a quoted string")
-            units = t[1]
-        elif key == "layer":
-            layer = _parse_int(ts, "layer")
-        elif key == "polygons":
-            ts.expect("[")
-            while ts.peek() != "]":
-                ts.expect("[")
-                flat: list[int] = []
-                while ts.peek() != "]":
-                    flat.append(_parse_int(ts, f"polygon {len(polygons)} coordinate"))
-                    if ts.peek() == ",":
-                        ts.next()
-                ts.next()  # ]
-                if len(flat) % 2 != 0:
-                    raise ParseError(
-                        f"polygon {len(polygons)}: odd coordinate count {len(flat)}"
-                    )
-                polygons.append([(flat[k], flat[k + 1]) for k in range(0, len(flat), 2)])
-                if ts.peek() == ",":
-                    ts.next()
-            ts.next()  # ]
-        else:
-            raise ParseError(f"unknown field {key!r}")
-        if ts.peek() == ",":
-            ts.next()
-    if ts.peek() is not None:
-        raise ParseError(f"trailing content after layout object: {ts.peek()!r}")
-    if units != "nm":
-        raise ParseError(f'units must be "nm", got {units!r}')
+    for i, flat in enumerate(flats):
+        # Beyond 2**53 a float vertex would round, and 400 digits overflow it.
+        if type(flat) is not list or any(type(v) is not int or abs(v) > 2**53 for v in flat):
+            raise ParseError(f"polygon {i}: need a flat list of integers with |c| <= 2**53")
+        if len(flat) % 2 != 0:
+            raise ParseError(f"polygon {i}: odd coordinate count {len(flat)}")
+        polygons.append(list(zip(flat[::2], flat[1::2])))
     return LayoutPattern(polygons, layer)
 
 
@@ -337,11 +265,13 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
     left/bottom polygon edge counts as inside, on a right/top edge as
     outside.  Grid dims are ceil(extent * px_per_nm).
     """
-    if px_per_nm <= 0:
-        raise RegionError(f"px_per_nm must be > 0, got {px_per_nm}")
+    # NaN fails every comparison, so these also refuse NaN.
+    inf = float("inf")
+    if not 0 < px_per_nm < inf:
+        raise RegionError(f"px_per_nm must be finite and > 0, got {px_per_nm}")
     xmin, ymin, xmax, ymax = region
-    if xmax <= xmin or ymax <= ymin:
-        raise RegionError(f"degenerate region {region}")
+    if not (-inf < xmin < xmax < inf and -inf < ymin < ymax < inf):
+        raise RegionError(f"degenerate or non-finite region {region}")
     w = int(np.ceil((xmax - xmin) * px_per_nm))
     h = int(np.ceil((ymax - ymin) * px_per_nm))
     xc = xmin + (np.arange(w) + 0.5) / px_per_nm

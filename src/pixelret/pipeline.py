@@ -32,7 +32,7 @@ import numpy as np
 
 from .classifier import ModelParams, predict_batch
 from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
-from .grid import RasterGrid, iou  # noqa: F401  (iou is re-exported)
+from .grid import RasterGrid
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
 from .layout import (
     Bbox,
@@ -125,23 +125,6 @@ class ScalingReport:
 
 
 # ---------------------------------------------------------------------------
-# Chunk planning
-# ---------------------------------------------------------------------------
-
-def _plan_chunks(n_pixels: int, workers: int) -> list[tuple[int, int]]:
-    """Balanced contiguous partition into half-open (start, end) ranges;
-    sizes differ by at most one and empty chunks are omitted.
-    """
-    if n_pixels < 0:
-        raise ParamError(f"n_pixels must be >= 0, got {n_pixels}")
-    if workers < 1:
-        raise ParamError(f"workers must be >= 1, got {workers}")
-    base, extra = divmod(n_pixels, workers)
-    ends = [i * base + min(i, extra) for i in range(workers + 1)]
-    return [(a, b) for a, b in zip(ends, ends[1:]) if b > a]
-
-
-# ---------------------------------------------------------------------------
 # Deployment raster and pixel selection
 # ---------------------------------------------------------------------------
 
@@ -180,10 +163,6 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
 def _geometry(g: RasterGrid) -> tuple:
     """(width, height, origin x, origin y, px_per_nm): where each pixel is."""
     return (g.width, g.height, float(g.origin[0]), float(g.origin[1]), float(g.px_per_nm))
-
-
-def _all_flat(g: RasterGrid) -> np.ndarray:
-    return np.arange(g.width * g.height, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +216,11 @@ def _infer(
     workers: int,
 ) -> np.ndarray:
     class_values = np.array([class_value(c, num_classes) for c in range(num_classes)])
+    # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        (m, raster, sel_flat[start:end], tiling, class_values)
-        for start, end in _plan_chunks(sel_flat.size, workers)
+        (m, raster, chunk, tiling, class_values)
+        for chunk in np.array_split(sel_flat, workers)
+        if chunk.size
     ]
     if len(tasks) <= 1:
         parts = [_infer_chunk(t) for t in tasks]
@@ -276,9 +257,8 @@ def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
     """
     _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
-    values = _infer(
-        m, raster, _all_flat(raster), cfg.tiling, cfg.iip.num_classes, cfg.workers
-    )
+    sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
+    values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)
     grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
@@ -397,11 +377,13 @@ def bench_scaling(
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
-    if repeats < 1:
-        raise ParamError(f"repeats must be >= 1, got {repeats}")
+    if any(type(w) is not int or w < 1 for w in worker_counts):
+        raise ParamError(f"worker_counts must be integers >= 1, got {worker_counts!r}")
+    if type(repeats) is not int or repeats < 1:
+        raise ParamError(f"repeats must be an integer >= 1, got {repeats!r}")
     _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
-    sel_flat = _all_flat(raster)
+    sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
     if sel_flat.size < 10_000:
         raise ParamError(
             f"benchmark workload has {sel_flat.size} pixels; need >= 10000"

@@ -28,7 +28,7 @@ from pixelret.classifier import (
 )
 from pixelret.cli import CANONICAL_PATTERNS, load_config
 from pixelret.errors import ChecksumError, FormatError, ParseError
-from pixelret.grid import read_graymap, write_graymap
+from pixelret.grid import iou, read_graymap, write_graymap
 from pixelret.iip import (
     IipConfig,
     compute_iip,
@@ -52,7 +52,6 @@ from pixelret.pipeline import (
     confusion_matrix,
     correct,
     deployment_raster,
-    iou,
     predict_map,
     recorrect,
     write_scaling_csv,

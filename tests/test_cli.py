@@ -124,6 +124,19 @@ class TestConfig:
         assert rc == 2
         assert "cannot read layout file" in capsys.readouterr().err
 
+    def test_oversized_coordinate_rejected(self, ws, tmp_path, capsys):
+        # 400 digits overflow a float vertex; the CLI names it, no traceback
+        big = tmp_path / "big.layout"
+        big.write_text('{units: "nm", polygons: [[0,0,%s,0,10,10,0,10]]}' % ("9" * 400))
+        rc = main([
+            "rasterize", "--config", ws.cfg, "--layout", str(big),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "polygon 0" in err
+        assert not (tmp_path / "o").exists()
+
     def test_garbage_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -15,8 +15,14 @@ class TestRasterGrid:
             RasterGrid(3, 2, (0, 0), 1.0, np.zeros((3, 3), dtype=np.float32))
 
     def test_bad_resolution(self):
-        with pytest.raises(RangeError):
-            RasterGrid(2, 2, (0, 0), 0.0, np.zeros((2, 2), dtype=np.float32))
+        for px_per_nm in (0.0, float("nan"), float("inf")):
+            with pytest.raises(RangeError):
+                RasterGrid(2, 2, (0, 0), px_per_nm, np.zeros((2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("origin", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_origin_rejected(self, origin):
+        with pytest.raises(RangeError, match="origin"):
+            RasterGrid(1, 1, origin, 1.0, np.zeros((1, 1), dtype=np.float32))
 
     def test_non_finite_rejected(self):
         v = np.zeros((2, 2), dtype=np.float32)

@@ -16,7 +16,7 @@ from pixelret.litho import (
     print_image,
     simulate_print,
 )
-from pixelret.pipeline import iou
+from pixelret.grid import iou
 
 
 def small_litho():

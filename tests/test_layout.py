@@ -162,6 +162,82 @@ class TestFileFormat:
         with pytest.raises(GeometryError, match="polygon 1"):
             parse_layout(text)
 
+    @pytest.mark.parametrize("text", [
+        # not JSON once names are quoted and trailing commas dropped
+        '{units: "nm", polygons: [[0 0 10 0 10 10 0 10]]}',
+        '{units: "nm" layer: 0}',
+        '{units: "nm", polygons: [[0,0,10,0,10,10,0,10] [20,0,30,0,30,10,20,10]]}',
+        '{units: "nm", polygons: [[0,0,010,0,10,10,0,10]]}',
+        '{units: "nm", polygons: [[0,0,\u0661\u0660,0,10,10,0,10]]}',
+        '{units: "nm", polygons: [[0,0,+10,0,10,10,0,10]]}',
+        '{units: "nm", // comment\n layer: 0}',
+        '{units: "nm",, layer: 0}',
+        '{units: "nm", polygons: [[0,0,10,0,10,10,0,10],,]}',
+        '{units: "nm", polygons: [,[0,0,10,0,10,10,0,10]]}',
+        '{units: "nm"} {}',
+        "",
+        # JSON, but not a layout
+        '{units: "nm", polygons: [[[0,0],10,0,10,10,0,10]]}',
+        '{units: "nm", polygons: [["0",0,10,0,10,10,0,10]]}',
+        '{units: "nm", polygons: {}}',
+        '{units: "nm", layer: true}',
+        '{units: "nm", layer: 0, layer: 1}',
+        '{units: "nm", name: "x"}',
+        "[]",
+    ])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_layout(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"units": "nm", "layer": 0, "polygons": [[0,0,10,0,10,10,0,10]]}',
+        '{units: "nm", layer: 0, polygons: [[0,0,10,0,10,10,0,10]]}',
+        '{\r\n\tunits: "nm",\r\n\tlayer: 0,\r\n\tpolygons: [\r\n'
+        '\t\t[0,0,10,0,10,10,0,10],\r\n\t],\r\n}\r\n',
+    ])
+    def test_json_variants_accepted(self, text):
+        assert parse_layout(text) == LayoutPattern([rect(0, 0, 10, 10)])
+
+    def test_escaped_units_accepted(self):
+        assert parse_layout('{units: "n\\u006d"}').is_empty
+
+    @pytest.mark.parametrize("big", ["9" * 400, str(2**53 + 1), str(-(2**53) - 1), "9" * 5000])
+    def test_coordinate_beyond_float_rejected(self, big):
+        # A float vertex holds integers up to 2**53 exactly; beyond that a
+        # round trip would change the file, and 400 digits overflow a float.
+        text = f'{{units: "nm", polygons: [[0,0,10,0,10,10,0,10], [0,0,{big},0,10,10,0,10]]}}'
+        with pytest.raises(ParseError, match="polygon 1|digits"):
+            parse_layout(text)
+
+    def test_coordinate_at_float_limit_roundtrips(self):
+        p = LayoutPattern([rect(0, 0, 2**53, 2**53)])
+        text = write_layout(p)
+        assert write_layout(parse_layout(text)) == text
+
+    def test_mutations_raise_named_errors(self):
+        text = write_layout(LayoutPattern(
+            [rect(0, 0, 10, 10), [(20, 0), (30, 0), (30, 5), (25, 5), (25, 10), (20, 10)]],
+            layer=3,
+        ))
+        alphabet = text + "{}[]:,\"-+.eE 0123456789\t\r\nxnmabc/"
+        rng = np.random.Generator(np.random.PCG64(17))
+        outcomes = set()
+        for _ in range(2000):
+            i = int(rng.integers(len(text)))
+            c = alphabet[int(rng.integers(len(alphabet)))]
+            kind = int(rng.integers(3))
+            mutated = (
+                text[:i] + text[i + 1:] if kind == 0
+                else text[:i] + c + text[i:] if kind == 1
+                else text[:i] + c + text[i + 1:]
+            )
+            try:
+                parse_layout(mutated)
+                outcomes.add("parsed")
+            except (ParseError, GeometryError) as exc:
+                outcomes.add(type(exc).__name__)
+        assert outcomes == {"parsed", "ParseError", "GeometryError"}
+
 
 class TestRasterize:
     def test_unit_square_1px(self):
@@ -200,6 +276,20 @@ class TestRasterize:
     def test_raster_region_expands_bbox(self):
         p = LayoutPattern([rect(0, 0, 10, 10)])
         assert raster_region(p, 5) == (-5, -5, 15, 15)
+
+    @pytest.mark.parametrize("px_per_nm, region", [
+        (0.0, (0, 0, 2, 2)),
+        (float("nan"), (0, 0, 2, 2)),
+        (float("inf"), (0, 0, 2, 2)),
+        (1.0, (0, 0, 0, 2)),
+        (1.0, (float("nan"), 0, 2, 2)),
+        (1.0, (0, 0, 2, float("nan"))),
+        (1.0, (0, 0, float("inf"), 2)),
+        (1.0, (0, float("-inf"), 2, 2)),
+    ])
+    def test_bad_resolution_or_region_rejected(self, px_per_nm, region):
+        with pytest.raises(RegionError):
+            rasterize(LayoutPattern([rect(0, 0, 2, 2)]), px_per_nm, region)
 
     def test_raster_region_empty_pattern(self):
         with pytest.raises(RegionError):

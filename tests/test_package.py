@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pixelret
+from pixelret.layout import generate_test_pattern, parse_layout
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -77,3 +78,12 @@ def test_inference_stages_runs():
     out = _python(str(SCRIPTS / "inference_stages.py"), "--reps", "1")
     assert out.returncode == 0, out.stderr
     assert "_infer_chunk 200 px" in out.stdout
+
+
+def test_readme_layout_example_parses():
+    # The README's format section shows a 10 x 30 nm line; the doc and the
+    # parser cannot drift apart unnoticed.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Layout file format", 1)[1]
+    example = section.split("```", 2)[1]
+    assert parse_layout(example) == generate_test_pattern("isolated_line", 10, length=30)

@@ -4,20 +4,18 @@ import pytest
 from pixelret import pipeline
 from pixelret.classifier import ArchDescriptor, ConvBlock, init_model
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
-from pixelret.grid import RasterGrid
+from pixelret.grid import RasterGrid, iou
 from pixelret.iip import IipConfig, IipMap, class_value, make_iik, threshold_iip
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.pipeline import (
     CleanupRules,
     ConfusionMatrix,
     CorrectionConfig,
-    _plan_chunks,
     bench_scaling,
     cleanup,
     confusion_matrix,
     correct,
     deployment_raster,
-    iou,
     predict_map,
     recorrect,
     write_confusion_csv,
@@ -60,35 +58,6 @@ def zero_model(num_classes=5):
 
 
 PATTERN = LayoutPattern([rect(8, 8, 24, 24)])
-
-
-class TestPlanChunks:
-    def test_ten_over_three(self):
-        assert _plan_chunks(10, 3) == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_workers_than_pixels(self):
-        assert _plan_chunks(5, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-
-    def test_zero_pixels(self):
-        assert _plan_chunks(0, 4) == []
-
-    def test_covers_without_overlap(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 500))
-            w = int(rng.integers(1, 17))
-            chunks = _plan_chunks(n, w)
-            assert chunks[0][0] == 0
-            assert chunks[-1][1] == n
-            for a, b in zip(chunks, chunks[1:]):
-                assert a[1] == b[0]
-            sizes = [end - start for start, end in chunks]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_bad_args(self):
-        with pytest.raises(ParamError):
-            _plan_chunks(-1, 2)
-        with pytest.raises(ParamError):
-            _plan_chunks(5, 0)
 
 
 class TestConfigs:
@@ -447,6 +416,16 @@ class TestBenchScaling:
         square = LayoutPattern([rect(0, 0, 84, 84)])
         with pytest.raises(ParamError, match="repeats"):
             bench_scaling(toy_model(), square, toy_cfg(), worker_counts=[1], repeats=0)
+
+    @pytest.mark.parametrize("counts", [[1, 2.5], [1, True], [1, 0], [True, 2]])
+    def test_worker_counts_must_be_positive_integers(self, counts):
+        with pytest.raises(ParamError, match="worker_counts"):
+            bench_scaling(toy_model(), PATTERN, toy_cfg(), worker_counts=counts)
+
+    @pytest.mark.parametrize("repeats", [1.5, True])
+    def test_repeats_must_be_an_integer(self, repeats):
+        with pytest.raises(ParamError, match="repeats"):
+            bench_scaling(toy_model(), PATTERN, toy_cfg(), worker_counts=[1], repeats=repeats)
 
     def test_small_workload_rejected(self):
         m = toy_model()
