@@ -35,7 +35,7 @@ from .errors import (
     ParamError,
     ShapeError,
 )
-from .grid import sha256_bytes
+from .grid import json_object, read_bytes, sha256_bytes
 from .tiling import PROVENANCE_KEYS, PixelDataset, WindowStack
 
 MODEL_FORMAT_VERSION = 1
@@ -428,18 +428,12 @@ def save_model(m: ModelParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelParams:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise FormatError(f"cannot read model file {path}: {e}") from None
+    data = read_bytes(path, "model file")
     nl = data.find(b"\n")
     if nl < 0:
         raise FormatError(f"{path}: missing model header")
-    try:
-        header = json.loads(data[:nl].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: bad model header: {e}") from None
-    if not isinstance(header, dict) or header.get("format") != "pixel-correction-model":
+    header = json_object(data[:nl], f"model header of {path}")
+    if header.get("format") != "pixel-correction-model":
         raise FormatError(f"{path}: not a model file")
     if header.get("version") != MODEL_FORMAT_VERSION:
         raise FormatError(

@@ -29,7 +29,7 @@ from . import litho as litho_mod
 from . import pipeline as pipe
 from . import tiling as tiling_mod
 from .errors import ConfigError, FormatError, PixelretError
-from .grid import iou, write_graymap
+from .grid import iou, json_object, read_bytes, read_text, write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
 # desk-scale experiments.  Sections and fields that a dataclass holds take
@@ -243,14 +243,7 @@ def load_config(path: str | None, toy: bool, overrides: dict) -> RunConfig:
     if toy:
         raw = _deep_merge(raw, TOY_OVERRIDES)
     if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(user, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+        user = json_object(read_bytes(path, "config file"), f"config file {path}")
         user.pop("_command", None)
         _check_keys(user, DEFAULT_CONFIG)
         raw = _deep_merge(raw, user)
@@ -271,16 +264,15 @@ def _outdir(args) -> Path:
     """Create --out; commands call it after reading and computing, so a
     failed command leaves no empty directory behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise FormatError(f"cannot create output directory {out}: {e}") from None
     return out
 
 
 def _read_pattern(path: str) -> layout_mod.LayoutPattern:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise FormatError(f"cannot read layout file {path}: {e}") from None
-    return layout_mod.parse_layout(text)
+    return layout_mod.parse_layout(read_text(path, "layout file"))
 
 
 def _write_pattern(p: layout_mod.LayoutPattern, path: Path, px_per_nm: float) -> None:

@@ -14,7 +14,7 @@ class GeometryError(PixelretError):
 
 
 class RegionError(PixelretError):
-    """Degenerate (zero or negative extent) raster region."""
+    """Degenerate, non-finite or too large a raster region."""
 
 
 class ParamError(PixelretError):
@@ -46,7 +46,7 @@ class EmptyDataset(PixelretError):
 
 
 class FormatError(PixelretError):
-    """A serialized artifact has the wrong version, magic, or structure."""
+    """A file cannot be read, or has the wrong version, magic, or structure."""
 
 
 class ChecksumError(PixelretError):

@@ -13,6 +13,7 @@ Grids are exported as binary PGM ("P5", maxval 255) with pixel value
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,10 +116,7 @@ def read_graymap(path, origin=(0.0, 0.0), px_per_nm: float = 1.0) -> RasterGrid:
     Placement metadata is not stored in the PGM itself, so the caller
     supplies it (or a sidecar does).  Values come back as ``byte / 255``.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read graymap {path}: {exc}") from None
+    raw = read_bytes(path, "graymap")
     try:
         magic, rest = raw.split(b"\n", 1)
         if magic != b"P5":
@@ -138,3 +136,30 @@ def read_graymap(path, origin=(0.0, 0.0), px_per_nm: float = 1.0) -> RasterGrid:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the file at ``path``, described as ``what`` in errors."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, described as ``what`` in errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from None
+
+
+def json_object(data: bytes, what: str) -> dict:
+    """The JSON object UTF-8 ``data`` holds; ``what``, path included, names it."""
+    try:
+        obj = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # encoding or syntax; nesting too deep
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must hold a JSON object")
+    return obj

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumError, FormatError, ParamError, RangeError, ResolutionMismatch
-from .grid import RasterGrid, read_graymap, sha256_bytes, write_graymap
+from .grid import RasterGrid, json_object, read_bytes, read_graymap, sha256_bytes, write_graymap
 from .litho import Kernel, convolve_fft, make_gaussian_kernel
 
 IIP_SIDECAR_VERSION = 1
@@ -132,20 +132,17 @@ def export_iip(m: IipMap, path: str | Path, num_classes: int) -> None:
         "origin": list(m.grid.origin),
         "source_mask_checksum": m.source_mask_checksum,
         "iik_checksum": m.iik_checksum,
-        "payload_sha256": sha256_bytes(path.read_bytes()),
+        "payload_sha256": sha256_bytes(read_bytes(path, "IIP graymap")),
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def import_iip(path: str | Path) -> tuple[IipMap, int]:
     """Rebuild (map, num_classes) from export_iip output, 8-bit precision."""
-    path = Path(path)
-    try:
-        sidecar = json.loads(Path(str(path) + ".json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable IIP sidecar {path}.json: {exc}") from exc
+    side = f"{path}.json"
+    sidecar = json_object(read_bytes(side, "IIP sidecar"), f"IIP sidecar {side}")
     if sidecar.get("format") != "iip-graymap":
-        raise FormatError(f"{path}.json is not an IIP sidecar")
+        raise FormatError(f"{side} is not an IIP sidecar")
     if sidecar.get("version") != IIP_SIDECAR_VERSION:
         raise FormatError(f"unsupported IIP sidecar version {sidecar.get('version')}")
     try:
@@ -157,11 +154,7 @@ def import_iip(path: str | Path) -> tuple[IipMap, int]:
         digest = sidecar["payload_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed IIP sidecar field: {exc}") from exc
-    try:
-        payload = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read IIP graymap {path}: {exc}") from None
-    if sha256_bytes(payload) != digest:
+    if sha256_bytes(read_bytes(path, "IIP graymap")) != digest:
         raise ChecksumError(f"IIP graymap {path} does not match its sidecar digest")
     g = read_graymap(path, origin=origin, px_per_nm=px_per_nm)
     m = IipMap(grid=g, source_mask_checksum=source_ck, iik_checksum=iik_ck)

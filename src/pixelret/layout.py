@@ -40,8 +40,6 @@ Vertex = tuple[float, float]
 Polygon = list[Vertex]
 Bbox = tuple[float, float, float, float]
 
-LAYOUT_FORMAT_VERSION = 1
-
 # 4-connectivity structuring element for foreground components.
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -208,7 +206,7 @@ def parse_layout(text: str) -> LayoutPattern:
     text = _TRAILING_COMMA.sub(r"\1", _BARE_NAME.sub(r'\1"\2"\3', text))
     try:
         obj = json.loads(text, object_pairs_hook=_fields)
-    except ValueError as exc:  # bad syntax, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # syntax, int digit limit, nesting
         raise ParseError(f"malformed layout: {exc}") from None
     if type(obj) is not dict:
         raise ParseError("a layout is one {...} object")
@@ -272,8 +270,13 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
     xmin, ymin, xmax, ymax = region
     if not (-inf < xmin < xmax < inf and -inf < ymin < ymax < inf):
         raise RegionError(f"degenerate or non-finite region {region}")
-    w = int(np.ceil((xmax - xmin) * px_per_nm))
-    h = int(np.ceil((ymax - ymin) * px_per_nm))
+    w = float(np.ceil((xmax - xmin) * px_per_nm))
+    h = float(np.ceil((ymax - ymin) * px_per_nm))
+    # Bytes of the float64 pixel centres and the output; an extent that
+    # overflowed to inf fails the comparison too.
+    if not 8 * (w + h) + w * h <= np.iinfo(np.intp).max:
+        raise RegionError(f"region {region} at {px_per_nm} px/nm is too large to rasterize")
+    w, h = int(w), int(h)
     xc = xmin + (np.arange(w) + 0.5) / px_per_nm
     yc = ymin + (np.arange(h) + 0.5) / px_per_nm
     out = np.zeros((h, w), dtype=bool)

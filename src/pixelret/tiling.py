@@ -31,7 +31,7 @@ from .errors import (
     FormatError,
     ParamError,
 )
-from .grid import RasterGrid, sha256_bytes
+from .grid import RasterGrid, json_object, read_bytes, sha256_bytes
 from .iip import IipConfig, bin_classes, compute_iip
 from .layout import LayoutPattern, rasterize
 
@@ -484,14 +484,7 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
     """Load and verify a dataset directory written by save_dataset."""
     dirpath = Path(dirpath)
     meta_path = dirpath / "meta"
-    if not meta_path.exists():
-        raise FormatError(f"{dirpath} has no meta file")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"meta file is not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise FormatError("meta file must hold a JSON object")
+    meta = json_object(read_bytes(meta_path, "dataset meta"), f"dataset meta {meta_path}")
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatError(
             f"dataset format version {meta.get('format_version')} "
@@ -509,10 +502,7 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
     n, side = meta["num_samples"], meta["image_side"]
     raw = {}
     for key, (fname, dtype) in _FILES.items():
-        fpath = dirpath / fname
-        if not fpath.exists():
-            raise FormatError(f"missing dataset file {fname}")
-        payload = fpath.read_bytes()
+        payload = read_bytes(dirpath / fname, "dataset file")
         digest = sha256_bytes(payload)
         if digest != meta["checksums"].get(key):
             raise ChecksumError(f"{fname}: checksum mismatch")

@@ -137,6 +137,34 @@ class TestConfig:
         assert err.startswith("error:") and "polygon 0" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("what", ["layout", "config", "config directory"])
+    def test_unreadable_input_rejected(self, ws, tmp_path, capsys, what):
+        bad = tmp_path / "bad"
+        if what == "config directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"units": "\xff"}')  # not UTF-8
+        cfg, layout = (ws.cfg, bad) if what == "layout" else (bad, ws.layout)
+        rc = main([
+            "rasterize", "--config", str(cfg), "--layout", str(layout),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_not_creatable(self, ws, tmp_path, capsys, sub):
+        # --out names an existing file, or a directory under one.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / sub
+        rc = main(["rasterize", "--config", ws.cfg, "--layout", ws.layout, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and str(out) in err
+
     def test_garbage_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,7 @@ class TestFileFormat:
         '{units: "nm", polygons: [,[0,0,10,0,10,10,0,10]]}',
         '{units: "nm"} {}',
         "",
+        '{units: "nm", polygons: ' + "[" * 100_000,  # deeper than the parser's stack
         # JSON, but not a layout
         '{units: "nm", polygons: [[[0,0],10,0,10,10,0,10]]}',
         '{units: "nm", polygons: [["0",0,10,0,10,10,0,10]]}',
@@ -290,6 +293,13 @@ class TestRasterize:
     def test_bad_resolution_or_region_rejected(self, px_per_nm, region):
         with pytest.raises(RegionError):
             rasterize(LayoutPattern([rect(0, 0, 2, 2)]), px_per_nm, region)
+
+    @pytest.mark.parametrize("region", [(-1e308, 0, 1e308, 1), (0, 0, 1e300, 1)])
+    def test_region_too_large_rejected(self, region):
+        # Refused before anything is allocated: the first extent overflows
+        # to inf, the second has more pixels than an array can index.
+        with pytest.raises(RegionError, match=re.escape(str(region))):
+            rasterize(LayoutPattern([rect(0, 0, 2, 2)]), 1.0, region)
 
     def test_raster_region_empty_pattern(self):
         with pytest.raises(RegionError):

@@ -46,6 +46,19 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+def test_only_grid_reads_files():
+    # grid.read_bytes and grid.read_text turn every read failure into a
+    # FormatError naming the file; a read elsewhere would bypass them.
+    reads = [
+        f"{path.name}:{n}"
+        for path in sorted((ROOT / "src" / "pixelret").glob("*.py"))
+        if path.name != "grid.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if ".read_text(" in line or ".read_bytes(" in line
+    ]
+    assert reads == []
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs about 0.8 s and 48 MiB to import; nothing needs it.
     code = "import sys, pixelret, pixelret.cli; print('scipy.signal' in sys.modules)"
