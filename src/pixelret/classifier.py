@@ -32,8 +32,10 @@ from .errors import (
     ChecksumError,
     EmptyDataset,
     FormatError,
-    ParamError,
     ShapeError,
+    check_int,
+    check_real,
+    check_seed,
 )
 from .grid import json_object, read_bytes, sha256_bytes
 from .tiling import PROVENANCE_KEYS, PixelDataset, WindowStack
@@ -61,9 +63,7 @@ class ConvBlock:
 
     def __post_init__(self):
         for name in ("filters", "kernel", "stride"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ArchError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name), least=1, error=ArchError)
         if self.kernel % 2 != 1:
             raise ArchError(f"kernel must be odd, got {self.kernel}")
         if self.activation != "relu":
@@ -81,9 +81,7 @@ class ArchDescriptor:
         if not self.conv_blocks:
             raise ArchError("at least one conv block is required")
         for name, least in (("input_side", 1), ("num_classes", 2)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ArchError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least=least, error=ArchError)
         if self.pool != "global_average":
             raise ArchError(f"unsupported pool {self.pool!r}")
         self.feature_sides = [self.input_side]
@@ -117,12 +115,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
-        # Written so that NaN fails each comparison.
-        if not 0 <= self.learning_rate < float("inf"):
-            raise ParamError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+            check_int(name, getattr(self, name), least=1)
+        check_real("learning_rate", self.learning_rate, least=0)
+        self.seed = check_seed(self.seed)
 
 
 @dataclass
@@ -165,6 +160,7 @@ def _tensor_shapes(arch: ArchDescriptor) -> dict[str, tuple[int, ...]]:
 
 def init_model(arch: ArchDescriptor, seed: int) -> ModelParams:
     """Seeded uniform fan-in initialization; biases start at zero."""
+    seed = check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     weights: dict[str, np.ndarray] = {}
     for name, shape in _tensor_shapes(arch).items():
@@ -443,6 +439,10 @@ def load_model(path: str | Path) -> ModelParams:
     missing = [k for k in ("arch", "seed", "tensors", "payload_sha256") if k not in header]
     if missing:
         raise FormatError(f"{path}: model header lacks {', '.join(missing)}")
+    check_int(f"{path}: seed", header["seed"], least=0, error=FormatError)
+    train_meta = header.get("train_meta", {})
+    if not isinstance(train_meta, dict):
+        raise FormatError(f"{path}: train_meta must be an object, got {train_meta!r}")
     try:
         arch = ArchDescriptor.from_dict(header["arch"])
     except (ArchError, KeyError, TypeError, ValueError) as e:
@@ -471,6 +471,6 @@ def load_model(path: str | Path) -> ModelParams:
     return ModelParams(
         arch=arch,
         weights=weights,
-        seed=int(header["seed"]),
-        train_meta=header.get("train_meta", {}),
+        seed=header["seed"],
+        train_meta=train_meta,
     )

@@ -28,7 +28,7 @@ from . import layout as layout_mod
 from . import litho as litho_mod
 from . import pipeline as pipe
 from . import tiling as tiling_mod
-from .errors import ConfigError, FormatError, PixelretError
+from .errors import ConfigError, FormatError, PixelretError, check_int
 from .grid import iou, json_object, read_bytes, read_text, write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
@@ -127,9 +127,7 @@ class RunConfig:
         self.train()
         self.correction()
         s = self.raw["sampling"]
-        cap = s["per_class_cap"]
-        if type(cap) is not int or cap < 1:
-            raise ConfigError(f"sampling.per_class_cap must be an integer >= 1, got {cap!r}")
+        check_int("sampling.per_class_cap", s["per_class_cap"], least=1, error=ConfigError)
         if len(s["split_fractions"]) != 3:
             raise ConfigError(
                 f"sampling.split_fractions needs 3 entries, got {s['split_fractions']}"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatch, FormatError, RangeError
+from .errors import DimMismatch, FormatError, RangeError, check_int, check_real
 
 
 @dataclass
@@ -38,16 +38,16 @@ class RasterGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_int("width", self.width, least=0, error=RangeError)
+        check_int("height", self.height, least=0, error=RangeError)
         self.values = np.asarray(self.values)
         if self.values.shape != (self.height, self.width):
             raise DimMismatch(
                 f"values shape {self.values.shape} != (height={self.height}, width={self.width})"
             )
-        # NaN fails every comparison, so these also refuse NaN.
-        if not 0 < self.px_per_nm < float("inf"):
-            raise RangeError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
-        if not all(abs(c) < float("inf") for c in self.origin):
-            raise RangeError(f"origin must be finite, got {self.origin}")
+        check_real("px_per_nm", self.px_per_nm, above=0, error=RangeError)
+        for c in self.origin:
+            check_real("origin", c, error=RangeError)
         if self.values.dtype.kind == "f" and not np.all(np.isfinite(self.values)):
             raise RangeError("real grid contains non-finite values")
 
@@ -116,7 +116,11 @@ def read_graymap(path, origin=(0.0, 0.0), px_per_nm: float = 1.0) -> RasterGrid:
     Placement metadata is not stored in the PGM itself, so the caller
     supplies it (or a sidecar does).  Values come back as ``byte / 255``.
     """
-    raw = read_bytes(path, "graymap")
+    return parse_graymap(read_bytes(path, "graymap"), origin, px_per_nm)
+
+
+def parse_graymap(raw: bytes, origin, px_per_nm: float) -> RasterGrid:
+    """The grid that binary PGM bytes hold, placed as read_graymap places it."""
     try:
         magic, rest = raw.split(b"\n", 1)
         if magic != b"P5":

@@ -15,21 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, FormatError, ParamError, RangeError, ResolutionMismatch
-from .grid import RasterGrid, json_object, read_bytes, read_graymap, sha256_bytes, write_graymap
+from .errors import (ChecksumError, FormatError, ParamError, RangeError, ResolutionMismatch,
+                     check_int, check_real)
+from .grid import RasterGrid, json_object, parse_graymap, read_bytes, sha256_bytes, write_graymap
 from .litho import Kernel, convolve_fft, make_gaussian_kernel
 
 IIP_SIDECAR_VERSION = 1
 
 
-def _check_num_classes(num_classes: int, least: int) -> None:
+def _check_num_classes(num_classes: int, least: int, error=ParamError, name="num_classes") -> int:
     """Refuse a class count below least or above what uint16 class ids hold."""
-    most = int(np.iinfo(np.uint16).max) + 1
-    if type(num_classes) is not int or not least <= num_classes <= most:
-        raise ParamError(
-            f"num_classes must be an integer in [{least}, {most}] for uint16 class ids,"
-            f" got {num_classes!r}"
-        )
+    return check_int(f"{name} (uint16 class ids)", num_classes, least=least,
+                     most=int(np.iinfo(np.uint16).max) + 1, error=error)
 
 
 @dataclass(kw_only=True)
@@ -42,8 +39,7 @@ class IipConfig:
 
     def __post_init__(self):
         _check_num_classes(self.num_classes, 2)
-        if not 0.0 < self.threshold < 1.0:
-            raise ParamError(f"threshold must be in (0, 1), got {self.threshold}")
+        check_real("threshold", self.threshold, above=0, below=1)
 
 
 @dataclass
@@ -112,8 +108,7 @@ def class_value(c: int, num_classes: int) -> float:
 
 def threshold_iip(m: IipMap, t: float) -> RasterGrid:
     """Binary mask: 1 where the map value exceeds t."""
-    if not 0.0 < t < 1.0:
-        raise ParamError(f"threshold must be in (0, 1), got {t}")
+    check_real("threshold", t, above=0, below=1)
     return m.grid.with_values((m.grid.values > t).astype(np.uint8))
 
 
@@ -146,16 +141,23 @@ def import_iip(path: str | Path) -> tuple[IipMap, int]:
     if sidecar.get("version") != IIP_SIDECAR_VERSION:
         raise FormatError(f"unsupported IIP sidecar version {sidecar.get('version')}")
     try:
-        origin = tuple(sidecar["origin"])
+        origin = sidecar["origin"]
         px_per_nm = sidecar["px_per_nm"]
-        num_classes = int(sidecar["num_classes"])
+        num_classes = sidecar["num_classes"]
         source_ck = sidecar["source_mask_checksum"]
         iik_ck = sidecar["iik_checksum"]
         digest = sidecar["payload_sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"malformed IIP sidecar field: {exc}") from exc
-    if sha256_bytes(read_bytes(path, "IIP graymap")) != digest:
+    _check_num_classes(num_classes, 2, FormatError, f"IIP sidecar {side}: num_classes")
+    check_real(f"IIP sidecar {side}: px_per_nm", px_per_nm, above=0, error=FormatError)
+    if not isinstance(origin, list) or len(origin) != 2:
+        raise FormatError(f"IIP sidecar {side}: origin must be two numbers, got {origin!r}")
+    for c in origin:
+        check_real(f"IIP sidecar {side}: origin", c, error=FormatError)
+    raw = read_bytes(path, "IIP graymap")
+    if sha256_bytes(raw) != digest:
         raise ChecksumError(f"IIP graymap {path} does not match its sidecar digest")
-    g = read_graymap(path, origin=origin, px_per_nm=px_per_nm)
+    g = parse_graymap(raw, tuple(origin), px_per_nm)
     m = IipMap(grid=g, source_mask_checksum=source_ck, iik_checksum=iik_ck)
     return m, num_classes

@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatch, DivergenceError, ParamError, RangeError
+from .errors import DimMismatch, DivergenceError, RangeError, check_int, check_real
 from .grid import RasterGrid, iou
 from .litho import LithoConfig, fft_convolver
 
@@ -78,18 +78,10 @@ class IltConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self):
-        if type(self.steps) is not int or self.steps < 1:
-            raise ParamError(f"steps must be an integer >= 1, got {self.steps!r}")
-        # Written so that NaN fails each comparison.
-        if not 0 < self.learning_rate < float("inf"):
-            raise ParamError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for k in (self.sigmoid_steepness_resist, self.sigmoid_steepness_mask):
-            if not 0 < k < float("inf"):
-                raise ParamError(f"sigmoid steepness values must be finite and > 0, got {k}")
-        if not 0.0 < self.binarize_threshold < 1.0:
-            raise ParamError(
-                f"binarize_threshold must be in (0, 1), got {self.binarize_threshold}"
-            )
+        check_int("steps", self.steps, least=1)
+        for name in ("learning_rate", "sigmoid_steepness_resist", "sigmoid_steepness_mask"):
+            check_real(name, getattr(self, name), above=0)
+        check_real("binarize_threshold", self.binarize_threshold, above=0, below=1)
 
 
 @dataclass

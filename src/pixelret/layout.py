@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import GeometryError, ParamError, ParseError, RegionError
+from .errors import GeometryError, ParamError, ParseError, RegionError, check_int, check_real
 from .grid import RasterGrid, sha256_bytes
 
 Vertex = tuple[float, float]
@@ -215,9 +215,7 @@ def parse_layout(text: str) -> LayoutPattern:
         raise ParseError(f"unknown field {unknown[0]!r}")
     if obj.get("units") != "nm":
         raise ParseError(f'units must be "nm", got {obj.get("units")!r}')
-    layer = obj.get("layer", 0)
-    if type(layer) is not int:
-        raise ParseError(f"layer must be an integer, got {layer!r}")
+    layer = check_int("layer", obj.get("layer", 0), error=ParseError)
     flats = obj.get("polygons", [])
     if type(flats) is not list:
         raise ParseError(f"polygons must be a list, got {flats!r}")
@@ -263,13 +261,10 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
     left/bottom polygon edge counts as inside, on a right/top edge as
     outside.  Grid dims are ceil(extent * px_per_nm).
     """
-    # NaN fails every comparison, so these also refuse NaN.
-    inf = float("inf")
-    if not 0 < px_per_nm < inf:
-        raise RegionError(f"px_per_nm must be finite and > 0, got {px_per_nm}")
-    xmin, ymin, xmax, ymax = region
-    if not (-inf < xmin < xmax < inf and -inf < ymin < ymax < inf):
-        raise RegionError(f"degenerate or non-finite region {region}")
+    check_real("px_per_nm", px_per_nm, above=0, error=RegionError)
+    xmin, ymin, xmax, ymax = (check_real("region", c, error=RegionError) for c in region)
+    if not (xmin < xmax and ymin < ymax):
+        raise RegionError(f"degenerate region {region}")
     w = float(np.ceil((xmax - xmin) * px_per_nm))
     h = float(np.ceil((ymax - ymin) * px_per_nm))
     # Bytes of the float64 pixel centres and the output; an extent that
@@ -458,24 +453,19 @@ def generate_test_pattern(
     (``count`` lines at ``pitch``), or "square" (width x width).  Odd extents
     are centered to the integer-nm grid (shifted by up to half a nm).
     """
-    if width <= 0:
-        raise ParamError(f"width must be > 0, got {width}")
-    if count < 1:
-        raise ParamError(f"count must be >= 1, got {count}")
+    check_int("width", width, least=1)
+    check_int("count", count, least=1)
 
     def rect(x0, y0, x1, y1):
         return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
     if topology == "isolated_line":
-        if length is None or length <= 0:
-            raise ParamError("isolated_line needs length > 0")
+        check_int("isolated_line length", length, least=1)
         x0, y0 = -(width // 2), -(length // 2)
         return LayoutPattern([rect(x0, y0, x0 + width, y0 + length)])
     if topology == "line_space":
-        if length is None or length <= 0:
-            raise ParamError("line_space needs length > 0")
-        if pitch is None or pitch <= width:
-            raise ParamError(f"line_space needs pitch > width, got pitch={pitch}")
+        check_int("line_space length", length, least=1)
+        check_int("line_space pitch", pitch, least=width + 1)
         extent = (count - 1) * pitch + width
         x0, y0 = -(extent // 2), -(length // 2)
         polys = [

@@ -22,6 +22,7 @@ from .errors import (
     ParamError,
     RangeError,
     ResolutionMismatch,
+    check_real,
 )
 from .grid import RasterGrid, sha256_bytes
 
@@ -47,8 +48,7 @@ class Kernel:
             raise ParamError("kernel has non-finite weights")
         if np.any(v < 0):
             raise ParamError("kernel weights must be nonnegative")
-        if not 0 < self.px_per_nm < float("inf"):
-            raise ParamError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
+        check_real("px_per_nm", self.px_per_nm, above=0)
         self.values = v
 
     @property
@@ -66,10 +66,8 @@ def make_gaussian_kernel(sigma_nm: float, radius_nm: float, px_per_nm: float) ->
     The samples sit at +-k/px_per_nm, so the kernel is bitwise
     point-symmetric, which ILT's adjoint relies on.
     """
-    # Written so that NaN fails each comparison.
     for name, v in (("sigma_nm", sigma_nm), ("radius_nm", radius_nm), ("px_per_nm", px_per_nm)):
-        if not 0 < v < float("inf"):
-            raise ParamError(f"{name} must be finite and > 0, got {v}")
+        check_real(name, v, above=0)
     r = int(round(radius_nm * px_per_nm))
     if r < 1:
         raise ParamError("kernel radius rounds to zero pixels")
@@ -202,15 +200,9 @@ class LithoConfig:
     resist_threshold: float = 0.5
 
     def __post_init__(self):
-        # Written so that NaN fails each comparison.
         for name in ("sigma_nm", "radius_nm"):
-            v = getattr(self, name)
-            if not 0 < v < float("inf"):
-                raise ParamError(f"{name} must be finite and > 0, got {v}")
-        if not 0.0 < self.resist_threshold < 1.0:
-            raise ParamError(
-                f"resist_threshold must be in (0, 1), got {self.resist_threshold}"
-            )
+            check_real(name, getattr(self, name), above=0)
+        check_real("resist_threshold", self.resist_threshold, above=0, below=1)
         if self.radius_nm < self.sigma_nm:
             raise ParamError("kernel radius below one sigma truncates too much")
 
@@ -237,8 +229,7 @@ def aerial_image(mask: RasterGrid, kernel: Kernel) -> RasterGrid:
 
 def print_image(aerial: RasterGrid, resist_threshold: float) -> RasterGrid:
     """Constant-threshold resist: 1 where intensity >= threshold."""
-    if not 0.0 < resist_threshold < 1.0:
-        raise ParamError(f"resist_threshold must be in (0, 1), got {resist_threshold}")
+    check_real("resist_threshold", resist_threshold, above=0, below=1)
     return aerial.with_values((aerial.values >= resist_threshold).astype(np.uint8))
 
 

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import ModelParams, predict_batch
-from .errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
+from .errors import (ConfigError, CoordError, DimMismatch, ParamError, ShapeError, check_int,
+                     check_real)
 from .grid import RasterGrid
 from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
 from .layout import (
@@ -46,19 +47,14 @@ from .layout import (
 from .tiling import TilingConfig, provenance, window_field
 
 
-def _check_floors(min_area: float, min_edge: float) -> None:
-    # NaN fails the comparison; a NaN floor would otherwise drop every polygon.
-    if not (0 <= min_area < float("inf") and 0 <= min_edge < float("inf")):
-        raise ParamError(f"cleanup floors must be finite and >= 0, got {min_area}, {min_edge}")
-
-
 @dataclass
 class CleanupRules:
     min_area: float = 0.0
     min_edge: float = 0.0
 
     def __post_init__(self):
-        _check_floors(self.min_area, self.min_edge)
+        for name in ("min_area", "min_edge"):
+            check_real(name, getattr(self, name), least=0)
 
 
 @dataclass
@@ -69,8 +65,7 @@ class CorrectionConfig:
     cleanup: CleanupRules = field(default_factory=CleanupRules)
 
     def __post_init__(self):
-        if type(self.workers) is not int or self.workers < 1:
-            raise ParamError(f"workers must be an integer >= 1, got {self.workers!r}")
+        check_int("workers", self.workers, least=1)
 
 
 @dataclass
@@ -147,7 +142,7 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
     xs = g.origin[0] + np.arange(g.width) * inv
     ys = g.origin[1] + np.arange(g.height) * inv
     for box in boxes:
-        x0, y0, x1, y1 = box
+        x0, y0, x1, y1 = (check_real("region bbox", c, error=CoordError) for c in box)
         if not (x0 < x1 and y0 < y1):
             raise CoordError(f"degenerate region bbox {box}")
         if x0 < gx0 - 1e-9 or y0 < gy0 - 1e-9 or x1 > gx1 + 1e-9 or y1 > gy1 + 1e-9:
@@ -304,7 +299,7 @@ def recorrect(
 
 def cleanup(p: LayoutPattern, min_area: float, min_edge: float) -> LayoutPattern:
     """Drop polygons below the area or edge-length floors (no repair)."""
-    _check_floors(min_area, min_edge)
+    CleanupRules(min_area, min_edge)  # refuses a bad floor by name
     keep = [
         poly
         for poly in p.polygons
@@ -377,10 +372,9 @@ def bench_scaling(
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
-    if any(type(w) is not int or w < 1 for w in worker_counts):
-        raise ParamError(f"worker_counts must be integers >= 1, got {worker_counts!r}")
-    if type(repeats) is not int or repeats < 1:
-        raise ParamError(f"repeats must be an integer >= 1, got {repeats!r}")
+    for w in worker_counts:
+        check_int("worker_counts entry", w, least=1)
+    check_int("repeats", repeats, least=1)
     _check_model(m, cfg)
     raster = deployment_raster(target, cfg.tiling)
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)

@@ -30,6 +30,9 @@ from .errors import (
     EmptyDataset,
     FormatError,
     ParamError,
+    check_int,
+    check_real,
+    check_seed,
 )
 from .grid import RasterGrid, json_object, read_bytes, sha256_bytes
 from .iip import IipConfig, bin_classes, compute_iip
@@ -63,17 +66,9 @@ class TilingConfig:
     col_reducer: str = "max"
 
     def __post_init__(self):
-        # Written so that NaN fails each comparison.
-        if not 0 < self.interaction_distance < float("inf"):
-            raise ParamError(
-                f"interaction_distance must be finite and > 0, got {self.interaction_distance}"
-            )
-        if not 0 < self.px_per_nm < float("inf"):
-            raise ParamError(f"px_per_nm must be finite and > 0, got {self.px_per_nm}")
-        if type(self.compression_factor) is not int or self.compression_factor < 1:
-            raise ParamError(
-                f"compression_factor must be an integer >= 1, got {self.compression_factor!r}"
-            )
+        for name in ("interaction_distance", "px_per_nm"):
+            check_real(name, getattr(self, name), above=0)
+        check_int("compression_factor", self.compression_factor, least=1)
         for name in (self.row_reducer, self.col_reducer):
             if name not in _REDUCERS:
                 raise ParamError(f"unknown reducer {name!r}; choose from {_REDUCERS}")
@@ -325,8 +320,8 @@ def build_dataset(
     compressed field its windows are read from.  All samples start in the
     train split; use split_dataset to partition.
     """
-    if type(per_class_cap) is not int or per_class_cap < 1:
-        raise ParamError(f"per_class_cap must be an integer >= 1, got {per_class_cap!r}")
+    check_int("per_class_cap", per_class_cap, least=1)
+    seed = check_seed(seed)
     if tiling.px_per_nm != ref_mask.px_per_nm:
         raise ParamError(
             f"tiling at {tiling.px_per_nm} px/nm, mask at {ref_mask.px_per_nm}"
@@ -419,12 +414,11 @@ def split_dataset(
     """
     if len(fractions) != len(SPLIT_NAMES):
         raise ParamError(f"need {len(SPLIT_NAMES)} split fractions, got {fractions}")
-    # Written so that NaN fails both checks.
-    if not all(f >= 0 for f in fractions):
-        raise ParamError(f"fractions must be nonnegative numbers, got {fractions}")
+    for f in fractions:
+        check_real("split fraction", f, least=0)
     if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ParamError(f"fractions must sum to 1, got {fractions}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(check_seed(seed)))
     splits = np.zeros(len(d), dtype=np.uint8)
     for c in np.unique(d.labels):
         idx = np.nonzero(d.labels == c)[0]
@@ -490,30 +484,24 @@ def load_dataset(dirpath: str | Path) -> PixelDataset:
             f"dataset format version {meta.get('format_version')} "
             f"(supported: {DATASET_FORMAT_VERSION})"
         )
-    for key in ("num_samples", "image_side", "num_classes", "checksums"):
-        if key not in meta:
-            raise FormatError(f"meta missing field {key!r}")
     for key, least in (("num_samples", 0), ("image_side", 1), ("num_classes", 2)):
-        if type(meta[key]) is not int or meta[key] < least:
-            raise FormatError(f"meta field {key!r} must be an integer >= {least}, "
-                              f"got {meta[key]!r}")
-    if not isinstance(meta["checksums"], dict):
-        raise FormatError(f"meta field 'checksums' must be an object, got {meta['checksums']!r}")
+        check_int(f"meta field {key!r}", meta.get(key), least=least, error=FormatError)
+    checksums = meta.get("checksums")
+    if not isinstance(checksums, dict):
+        raise FormatError(f"meta field 'checksums' must be an object, got {checksums!r}")
     n, side = meta["num_samples"], meta["image_side"]
     raw = {}
     for key, (fname, dtype) in _FILES.items():
         payload = read_bytes(dirpath / fname, "dataset file")
         digest = sha256_bytes(payload)
-        if digest != meta["checksums"].get(key):
+        if digest != checksums.get(key):
             raise ChecksumError(f"{fname}: checksum mismatch")
         raw[key] = np.frombuffer(payload, dtype=dtype)
     try:
         images = raw["images"].reshape(n, side, side).astype(np.float32)
-        labels = raw["labels"].astype(np.uint16)
+        labels = raw["labels"].reshape(n).astype(np.uint16)
         coords = raw["coords"].reshape(n, 2).astype(np.int32)
-        splits = raw["splits"].astype(np.uint8)
+        splits = raw["splits"].reshape(n).astype(np.uint8)
     except ValueError as e:
         raise FormatError(f"payload size inconsistent with meta: {e}") from None
-    if labels.shape != (n,) or splits.shape != (n,):
-        raise FormatError("payload size inconsistent with meta")
     return PixelDataset(images, labels, coords, splits, meta)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,16 @@ class TestExportImport:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             import_iip(path)
+
+    def test_graymap_read_once(self, tmp_path, grid_factory, monkeypatch):
+        # The bytes that import_iip checks against the digest are the bytes
+        # it parses.
+        path = tmp_path / "m.pgm"
+        export_iip(compute_iip(grid_factory(np.ones((8, 8))), iik()), path, 20)
+        reads, read = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read(p))
+        import_iip(path)
+        assert reads.count(path) == 1
 
     def test_missing_graymap_rejected(self, tmp_path, grid_factory):
         m = compute_iip(grid_factory(np.ones((8, 8))), iik())

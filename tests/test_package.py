@@ -59,6 +59,37 @@ def test_only_grid_reads_files():
     assert reads == []
 
 
+def _hand_written_number_checks(path: Path) -> list[str]:
+    """Comparisons in path that test `type(x) is not int` or compare with
+    float("inf"), outside cli._check_keys and outside comprehensions: a
+    comprehension is a per-element scan (of layout coordinates, say),
+    which stays inline."""
+    tree = ast.parse(path.read_text())
+    scans = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, scans) or isinstance(node, ast.FunctionDef) \
+                and (path.name, node.name) == ("cli.py", "_check_keys"):
+            exempt.update(id(n) for n in ast.walk(node))
+    texts = [(n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+             if isinstance(n, ast.Compare) and id(n) not in exempt]
+    return [f"{path.name}:{line}: {text}" for line, text in texts
+            if "is not int" in text or "float('inf')" in text]
+
+
+def test_one_home_for_number_checks():
+    # errors.check_int and errors.check_real hold the rule for a valid
+    # number; a copy elsewhere would drift from it.  cli._check_keys keeps
+    # its own, since it names config keys by their dotted path.
+    found = [
+        line
+        for path in sorted((ROOT / "src" / "pixelret").glob("*.py"))
+        if path.name != "errors.py"
+        for line in _hand_written_number_checks(path)
+    ]
+    assert found == []
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs about 0.8 s and 48 MiB to import; nothing needs it.
     code = "import sys, pixelret, pixelret.cli; print('scipy.signal' in sys.modules)"
