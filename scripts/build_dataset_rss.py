@@ -9,6 +9,9 @@ dataset's sha256 (images, labels and coords), the wall time of the call,
 the process's peak RSS up to its end, which includes the raster, and the
 bytes the dataset holds (its compressed field plus its per-sample columns)
 next to the bytes of the (n, side, side) image stack it reads on demand.
+Before that call it runs compute_iip once on the same raster, the first
+step of build_dataset, and prints its wall time and tracemalloc peak, with
+tracing stopped before build_dataset runs.
 
     PYTHONPATH=src python3 scripts/build_dataset_rss.py
 """
@@ -16,10 +19,12 @@ next to the bytes of the (n, side, side) image stack it reads on demand.
 import hashlib
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 
 from pixelret.cli import load_config
+from pixelret.iip import compute_iip
 from pixelret.layout import LayoutPattern
 from pixelret.pipeline import deployment_raster
 from pixelret.tiling import build_dataset
@@ -30,6 +35,12 @@ def main() -> None:
     tiling = cfg.tiling()
     target = LayoutPattern([[(0, 0), (1800, 0), (1800, 840), (0, 840)]])
     ref_mask = deployment_raster(target, tiling)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    compute_iip(ref_mask, cfg.iip().iik)
+    iip_wall = time.perf_counter() - t0
+    iip_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     t0 = time.perf_counter()
     ds = build_dataset(target, ref_mask, tiling, cfg.iip(), per_class_cap=3, seed=cfg.seed)
     wall = time.perf_counter() - t0
@@ -43,6 +54,10 @@ def main() -> None:
         digest.update(a.tobytes())
     print(f"raster {ref_mask.width}x{ref_mask.height} px, {len(ds)} samples")
     print("dataset sha256", digest.hexdigest())
+    print(
+        f"compute_iip {iip_wall:.2f} s, traced peak {iip_peak / 2**20:.0f} MiB "
+        f"(float64 raster {ref_mask.width * ref_mask.height * 8 / 2**20:.0f} MiB)"
+    )
     print(f"build_dataset {wall:.2f} s")
     print(f"peak RSS up to the end of build_dataset {peak_mib:.0f} MiB")
     print(

@@ -46,6 +46,8 @@ class RasterGrid:
                 f"values shape {self.values.shape} != (height={self.height}, width={self.width})"
             )
         check_real("px_per_nm", self.px_per_nm, above=0, error=RangeError)
+        if not isinstance(self.origin, (tuple, list)) or len(self.origin) != 2:
+            raise RangeError(f"origin must be two numbers, got {self.origin!r}")
         for c in self.origin:
             check_real("origin", c, error=RangeError)
         if self.values.dtype.kind == "f" and not np.all(np.isfinite(self.values)):
@@ -132,6 +134,8 @@ def parse_graymap(raw: bytes, origin, px_per_nm: float) -> RasterGrid:
             raise FormatError(f"unsupported maxval {maxval!r}")
     except (ValueError, IndexError) as exc:
         raise FormatError(f"malformed PGM header: {exc}") from exc
+    check_int("PGM width", w, least=0, error=FormatError)
+    check_int("PGM height", h, least=0, error=FormatError)
     if len(payload) != w * h:
         raise FormatError(f"PGM payload has {len(payload)} bytes, expected {w * h}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)

@@ -62,7 +62,10 @@ def compute_iip(mask: RasterGrid, iik: Kernel) -> IipMap:
     """Convolve the mask with the IIK and scale so the supremum is 1.
 
     An empty mask maps to all zeros (the 0/0 case is defined away).  Values
-    are exact in [0, 1]; FFT round-off below zero is clipped.
+    are exact in [0, 1]; FFT round-off below zero is clipped.  The mask goes
+    to the convolver in its own dtype, and the clip, the division by the
+    peak and the cap at 1 run in place on the convolver's float64 output,
+    so the call holds no more than one convolution does.
     """
     if iik.px_per_nm != mask.px_per_nm:
         raise ResolutionMismatch(
@@ -70,12 +73,13 @@ def compute_iip(mask: RasterGrid, iik: Kernel) -> IipMap:
         )
     if not mask.is_binary():
         raise RangeError("compute_iip requires a binary mask")
-    raw = convolve_fft(mask.values.astype(np.float64), iik.values)
-    np.clip(raw, 0.0, None, out=raw)
-    peak = float(raw.max())
-    values = raw / peak if peak > 0.0 else raw
+    values = convolve_fft(mask.values, iik.values)
+    np.clip(values, 0.0, None, out=values)
+    peak = float(values.max())
+    if peak > 0.0:
+        values /= peak
     return IipMap(
-        grid=mask.with_values(np.minimum(values, 1.0)),
+        grid=mask.with_values(np.minimum(values, 1.0, out=values)),
         source_mask_checksum=mask.checksum(),
         iik_checksum=iik.checksum(),
     )

@@ -6,7 +6,10 @@ printed shape.  The model convolves by FFT at the shortest transform
 length free of wrap-around over the kept pixels, and a caller that
 convolves many images of one shape with one kernel (ILT) transforms the
 kernel once; direct summation is kept as the independent route that
-checks it.
+checks it.  A convolution holds the kernel spectrum, one work grid the
+size of the spectrum and its output, plus row-band temporaries of at
+most BAND_BYTES each; on the default profile's 5200 x 3280 px raster
+that is about 3.1 times the float64 image.
 """
 
 from __future__ import annotations
@@ -110,6 +113,12 @@ def convolve_direct(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+# Bytes of work-grid row per band of the row passes: small next to a
+# default-profile grid of hundreds of MiB, yet a few hundred rows of a toy
+# canvas, so a float32 ILT step runs each row pass in one to four calls.
+BAND_BYTES = 1 << 20
+
+
 def fft_convolver(
     kernel: np.ndarray, shape: tuple[int, int], dtype=np.float64
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -130,10 +139,17 @@ def fft_convolver(
     them zero-padded to H, and the row-wise c2r over the h kept rows only.
     Both inverse passes are unscaled and the kept pixels are multiplied by
     1/(H*W) at the end, which is where and how irfftn applies its scale,
-    so the result is bitwise irfftn's.  The column passes run in place in
-    a work buffer the convolver keeps, the size of the spectrum, so a
-    convolver is for one thread at a time; a call traces less memory than
-    the unpruned transform does.
+    so the result is bitwise irfftn's.
+
+    Memory: the convolver keeps the spectrum and one work grid of its
+    size, on which the column passes run in place, so it is for one
+    thread at a time.  A call writes the image into the grid from the
+    image's own dtype (a uint8 or bool mask needs no float copy) and runs
+    both row passes in bands of rows of at most BAND_BYTES of grid (one
+    row at least), scaling each c2r band straight into the output.  A
+    call therefore holds the spectrum, the grid, its output and at most
+    two band-sized temporaries.  Each row's 1-D transform reads and
+    writes that row alone, so the bands change no bit of the result.
 
     dtype is the precision the passes run in, float64 or float32; any
     other raises ParamError.  For float32 the kernel spectrum is computed
@@ -163,6 +179,8 @@ def fft_convolver(
     # grid, and its first h rows, seen as dtype, hold the padded image.
     grid = np.empty((H, W // 2 + 1), dtype=cplx)
     rows = grid.view(real)[:h, :W]
+    step = max(1, BAND_BYTES // grid[0].nbytes)
+    bands = [(a, min(a + step, h)) for a in range(0, h, step)]
 
     def convolve(img: np.ndarray) -> np.ndarray:
         img = np.asarray(img)
@@ -170,13 +188,17 @@ def fft_convolver(
             raise DimMismatch(f"image {img.shape} vs convolver shape {(h, w)}")
         rows[:, :w] = img
         rows[:, w:] = 0.0
-        grid[:h] = rfft(rows, axis=1)
+        for a, b in bands:
+            grid[a:b] = rfft(rows[a:b], axis=1)
         grid[h:] = 0.0
         f = fft(grid, axis=0, overwrite_x=True)
         f *= spectrum
         f = ifft(f, axis=0, norm="forward", overwrite_x=True)
-        f = irfft(f[y0 : y0 + h], W, axis=1, norm="forward")
-        return f[:, x0 : x0 + w] * scale
+        out = np.empty((h, w), dtype=real)
+        for a, b in bands:
+            np.multiply(irfft(f[y0 + a : y0 + b], W, axis=1, norm="forward")[:, x0 : x0 + w],
+                        scale, out=out[a:b])
+        return out
 
     return convolve
 
@@ -223,8 +245,8 @@ def aerial_image(mask: RasterGrid, kernel: Kernel) -> RasterGrid:
     v = mask.values
     if v.min() < 0.0 or v.max() > 1.0:
         raise RangeError("mask values must lie in [0, 1]")
-    out = convolve_fft(v.astype(np.float64), kernel.values)
-    return mask.with_values(np.clip(out, 0.0, 1.0))
+    out = convolve_fft(v, kernel.values)
+    return mask.with_values(np.clip(out, 0.0, 1.0, out=out))
 
 
 def print_image(aerial: RasterGrid, resist_threshold: float) -> RasterGrid:

@@ -342,6 +342,7 @@ def confusion_matrix(pred, ref, num_classes: int) -> ConfusionMatrix:
     """Counts indexed [reference, predicted]; inputs may be IipMaps, class
     arrays, or [0,1] value arrays (binned).
     """
+    check_int("num_classes", num_classes, least=1)
     p = _as_class_array(pred, num_classes)
     r = _as_class_array(ref, num_classes)
     if p.shape != r.shape:

@@ -4,6 +4,7 @@ import pytest
 from pixelret.errors import DimMismatch, FormatError, RangeError
 from pixelret.grid import (
     RasterGrid,
+    parse_graymap,
     read_graymap,
     write_graymap,
 )
@@ -23,6 +24,11 @@ class TestRasterGrid:
     def test_non_finite_origin_rejected(self, origin):
         with pytest.raises(RangeError, match="origin"):
             RasterGrid(1, 1, origin, 1.0, np.zeros((1, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("origin", [(0.0,), (0.0, 0.0, 0.0), (), 0.5])
+    def test_origin_not_two_numbers_rejected(self, origin):
+        with pytest.raises(RangeError, match="origin"):
+            RasterGrid(2, 2, origin, 1.0, np.zeros((2, 2), dtype=np.float32))
 
     def test_non_finite_rejected(self):
         v = np.zeros((2, 2), dtype=np.float32)
@@ -92,6 +98,12 @@ class TestGraymapIO:
         path.write_bytes(raw[:-5])
         with pytest.raises(FormatError):
             read_graymap(path)
+
+    @pytest.mark.parametrize("dims", [b"-1 -1", b"-1 1", b"2 -2"])
+    def test_negative_dims_rejected(self, dims):
+        # A payload of |w * h| bytes passes the length check; the sign must not.
+        with pytest.raises(FormatError, match="PGM"):
+            parse_graymap(b"P5\n" + dims + b"\n255\n" + b"\x00" * 4, (0, 0), 1.0)
 
     def test_missing_file_rejected(self, tmp_path):
         path = tmp_path / "absent.pgm"

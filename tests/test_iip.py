@@ -10,6 +10,7 @@ from pixelret.errors import (
     RangeError,
     ResolutionMismatch,
 )
+from pixelret.grid import RasterGrid
 from pixelret.iip import (
     IipConfig,
     bin_class,
@@ -21,6 +22,7 @@ from pixelret.iip import (
     make_iik,
     threshold_iip,
 )
+from pixelret.litho import convolve_fft
 
 
 def iik():
@@ -61,6 +63,19 @@ class TestComputeIip:
         m = compute_iip(mask, k)
         assert m.source_mask_checksum == mask.checksum()
         assert m.iik_checksum == k.checksum()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
+    @pytest.mark.parametrize("fill", [0.0, 0.3, 1.0])
+    def test_bitwise_equals_float64_copy_then_scale(self, rng, dtype, fill):
+        # The expressions compute_iip evaluated before it passed the mask's
+        # own dtype to the convolver and scaled in place.
+        v = (rng.random((70, 45)) < fill).astype(dtype)
+        mask, k = RasterGrid(45, 70, (0.5, 0.5), 1.0, v), make_iik("gaussian", 4.0, 12.0, 1.0)
+        raw = convolve_fft(v.astype(np.float64), k.values)
+        np.clip(raw, 0.0, None, out=raw)
+        peak = float(raw.max())
+        want = np.minimum(raw / peak if peak > 0.0 else raw, 1.0)
+        assert compute_iip(mask, k).grid.values.tobytes() == want.tobytes()
 
     def test_unknown_iik_kind(self):
         with pytest.raises(ParamError):

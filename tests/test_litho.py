@@ -3,14 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import unpruned_convolver
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
+from pixelret import litho
 from pixelret.errors import (
     DimMismatch,
     ParamError,
     RangeError,
     ResolutionMismatch,
 )
+from pixelret.grid import RasterGrid
+from pixelret.iip import compute_iip
 from pixelret.litho import (
     Kernel,
     LithoConfig,
@@ -221,6 +225,49 @@ class TestConvolution:
         unpruned = traced_peak(lambda: unpruned_convolver(ker, img_shape)(img))
         assert pruned <= unpruned
 
+    @pytest.mark.parametrize("band_rows", [1, 5, 36, 37, 200])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bands_change_no_bit(self, rng, monkeypatch, band_rows, dtype):
+        # A 37-row image in row bands of 1, 5, 36 and at least 37 rows;
+        # BAND_BYTES half a grid row over a whole number of rows rounds down.
+        shape, ker = (37, 50), rng.random((31, 9))
+        cplx = np.result_type(dtype, np.complex64)
+        row_bytes = (next_fast_len(50 + 4, True) // 2 + 1) * np.dtype(cplx).itemsize
+        monkeypatch.setattr(litho, "BAND_BYTES", band_rows * row_bytes + row_bytes // 2)
+        seen = []
+        rfft = litho.rfft
+        monkeypatch.setattr(litho, "rfft", lambda x, **kw: seen.append(len(x)) or rfft(x, **kw))
+        conv = fft_convolver(ker, shape, dtype)
+        want = unpruned_convolver(ker, shape, dtype)
+        img = rng.random(shape)
+        for x in (img, (img > 0.5).astype(np.uint8), img > 0.5):
+            out = conv(x)
+            assert out.dtype == dtype and out.tobytes() == want(x).tobytes()
+        assert max(seen) == min(band_rows, 37) and sum(seen) == 3 * 37
+
+    @pytest.mark.parametrize("call", ["convolve_fft", "aerial_image", "compute_iip"])
+    def test_call_holds_spectrum_grid_output_and_bands(self, rng, call):
+        # recorrect's layout is rasterized at 600 x ~1084 px, as a uint8 mask.
+        h, w = shape = (600, 1084)
+        mask = RasterGrid(w, h, (0.5, 0.5), 1.0, (rng.random(shape) < 0.3).astype(np.uint8))
+        kernel = make_gaussian_kernel(25.0, 75.0, 1.0)
+        run = {
+            "convolve_fft": lambda: convolve_fft(mask.values, kernel.values),
+            "aerial_image": lambda: aerial_image(mask, kernel),
+            "compute_iip": lambda: compute_iip(mask, kernel),
+        }[call]
+        run()  # transform plans are cached on first use
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        y0 = x0 = kernel.side // 2
+        spectrum = next_fast_len(h + y0, True) * (next_fast_len(w + x0, True) // 2 + 1) * 16
+        # Slack: numpy's casting buffers and the call's Python objects.
+        assert peak <= 2 * spectrum + h * w * 8 + 2 * litho.BAND_BYTES + (64 << 10)
+
     def test_convolver_shape_mismatch(self, rng):
         conv = fft_convolver(rng.random((3, 3)), (8, 8))
         with pytest.raises(DimMismatch):
@@ -259,6 +306,16 @@ class TestAerialImage:
         k = make_gaussian_kernel(3.0, 9.0, 1.0)
         with pytest.raises(ResolutionMismatch):
             aerial_image(g, k)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
+    def test_bitwise_equals_float64_copy_then_clip(self, rng, dtype):
+        # The expression aerial_image evaluated before it passed the mask's
+        # own dtype to the convolver and clipped in place.
+        v = rng.random((120, 90))
+        v = (v > 0.5).astype(dtype) if dtype in (np.uint8, bool) else v.astype(dtype)
+        g, k = RasterGrid(90, 120, (0.5, 0.5), 1.0, v), make_gaussian_kernel(3.0, 9.0, 1.0)
+        want = np.clip(convolve_fft(v.astype(np.float64), k.values), 0.0, 1.0)
+        assert aerial_image(g, k).values.tobytes() == want.tobytes()
 
     def test_gray_mask_allowed(self, grid_factory):
         # center pixel sees full kernel support, so a 0.5 field images to 0.5

@@ -358,6 +358,11 @@ class TestConfusion:
         with pytest.raises(ParamError):
             confusion_matrix(np.array([0, 5]), np.array([0, 1]), 3)
 
+    @pytest.mark.parametrize("num_classes", [True, "x", None, 0, 1.0])
+    def test_bad_class_count_refused_by_name(self, num_classes):
+        with pytest.raises(ParamError, match="num_classes"):
+            confusion_matrix(np.array([0, 0]), np.array([0, 0]), num_classes)
+
     def test_empty_matrix_metrics(self):
         cm = ConfusionMatrix(np.zeros((3, 3), dtype=np.int64))
         assert cm.accuracy() == 0.0
