@@ -3,9 +3,13 @@
 Prints the host's CPU count; for each of the six case-study families
 (iso40, iso140, ls40, ls140, iso60, iso100) the ILT target shape, the
 real-FFT transform shape its convolutions run at (the one
-litho.fft_convolver's docstring states), optimize_mask's milliseconds per
-gradient step, the median milliseconds of one float32 convolution (the
-precision optimize_mask descends in) and, for comparison, of one float64
+litho.fft_convolver's docstring states), optimize_mask's wall
+milliseconds per gradient step and the CPU milliseconds of the call
+spent by this process and by the checker process it forks
+(resource.getrusage deltas of RUSAGE_SELF and RUSAGE_CHILDREN; the
+checker's reads 0 where the call checks inline), the median
+milliseconds of one float32 convolution (the precision optimize_mask
+descends in) and, for comparison, of one float64
 convolution, and how one float32 loss-and-gradient evaluation splits
 between its two convolutions and its elementwise work (medians over 20
 evaluations at the ILT mask), and the
@@ -22,6 +26,7 @@ the toy config).  OpenBLAS is pinned to one thread, as in the benchmark.
 import argparse
 import dataclasses
 import os
+import resource
 import time
 
 # OpenBLAS reads its thread count once, when numpy loads.
@@ -89,6 +94,12 @@ def step_split(target, mask, litho_cfg, icfg, reps):
     return tuple(1000.0 * float(np.median(x)) for x in (conv, conv64, fft_ms, rest_ms))
 
 
+def cpu_ms(who: int) -> float:
+    """User plus system CPU milliseconds of resource.getrusage(who)."""
+    r = resource.getrusage(who)
+    return 1000.0 * (r.ru_utime + r.ru_stime)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reps", type=int, default=200, help="timed backward steps")
@@ -102,9 +113,12 @@ def main() -> None:
     for name in FAMILIES:
         patterns[name] = generate_test_pattern(**CANONICAL_PATTERNS[name])
         target = deployment_raster(patterns[name], tiling)
+        cpu0 = cpu_ms(resource.RUSAGE_SELF), cpu_ms(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
         result = optimize_mask(target, litho_cfg, icfg)
         ms = 1000.0 * (time.perf_counter() - t0) / icfg.steps
+        caller = cpu_ms(resource.RUSAGE_SELF) - cpu0[0]
+        checker = cpu_ms(resource.RUSAGE_CHILDREN) - cpu0[1]
         masks[name] = result.mask
         h, w = transform_shape(target.shape, litho_cfg.kernel(target.px_per_nm).side)
         conv, conv64, fft_ms, rest_ms = step_split(
@@ -112,7 +126,8 @@ def main() -> None:
         )
         print(
             f"ilt {name:7s} {target.height}x{target.width} px  transform {h}x{w}"
-            f"  {ms:.1f} ms/step  {conv:.2f} ms/convolution (float64 {conv64:.2f})"
+            f"  {ms:.1f} ms/step  CPU {caller:.0f} ms caller + {checker:.0f} ms checker"
+            f"  {conv:.2f} ms/convolution (float64 {conv64:.2f})"
             f"  loss+grad: 2 convolutions {fft_ms:.2f} ms + elementwise {rest_ms:.2f} ms"
         )
         print(

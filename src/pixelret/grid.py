@@ -50,6 +50,8 @@ class RasterGrid:
             raise RangeError(f"origin must be two numbers, got {self.origin!r}")
         for c in self.origin:
             check_real("origin", c, error=RangeError)
+        # Python floats, so that equal placements compare and hash equal.
+        self.origin = (float(self.origin[0]), float(self.origin[1]))
         if self.values.dtype.kind == "f" and not np.all(np.isfinite(self.values)):
             raise RangeError("real grid contains non-finite values")
 
@@ -88,7 +90,7 @@ class RasterGrid:
         """SHA-256 over shape, placement, and raw pixel bytes."""
         h = hashlib.sha256()
         h.update(f"{self.width},{self.height},{self.origin},{self.px_per_nm}".encode())
-        h.update(np.ascontiguousarray(self.values).tobytes())
+        h.update(np.ascontiguousarray(self.values))
         return h.hexdigest()
 
 

@@ -40,6 +40,26 @@ instead the check is skipped when the binarized mask equals the last one
 checked.  Masks, loss history and fidelity are bitwise those of the
 float32 loop that convolves afresh at every use, with one rfftn/irfftn
 pair over the whole padded transform, and allocates every intermediate.
+What runs where: the descent stays in the calling process, and the
+selection half (_Selector: the IoU checks, the ranking, the float64
+prints of the winner and of the target) runs beside it in one checker
+process per call, forked so that it inherits the float32 convolver.  The
+caller sends each admissible step's loss, step and packed binarized mask
+down a pipe and keeps no masks; the checker prints the target in float64
+while the descent runs, and answers the end-of-descent sentinel with the
+winner or with the exception it raised, which the caller re-raises.  The
+checker and the calling thread run on separate CPUs during the call,
+since each message would otherwise wake the checker on the caller's CPU,
+where it preempts the descent.  A process, not a thread: a helper thread
+shares the interpreter lock with the descent's many small numpy calls
+and adds a second malloc arena to the caller, and measured, it made the
+benchmark's model build slower and its peak RSS larger.  The selection
+runs inline where the caller may not start a process (a daemonic one,
+such as a pool worker), has fewer than 2 CPUs in its affinity set, or
+runs more than one thread, as under a multi-threaded BLAS pool (BLAS's
+default; the benchmark pins it to one thread): then the checker has no
+CPU of its own, and forking measured 1.8x the inline time.  Either way
+the bits are the same.
 
 The sigmoid is numpy's 1 / (1 + exp(-x)), not scipy.special.expit, whose
 scalar loop takes about four times as long (844 against 207 us on a
@@ -52,8 +72,12 @@ SIMD exp is within 4 ulp of libm's.
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +190,131 @@ def ilt_loss(
     return loss, theta.with_values(grad)
 
 
+class _Selector:
+    """The selection half of optimize_mask.  add takes each admissible
+    iterate's loss, step and np.packbits of its binarized mask; result
+    returns the winning mask and its float64 fidelity, or the target and
+    its own (baseline) when the target prints better."""
+
+    def __init__(self, target: RasterGrid, kernel: np.ndarray, convolve, thr: float):
+        self.target, self.kernel, self.convolve, self.thr = target, kernel, convolve, thr
+        self.as_is = target.values.astype(np.uint8)
+        self.best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, bits)
+        self.checked: tuple[np.ndarray, float] | None = None  # last bits checked, fidelity
+
+    def unpack(self, bits: np.ndarray) -> np.ndarray:
+        return np.unpackbits(bits, count=self.as_is.size).reshape(self.as_is.shape)
+
+    @cached_property
+    def print64(self) -> Callable[[np.ndarray], np.ndarray]:
+        return fft_convolver(self.kernel, self.target.shape)
+
+    @cached_property
+    def baseline(self) -> float:
+        return self.fidelity64(self.as_is)
+
+    def fidelity64(self, mask: np.ndarray) -> float:
+        return iou(self.target.with_values(self.print64(mask) >= self.thr), self.target)
+
+    def add(self, loss: float, step: int, bits: np.ndarray) -> None:
+        if self.checked is None or not np.array_equal(bits, self.checked[0]):
+            printed = self.convolve(self.unpack(bits)) >= self.thr
+            self.checked = (bits, iou(self.target.with_values(printed), self.target))
+        key = (-self.checked[1], loss, step)
+        if self.best is None or key < self.best[:3]:
+            self.best = (*key, bits)
+
+    def result(self) -> tuple[np.ndarray, float]:
+        assert self.best is not None
+        # The float32 checks rank the iterates; the returned mask is the
+        # winner or the target, whichever prints better in float64.
+        mask = self.unpack(self.best[3])
+        fidelity = self.fidelity64(mask)
+        if fidelity < self.baseline:
+            return self.as_is, self.baseline
+        return mask, fidelity
+
+
+def _check(conn, caller_end, *selector_args) -> None:
+    """The checker process: a _Selector fed from conn until the None
+    sentinel, then its result, or the exception raised, sent back.  It
+    reads up to the sentinel even after a failure, so that the caller's
+    sends never block, and exits quietly if the caller closes first."""
+    caller_end.close()  # else the caller's close would not reach recv as EOF
+    items = iter(conn.recv, None)
+    try:
+        selector = _Selector(*selector_args)
+        selector.baseline  # the target's float64 print, while the descent runs
+        for item in items:
+            selector.add(*item)
+        out = selector.result()
+    except Exception as e:
+        out = e
+    try:
+        for _ in items:
+            pass
+        conn.send(out)
+    except EOFError:
+        pass
+
+
+class _Remote:
+    """A _Selector's add and result, run in the checker process at the
+    other end of conn."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def add(self, *item) -> None:
+        self.conn.send(item)
+
+    def result(self) -> tuple[np.ndarray, float]:
+        self.conn.send(None)
+        try:
+            out = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("the ILT checker process exited without a result") from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
+def _threads() -> int:
+    """Threads of this process, native ones such as a BLAS pool's included."""
+    return len(os.listdir("/proc/self/task"))
+
+
+@contextmanager
+def _selection(*selector_args):
+    """A _Selector, in a forked checker process when this process may
+    start one, has at least 2 CPUs and runs one thread, else inline.  A
+    second thread, such as a multi-threaded BLAS pool's, keeps the other
+    CPU busy, and fork is unsafe beside threads.  The checker runs on
+    one of the caller's CPUs, chosen by its pid so that concurrent callers'
+    checkers spread, and the calling thread on the others until the
+    selection ends: each message wakes the checker on the sender's CPU,
+    where it would preempt the descent.  The checker is joined, and the
+    caller's CPUs restored, on every way out."""
+    cpus = os.sched_getaffinity(0)
+    if multiprocessing.current_process().daemon or len(cpus) < 2 or _threads() > 1:
+        yield _Selector(*selector_args)
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_check, args=(child_end, conn, *selector_args), daemon=True)
+    proc.start()
+    child_end.close()
+    try:
+        cpu = sorted(cpus)[proc.pid % len(cpus)]
+        os.sched_setaffinity(proc.pid, {cpu})
+        os.sched_setaffinity(0, cpus - {cpu})
+        yield _Remote(conn)
+    finally:
+        os.sched_setaffinity(0, cpus)
+        conn.close()
+        proc.join()
+
+
 def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> IltResult:
     """Gradient descent on the relaxed loss; returns the binarized mask of
     the best admissible iterate.
@@ -187,37 +336,18 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
 
     theta = k_m * (2.0 * tv - 1.0)
     history: list[float] = []
-    best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, mask)
-    checked: tuple[np.ndarray, float] | None = None  # last binarized mask, its fidelity
-    loss0 = None
-    for step in range(cfg.steps + 1):
-        loss, grad, m = _loss_and_grad(theta, tv, convolve, thr, k_m, k_r)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"loss became non-finite at step {step}")
-        history.append(loss)
-        if loss0 is None:
-            loss0 = loss
-        if loss <= loss0:
-            mask = (m > cfg.binarize_threshold).astype(np.uint8)
-            if checked is None or not np.array_equal(mask, checked[0]):
-                printed = convolve(mask) >= thr
-                checked = (mask, iou(target.with_values(printed), target))
-            key = (-checked[1], loss, step)
-            if best is None or key < best[:3]:
-                best = (*key, mask)
-        if step < cfg.steps:
-            grad *= cfg.learning_rate
-            theta -= grad
-    assert best is not None
-    # The float32 checks rank the iterates; the returned mask is the
-    # winner or the target, whichever prints better in float64.
-    print64 = fft_convolver(kernel, tv.shape)
-    mask, as_is = best[3], tv.astype(np.uint8)
-    fidelity, baseline = (
-        iou(target.with_values(print64(x) >= thr), target) for x in (mask, as_is)
-    )
-    if fidelity < baseline:
-        mask, fidelity = as_is, baseline
+    with _selection(target, kernel, convolve, thr) as selector:
+        for step in range(cfg.steps + 1):
+            loss, grad, m = _loss_and_grad(theta, tv, convolve, thr, k_m, k_r)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"loss became non-finite at step {step}")
+            history.append(loss)
+            if loss <= history[0]:
+                selector.add(loss, step, np.packbits(m > cfg.binarize_threshold))
+            if step < cfg.steps:
+                grad *= cfg.learning_rate
+                theta -= grad
+        mask, fidelity = selector.result()
     return IltResult(
         mask=target.with_values(mask),
         loss_history=history,

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from pixelret.grid import (
     read_graymap,
     write_graymap,
 )
+from pixelret.ilt import IltConfig, ilt_loss
+from pixelret.litho import LithoConfig
 
 
 class TestRasterGrid:
@@ -56,6 +61,39 @@ class TestRasterGrid:
         assert a.checksum() == grid_factory([[0, 1], [1, 0]]).checksum()
         assert a.checksum() != b.checksum()
         assert a.checksum() != c.checksum()
+
+    @pytest.mark.parametrize("origin", [[0.0, 0.0], (0, 0), [0, 0.0], (np.float64(0.0), 0.0),
+                                        (np.float32(0.0), np.int64(0))])
+    def test_origin_type_does_not_change_identity(self, origin):
+        v = np.eye(2, dtype=np.float32)
+        g = RasterGrid(2, 2, origin, 1.0, v)
+        want = RasterGrid(2, 2, (0.0, 0.0), 1.0, v)
+        assert g.origin == (0.0, 0.0)
+        assert all(type(c) is float for c in g.origin)
+        assert g.checksum() == want.checksum()
+        # The placement check of ilt_loss compares origins as tuples.
+        loss, _ = ilt_loss(g.with_values(v.astype(np.float64)), want, LithoConfig(), IltConfig())
+        assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, bool])
+    def test_checksum_hashes_the_array_in_place(self, dtype):
+        # The digest is the one hashing the bytes copied out would give;
+        # a contiguous grid is hashed without that copy.
+        v = (np.arange(600 * 1084).reshape(600, 1084) % 3).astype(dtype)
+        for values in (v, v[:, ::2], v.T):
+            g = RasterGrid(values.shape[1], values.shape[0], (0.5, 0.5), 1.0, values)
+            h = hashlib.sha256()
+            h.update(f"{g.width},{g.height},{g.origin},{g.px_per_nm}".encode())
+            h.update(np.ascontiguousarray(values).tobytes())
+            assert g.checksum() == h.hexdigest()
+        g = RasterGrid(1084, 600, (0.5, 0.5), 1.0, v)
+        tracemalloc.start()
+        try:
+            g.checksum()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGraymapIO:

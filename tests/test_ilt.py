@@ -1,4 +1,7 @@
 import csv
+import multiprocessing
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 from conftest import make_grid, unpruned_convolver
 from scipy.special import expit
 
-from pixelret import ilt
-from pixelret.errors import DimMismatch, ParamError, RangeError
+from pixelret import ilt, pipeline
+from pixelret.errors import DimMismatch, DivergenceError, ParamError, RangeError
 from pixelret.ilt import IltConfig, ilt_loss, optimize_mask, save_loss_history
 from pixelret.litho import (
     LithoConfig,
@@ -378,6 +381,138 @@ class TestUncachedOracle:
             loss, grad = ilt_loss(target.with_values(theta), target, litho, cfg)
             assert loss == float(np.dot(r.ravel(), r.ravel()) / n)
             assert np.array_equal(grad.values.view(np.uint64), want.view(np.uint64))
+
+
+def children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def assert_equals_oracle(rng):
+    """optimize_mask against uncached_optimize on two seeded targets."""
+    litho = small_litho()
+    cfg = IltConfig(steps=20, learning_rate=2e4)
+    for side in (20, 27):
+        target = random_target(rng, side=side)
+        mask, history, fid, _, _ = uncached_optimize(target, litho, cfg)
+        res = optimize_mask(target, litho, cfg)
+        assert np.array_equal(res.mask.values, mask)
+        assert res.mask.values.dtype == mask.dtype
+        assert res.loss_history == history
+        assert res.final_fidelity == fid
+
+
+def optimize_in_daemon(seed):
+    """Runs in a pool worker, which may not start a process."""
+    assert multiprocessing.current_process().daemon
+    assert_equals_oracle(np.random.Generator(np.random.PCG64(seed)))
+    return os.getpid()
+
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs to fork")
+
+
+@pytest.fixture(params=["inline", pytest.param("forked", marks=TWO_CPUS)])
+def checker_path(request, monkeypatch):
+    """Runs the test with the selection inline and in a forked checker,
+    then checks that the caller's CPUs were restored."""
+    cpus = os.sched_getaffinity(0)
+    if request.param == "inline":
+        monkeypatch.setattr(ilt.os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(ilt, "_threads", lambda: 1)  # as if BLAS ran one thread
+    yield request.param
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.fixture
+def checker_pids(monkeypatch):
+    """The pids _Selector.add runs in, as far as this process sees them:
+    a forked checker's calls stay in the checker."""
+    pids = []
+    real = ilt._Selector.add
+
+    def add(self, *item):
+        pids.append(os.getpid())
+        return real(self, *item)
+
+    monkeypatch.setattr(ilt._Selector, "add", add)
+    return pids
+
+
+class TestChecker:
+    """The selection runs in a forked checker process, or inline where the
+    caller may not start one, has a single CPU or runs other threads; the
+    bits are the same."""
+
+    @TWO_CPUS
+    def test_forked(self, rng, monkeypatch, checker_pids):
+        monkeypatch.setattr(ilt, "_threads", lambda: 1)
+        before, cpus = children(), os.sched_getaffinity(0)
+        assert_equals_oracle(rng)
+        assert checker_pids == []
+        assert children() == before
+        assert os.sched_getaffinity(0) == cpus
+
+    def test_inline_on_one_cpu(self, rng, monkeypatch, checker_pids):
+        monkeypatch.setattr(ilt.os, "sched_getaffinity", lambda pid: {0})
+        assert_equals_oracle(rng)
+        assert checker_pids and set(checker_pids) == {os.getpid()}
+
+    def test_inline_beside_another_thread(self, rng, checker_pids):
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait, args=(60,))
+        waiting.start()
+        try:
+            assert_equals_oracle(rng)
+        finally:
+            done.set()
+            waiting.join(60)
+        assert not waiting.is_alive()
+        assert checker_pids and set(checker_pids) == {os.getpid()}
+
+    def test_inline_in_daemonic_worker(self):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pid = pool.apply_async(optimize_in_daemon, (0,)).get(timeout=120)
+        assert pid != os.getpid()
+
+    def test_no_process_left_after_divergence(self, rng, monkeypatch, checker_path):
+        real, calls = ilt._loss_and_grad, []
+
+        def diverging(*args):
+            loss, grad, m = real(*args)
+            calls.append(step := len(calls))
+            return (float("nan") if step == 3 else loss), grad, m
+
+        monkeypatch.setattr(ilt, "_loss_and_grad", diverging)
+        before = children()
+        with pytest.raises(DivergenceError, match="step 3"):
+            optimize_mask(random_target(rng), small_litho(), IltConfig(steps=8, learning_rate=2e4))
+        assert children() == before
+
+    def test_checker_exception_reaches_caller(self, rng, monkeypatch, checker_path):
+        def failing(self, loss, step, bits):
+            if step == 2:
+                raise ZeroDivisionError("check failed at step 2")
+
+        monkeypatch.setattr(ilt._Selector, "add", failing)
+        before = children()
+        # After the failure the caller still sends 18 masks of 32 KiB,
+        # more than a socket buffer holds.
+        with pytest.raises(ZeroDivisionError, match="step 2"):
+            optimize_mask(random_target(rng, side=512), small_litho(), IltConfig(steps=20))
+        assert children() == before
+
+    def test_with_worker_pool_alive(self, rng, checker_pids):
+        # The pool's handler threads make the call check inline.
+        pool = pipeline._worker_pool(2)
+        workers = {p.pid for p in pool._pool}
+        assert workers <= children()
+        before = children()
+        assert_equals_oracle(rng)
+        assert children() == before
+        assert workers <= before
+        assert checker_pids and set(checker_pids) == {os.getpid()}
 
 
 class TestLossHistoryFile:
