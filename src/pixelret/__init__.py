@@ -6,7 +6,23 @@ intensity profile (IIP), train a per-pixel CNN classifier on compressed
 layout windows, then predict IIP maps for unseen layouts and threshold them
 into corrected masks.  Prediction is embarrassingly parallel and bitwise
 deterministic regardless of worker count and batch size.
+
+Imported before numpy, the package keeps BLAS to one thread per process
+unless the environment already sets the count: it sets the unset ones of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 in
+os.environ, which child processes inherit too.  Its parallel work runs in
+processes (the pipeline's worker pool, ILT's checker), and a BLAS pool
+beside them spins on ILT's per-step np.dot and keeps ILT's checks inline.
+OpenBLAS reads the count once, when numpy loads, so the setting has no
+effect when numpy was imported first.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
 
 from .classifier import (
     ArchDescriptor,

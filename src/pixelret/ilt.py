@@ -50,16 +50,19 @@ while the descent runs, and answers the end-of-descent sentinel with the
 winner or with the exception it raised, which the caller re-raises.  The
 checker and the calling thread run on separate CPUs during the call,
 since each message would otherwise wake the checker on the caller's CPU,
-where it preempts the descent.  A process, not a thread: a helper thread
-shares the interpreter lock with the descent's many small numpy calls
-and adds a second malloc arena to the caller, and measured, it made the
-benchmark's model build slower and its peak RSS larger.  The selection
-runs inline where the caller may not start a process (a daemonic one,
-such as a pool worker), has fewer than 2 CPUs in its affinity set, or
-runs more than one thread, as under a multi-threaded BLAS pool (BLAS's
-default; the benchmark pins it to one thread): then the checker has no
-CPU of its own, and forking measured 1.8x the inline time.  Either way
-the bits are the same.
+where it preempts the descent; measured, the fork without this made the
+benchmark's model build slower than the inline selection.  A process,
+not a thread: a helper thread shares the interpreter lock with
+the descent's many small numpy calls and adds a second malloc arena to
+the caller, and measured, it made the benchmark's model build slower and
+its peak RSS larger.  The selection runs inline where the caller may not
+start a process (a daemonic one, such as a pool worker), has fewer than 2
+CPUs in its affinity set, runs other threads (forking beside them is
+unsafe), or where the platform cannot tell (no os.sched_getaffinity or
+/proc/self/task).  The package keeps BLAS to one thread unless the caller
+chose otherwise (see pixelret/__init__.py), so that a BLAS pool does not
+count as such a thread; its pool would also spin on the loss's np.dot and
+take the checker's CPU.  Either way the bits are the same.
 
 The sigmoid is numpy's 1 / (1 + exp(-x)), not scipy.special.expit, whose
 scalar loop takes about four times as long (844 against 207 us on a
@@ -279,24 +282,28 @@ class _Remote:
         return out
 
 
-def _threads() -> int:
-    """Threads of this process, native ones such as a BLAS pool's included."""
-    return len(os.listdir("/proc/self/task"))
+def _may_fork() -> bool:
+    """Whether this process may fork a checker: it is not daemonic, has
+    at least 2 CPUs and runs no other thread, native ones such as a BLAS
+    pool's included."""
+    if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
 @contextmanager
 def _selection(*selector_args):
-    """A _Selector, in a forked checker process when this process may
-    start one, has at least 2 CPUs and runs one thread, else inline.  A
-    second thread, such as a multi-threaded BLAS pool's, keeps the other
-    CPU busy, and fork is unsafe beside threads.  The checker runs on
-    one of the caller's CPUs, chosen by its pid so that concurrent callers'
-    checkers spread, and the calling thread on the others until the
-    selection ends: each message wakes the checker on the sender's CPU,
-    where it would preempt the descent.  The checker is joined, and the
-    caller's CPUs restored, on every way out."""
-    cpus = os.sched_getaffinity(0)
-    if multiprocessing.current_process().daemon or len(cpus) < 2 or _threads() > 1:
+    """A _Selector, in a forked checker process when _may_fork(), else
+    inline.  The checker runs on the caller's highest-numbered CPU and the
+    calling thread on its other CPUs until the selection ends: each
+    message wakes the checker on the sender's CPU, where it would preempt
+    the descent.  The checker is joined, and the calling thread's CPU set
+    restored, on every way out."""
+    if not _may_fork():
         yield _Selector(*selector_args)
         return
     ctx = multiprocessing.get_context("fork")
@@ -304,10 +311,10 @@ def _selection(*selector_args):
     proc = ctx.Process(target=_check, args=(child_end, conn, *selector_args), daemon=True)
     proc.start()
     child_end.close()
+    cpus = os.sched_getaffinity(0)
     try:
-        cpu = sorted(cpus)[proc.pid % len(cpus)]
-        os.sched_setaffinity(proc.pid, {cpu})
-        os.sched_setaffinity(0, cpus - {cpu})
+        os.sched_setaffinity(proc.pid, {max(cpus)})
+        os.sched_setaffinity(0, cpus - {max(cpus)})
         yield _Remote(conn)
     finally:
         os.sched_setaffinity(0, cpus)
@@ -324,6 +331,13 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     earlier step); the target itself is returned if it prints better in
     float64.  loss_history has steps+1 entries, non-finite loss raises
     DivergenceError.
+
+    Where this process may fork (see _may_fork), the call forks one
+    checker process for the print checks and joins it before it returns
+    or raises.  For the call, it also confines the calling thread to all
+    but its highest-numbered CPU, which the checker gets, and then sets
+    the thread's CPU set back to what it was at the start: a change
+    made to it meanwhile, by a signal handler say, is undone.
     """
     if not target.is_binary():
         raise RangeError("ILT target must be a binary grid")

@@ -1,3 +1,6 @@
+# pixelret first, as a program that uses it would: imported before numpy,
+# it keeps BLAS to one thread, so ILT forks its checker in the tests too.
+import pixelret  # noqa: F401
 import numpy as np
 import pytest
 from scipy.fft import irfftn, next_fast_len, rfftn

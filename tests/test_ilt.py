@@ -1,6 +1,8 @@
 import csv
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -408,20 +410,33 @@ def optimize_in_daemon(seed):
     return os.getpid()
 
 
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs to fork")
+TWO_CPUS = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs to fork"
+)
+
+
+def prepare_fork():
+    """Ends the worker pool an earlier pipeline test may have left, whose
+    handler threads keep ILT's checks inline, so that this process runs
+    one thread, as a new program that imports pixelret first does."""
+    if pipeline._pool is not None:
+        pool = pipeline._pool[2]
+        pipeline._pool = None
+        pool.terminate()
+        pool.join()
+    assert ilt._may_fork(), "this process runs other threads, such as a BLAS pool's"
 
 
 @pytest.fixture(params=["inline", pytest.param("forked", marks=TWO_CPUS)])
 def checker_path(request, monkeypatch):
     """Runs the test with the selection inline and in a forked checker,
-    then checks that the caller's CPUs were restored."""
-    cpus = os.sched_getaffinity(0)
+    then checks that the calling thread's CPUs were restored."""
     if request.param == "inline":
         monkeypatch.setattr(ilt.os, "sched_getaffinity", lambda pid: {0})
     else:
-        monkeypatch.setattr(ilt, "_threads", lambda: 1)  # as if BLAS ran one thread
+        prepare_fork()
+    cpus = os.sched_getaffinity(0)
     yield request.param
-    monkeypatch.undo()
     assert os.sched_getaffinity(0) == cpus
 
 
@@ -446,18 +461,60 @@ class TestChecker:
     bits are the same."""
 
     @TWO_CPUS
-    def test_forked(self, rng, monkeypatch, checker_pids):
-        monkeypatch.setattr(ilt, "_threads", lambda: 1)
+    def test_forked(self, rng, checker_pids):
+        prepare_fork()
         before, cpus = children(), os.sched_getaffinity(0)
         assert_equals_oracle(rng)
         assert checker_pids == []
         assert children() == before
         assert os.sched_getaffinity(0) == cpus
 
+    @TWO_CPUS
+    def test_forks_in_a_fresh_interpreter(self):
+        # The default configuration: a new process that imports pixelret
+        # before numpy, with no BLAS thread count in its environment.
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ilt.__file__)), os.path.dirname(__file__)]
+        )
+        code = (
+            "import os, pixelret\n"
+            "forks = []\n"
+            "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+            "import numpy as np, test_ilt\n"
+            "assert pixelret.ilt._may_fork()\n"
+            "test_ilt.assert_equals_oracle(np.random.Generator(np.random.PCG64(0)))\n"
+            "assert len(forks) == 2, forks\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_inline_on_one_cpu(self, rng, monkeypatch, checker_pids):
         monkeypatch.setattr(ilt.os, "sched_getaffinity", lambda pid: {0})
         assert_equals_oracle(rng)
         assert checker_pids and set(checker_pids) == {os.getpid()}
+
+    @TWO_CPUS
+    def test_inline_where_the_platform_cannot_tell(self, rng, monkeypatch, checker_pids):
+        # No os.sched_getaffinity, as on macOS, or no /proc/self/task.
+        prepare_fork()
+        with monkeypatch.context() as m:
+            m.delattr(ilt.os, "sched_getaffinity", raising=False)
+            assert_equals_oracle(rng)
+        assert checker_pids and set(checker_pids) == {os.getpid()}
+        checked, real = len(checker_pids), os.listdir
+
+        def listdir(path="."):
+            if str(path).startswith("/proc"):
+                raise FileNotFoundError(path)
+            return real(path)
+
+        with monkeypatch.context() as m:
+            m.setattr(ilt.os, "listdir", listdir)
+            assert_equals_oracle(rng)
+        assert len(checker_pids) > checked and set(checker_pids) == {os.getpid()}
 
     def test_inline_beside_another_thread(self, rng, checker_pids):
         done = threading.Event()
