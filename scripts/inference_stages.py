@@ -7,7 +7,8 @@ per image in an (n, c, h, w) layout, the arithmetic inference used before
 it ran in blocks) and once for the block forward at the arch's
 inference_block size; and the wall time of one pipeline._infer_chunk call
 on a 200-pixel chunk of a 20 x 20 px box of a toy line-space raster, the
-shape of one worker's share of a recorrect request.  The block forward's
+shape of one worker's share of a recorrect request, with the raster crop
+that pipeline._task gives the chunk.  The block forward's
 timed steps are checked to give classifier._forward's logits bit for bit.
 OpenBLAS is pinned to one thread, as in the benchmark.
 
@@ -27,9 +28,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from pixelret.classifier import _forward, _im2col, inference_block, init_model
 from pixelret.cli import load_config
-from pixelret.iip import class_value
+from pixelret.iip import class_values
 from pixelret.layout import generate_test_pattern
-from pixelret.pipeline import _infer_chunk, deployment_raster
+from pixelret.pipeline import _infer_chunk, _task, deployment_raster
 
 
 def per_sample_steps(m, images, clock):
@@ -111,8 +112,7 @@ def main() -> None:
     raster = deployment_raster(pattern, tiling)
     ys, xs = np.mgrid[: 20, : 20]
     flat = ((raster.height // 2 + ys) * raster.width + raster.width // 2 + xs).ravel()[:200]
-    class_values = np.array([class_value(c, num_classes) for c in range(num_classes)])
-    task = (m, raster, flat, tiling, class_values)
+    task = _task(m, raster, flat, tiling, class_values(num_classes))
     times = []
     for rep in range(args.reps + 2):
         t0 = time.perf_counter()

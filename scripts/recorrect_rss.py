@@ -3,13 +3,14 @@
 An 1800 x 840 nm rectangle gives a 5200 x 3280 px deployment raster at the
 default tiling (400 nm interaction distance, 2 px/nm, 200 x 200 px inputs).
 An untrained model of the default arch re-corrects a 30 x 30 px region of an
-all-zero prior map at workers 1.  Prints the map's sha256 and the process's
-peak RSS up to the end of the call, which includes the raster and the
-prior map.
+all-zero prior map at --workers (default 1).  Prints the map's sha256 and
+the process's peak RSS up to the end of the call, which includes the raster
+and the prior map; the workers' memory is not counted.
 
-    PYTHONPATH=src python3 scripts/recorrect_rss.py
+    PYTHONPATH=src python3 scripts/recorrect_rss.py [--workers N]
 """
 
+import argparse
 import hashlib
 import resource
 
@@ -23,8 +24,11 @@ from pixelret.pipeline import deployment_raster, recorrect
 
 
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workers", type=int, default=1, help="processes that run inference")
+    args = ap.parse_args()
     cfg = load_config(None, False, {})
-    ccfg = cfg.correction(workers=1)
+    ccfg = cfg.correction(workers=args.workers)
     target = LayoutPattern([[(0, 0), (1800, 0), (1800, 840), (0, 840)]])
     raster = deployment_raster(target, ccfg.tiling)
     prior = IipMap(raster.with_values(np.zeros(raster.shape)), "", "")

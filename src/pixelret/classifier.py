@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ArchError,
@@ -178,10 +177,15 @@ def init_model(arch: ArchDescriptor, seed: int) -> ModelParams:
 
 def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
     """(c, h, w, n) -> the (c*k*k, oh*ow*n) matrix of every sample's k x k
-    patches at stride s, rows in weight order, one column per position."""
-    v = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-    c, oh, ow, n = v.shape[:4]
-    return v.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n), oh, ow
+    patches at stride s, rows in weight order, one column per position.
+    Each tap is one strided copy of a (c, oh, ow, n) slab of x."""
+    c, h, w, n = x.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    cols = np.empty((c, k, k, oh, ow, n), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, ky, kx] = x[:, ky : ky + s * (oh - 1) + 1 : s, kx : kx + s * (ow - 1) + 1 : s]
+    return cols.reshape(c * k * k, oh * ow * n), oh, ow
 
 
 def _forward(m: ModelParams, images: np.ndarray, cache: list | None = None) -> np.ndarray:
@@ -260,12 +264,22 @@ def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarra
 
 def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) -> np.ndarray:
     """Scatter-add _im2col-shaped patch gradients back onto the
-    (c, h, w, n) input they were taken from."""
-    dx = np.zeros(xshape, dtype=dcols.dtype)
-    dc = dcols.reshape(xshape[0], k, k, oh, ow, xshape[3])
-    for ky in range(k):
-        for kx in range(k):
-            dx[:, ky : ky + s * oh : s, kx : kx + s * ow : s] += dc[:, ky, kx]
+    (c, h, w, n) input they were taken from.
+
+    Tap (ky, kx) lands on phase plane x[:, p::s, q::s] with p = ky % s,
+    q = kx % s, as one contiguous (oh, ow) block of it; each plane sums
+    its taps in (ky, kx) order, as a scatter into x would, and the planes
+    are then interleaved into x once."""
+    c, h, w, n = xshape
+    dc = dcols.reshape(c, k, k, oh, ow, n)
+    dx = np.empty(xshape, dtype=dcols.dtype)
+    for p in range(s):
+        for q in range(s):
+            plane = np.zeros((c, len(range(p, h, s)), len(range(q, w, s)), n), dcols.dtype)
+            for ky in range(p, k, s):
+                for kx in range(q, k, s):
+                    plane[:, ky // s : ky // s + oh, kx // s : kx // s + ow] += dc[:, ky, kx]
+            dx[:, p::s, q::s] = plane
     return dx
 
 
@@ -274,8 +288,8 @@ def backward(m: ModelParams, batch: tuple[np.ndarray, np.ndarray]):
 
     Runs _forward over the whole batch, so each conv layer's forward,
     weight gradient and patch gradient is one 2-D product over every
-    sample's patches, and every patch copy and scatter moves runs of n
-    values.
+    sample's patches; _im2col and _col2im move one slab of the batch per
+    kernel tap.
     """
     images, labels = batch
     images = np.asarray(images, dtype=np.float32)

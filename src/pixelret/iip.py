@@ -102,12 +102,21 @@ def bin_class(v: float, num_classes: int) -> int:
     return int(bin_classes(np.float64(v), num_classes))
 
 
-def class_value(c: int, num_classes: int) -> float:
-    """Bin midpoint; inverse of bin_classes up to quantization."""
+def class_values(num_classes: int) -> np.ndarray:
+    """Every class's bin midpoint, (c + 0.5) / C in float64, indexed by
+    class id; the inverse of bin_classes up to quantization."""
     _check_num_classes(num_classes, 1)
+    return (np.arange(num_classes) + 0.5) / num_classes
+
+
+def class_value(c: int, num_classes: int) -> float:
+    """class_values of one class id, an int; numpy ints, which
+    bin_classes returns, are converted."""
+    values = class_values(num_classes)
+    c = check_int("class id", int(c) if isinstance(c, np.integer) else c)
     if not 0 <= c < num_classes:
         raise RangeError(f"class {c} outside [0, {num_classes})")
-    return (c + 0.5) / num_classes
+    return float(values[c])
 
 
 def threshold_iip(m: IipMap, t: float) -> RasterGrid:

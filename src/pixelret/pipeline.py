@@ -7,25 +7,28 @@ Every entry point that runs a model (predict_map, recorrect, correct,
 bench_scaling) first checks it against the config, so a model trained on
 other tiling or classes is refused rather than deployed.
 
-The caller and a kept pool of forked processes each classify one pixel
-chunk (model, raster and tiling passed as arguments): window_field builds
+The caller and forked worker processes, started on demand and kept, each
+on its own pipe, classify one pixel chunk each (model, tiling and the crop
+of the raster that the chunk's windows read passed in the task); the caller
+reads every reply, even when its own chunk fails, and re-raises a worker's
+exception with its type.  Inference starts no thread.  window_field builds
 one compressed field per chunk, and predict_batch reads its windows one
 inference block at a time.  Field values are reduced by the same ops in
-the same order whatever chunk holds them, and the CNN classifies
-fixed-shape blocks in which a pixel's class does not depend on its slot or
-block-mates, so the map is bitwise identical for any worker count,
-chunking or region.
+the same order whatever chunk holds them, zero beyond the raster whether
+or not it is cropped, and the CNN classifies fixed-shape blocks in which a
+pixel's class does not depend on its slot or block-mates, so the map is
+bitwise identical for any worker count, chunking or region.
 """
 
 from __future__ import annotations
 
-import atexit
 import csv
 import multiprocessing
-import multiprocessing.pool
 import os
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from .classifier import ModelParams, predict_batch
 from .errors import (ConfigError, CoordError, DimMismatch, ParamError, ShapeError, check_int,
                      check_real)
 from .grid import RasterGrid
-from .iip import IipConfig, IipMap, bin_classes, class_value, threshold_iip
+from .iip import IipConfig, IipMap, bin_classes, class_values, threshold_iip
 from .layout import (
     Bbox,
     LayoutPattern,
@@ -193,13 +196,25 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _infer_chunk(
-    args: tuple[ModelParams, RasterGrid, np.ndarray, TilingConfig, np.ndarray],
-) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices."""
-    m, raster, flat, tiling, class_values = args
+def _task(m: ModelParams, raster: RasterGrid, flat: np.ndarray, tiling: TilingConfig,
+          table: np.ndarray) -> tuple:
+    """The task that classifies the raster pixels with the given flat
+    indices: the crop of the raster their windows read (their box plus the
+    window radius, clipped to the raster) and their coords on it."""
     coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
-    return class_values[predict_batch(m, window_field(raster, coords, tiling))]
+    r = tiling.window_radius
+    x0, y0 = np.maximum(coords.min(axis=0) - r, 0)
+    x1, y1 = np.minimum(coords.max(axis=0) + r + 1, (raster.width, raster.height))
+    crop = RasterGrid(int(x1 - x0), int(y1 - y0), raster.pixel_center(x0, y0),
+                      raster.px_per_nm, raster.values[y0:y1, x0:x1])
+    return m, crop, coords - (x0, y0), tiling, table
+
+
+def _infer_chunk(task: tuple) -> np.ndarray:
+    """Class values (table indexed by class id) of the pixels at coords on
+    the (cropped) raster."""
+    m, raster, coords, tiling, table = task
+    return table[predict_batch(m, window_field(raster, coords, tiling))]
 
 
 def _infer(
@@ -210,40 +225,110 @@ def _infer(
     num_classes: int,
     workers: int,
 ) -> np.ndarray:
-    class_values = np.array([class_value(c, num_classes) for c in range(num_classes)])
+    global _pool
+    table = class_values(num_classes)
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        (m, raster, chunk, tiling, class_values)
+        _task(m, raster, chunk, tiling, table)
         for chunk in np.array_split(sel_flat, workers)
         if chunk.size
     ]
     if len(tasks) <= 1:
         parts = [_infer_chunk(t) for t in tasks]
-    else:
-        # This process classifies the first chunk while the pool does the rest.
-        rest = _worker_pool(len(tasks) - 1).map_async(_infer_chunk, tasks[1:], chunksize=1)
-        parts = [_infer_chunk(tasks[0]), *rest.get()]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+    pool = _worker_pool(len(tasks) - 1)
+    # Out of _pool for the call: a call cut short while it reads replies
+    # leaves some unread, so its workers are not reused.
+    _pool = (os.getpid(), ())
+    replies: list = []
+    try:
+        # The workers get their tasks first; this process classifies the
+        # first chunk meanwhile.
+        for worker, task in zip(pool, tasks[1:]):
+            replies.append(_send(worker, task))
+        first = _infer_chunk(tasks[0])
+    finally:
+        # Every task sent is answered, whatever was raised, so that no
+        # reply is left for the next call to read.
+        replies = [reply or _receive(worker) for worker, reply in zip(pool, replies)]
+        _pool = (os.getpid(), tuple(w for w in pool if not w[1].closed))
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+    return np.concatenate([first, *replies])
 
 
-# (owner pid, size, pool), kept so that only the first call at a worker
-# count starts processes; it holds no data, every task carries its own.
-_pool: tuple[int, int, multiprocessing.pool.Pool] | None = None
+# A worker: a forked process and this process's end of its pipe.
+_Worker = tuple[BaseProcess, Connection]
+
+# (owner pid, idle workers), kept so that only the first call at a worker
+# count starts processes; a worker holds no data, every task carries its
+# own.
+_pool: tuple[int, tuple[_Worker, ...]] = (os.getpid(), ())
 
 
-def _worker_pool(workers: int) -> multiprocessing.pool.Pool:
-    """A fork pool of at least `workers` processes (fork, not spawn: a
-    spawned worker would pay the package import), grown on demand.
-    """
+def _worker_pool(workers: int) -> tuple[_Worker, ...]:
+    """At least `workers` forked worker processes, started on demand
+    (fork, not spawn: a spawned worker would pay the package import).  A
+    forked child starts its own rather than use its parent's."""
     global _pool
-    if _pool is not None and _pool[0] == os.getpid():
-        if _pool[1] >= workers:
-            return _pool[2]
-        _pool[2].terminate()
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    atexit.register(pool.terminate)
-    _pool = (os.getpid(), workers, pool)
+    owner, pool = _pool
+    if owner != os.getpid():
+        for _, conn in pool:
+            conn.close()  # the parent's pipe ends, inherited by fork
+        pool = ()
+    ctx = multiprocessing.get_context("fork")
+    while len(pool) < workers:
+        conn, child_end = ctx.Pipe()
+        ends = [c for _, c in pool] + [conn]
+        proc = ctx.Process(target=_serve, args=(child_end, ends), daemon=True)
+        proc.start()
+        child_end.close()
+        pool += ((proc, conn),)
+    _pool = (os.getpid(), pool)
     return pool
+
+
+def _serve(conn: Connection, ends: list[Connection]) -> None:
+    """A worker: answer each task from conn with its class values, or with
+    the exception it raised, until the caller closes the pipe."""
+    for end in ends:
+        end.close()  # the caller's ends, so that its exit reaches recv as EOF
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _infer_chunk(task)
+        except Exception as e:
+            reply = e
+        conn.send(reply)
+
+
+def _send(worker: _Worker, task: tuple) -> RuntimeError | None:
+    try:
+        worker[1].send(task)
+    except OSError:
+        return _lost(worker)
+    return None
+
+
+def _receive(worker: _Worker):
+    try:
+        return worker[1].recv()
+    except (EOFError, OSError):
+        return _lost(worker)
+
+
+def _lost(worker: _Worker) -> RuntimeError:
+    """The error for a worker that has died; its pipe end is closed, which
+    keeps it out of the pool, and it is reaped."""
+    proc, conn = worker
+    conn.close()
+    proc.kill()
+    proc.join()
+    return RuntimeError(f"inference worker {proc.pid} died (exit code {proc.exitcode})")
 
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
@@ -367,7 +452,7 @@ def bench_scaling(
     outputs, and report speedup and efficiency relative to the single-worker
     run.
 
-    An untimed warm-up call starts the worker pool; each repeat then yields
+    An untimed warm-up call starts the workers; each repeat then yields
     the mean of as many calls as fill 0.2 s (a small workload's call lasts
     milliseconds), and the wall time is the median over repeats.
     """

@@ -182,11 +182,15 @@ class PixelDataset:
         # sample_source_index unset and key on coord alone.
         src = self.meta.get("sample_source_index")
         if src is None:
-            src = [0] * n
-        elif not isinstance(src, list) or len(src) != n or any(type(s) is not int for s in src):
-            raise FormatError("sample_source_index must list one integer per sample")
-        keys = {(s, int(x), int(y)) for s, (x, y) in zip(src, self.coords)}
-        if n != len(keys):
+            src = np.zeros(n, np.int64)
+        elif not isinstance(src, list) or len(src) != n or any(
+            type(s) is not int or not -(2**63) <= s < 2**63 for s in src
+        ):
+            raise FormatError("sample_source_index must list one int64 integer per sample")
+        # Sorted (source, x, y) rows: a duplicate sits next to its twin.
+        keys = np.column_stack([src, self.coords]).astype(np.int64)
+        keys = keys[np.lexsort(keys.T)]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise FormatError("duplicate (coord, source) pairs in dataset")
 
     def __len__(self) -> int:

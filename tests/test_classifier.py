@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pixelret import classifier
 from pixelret.classifier import (
@@ -159,6 +160,69 @@ def per_sample_backward(m, images, labels):
             w2 = m.weights[f"conv{i}_w"].reshape(b.filters, -1)
             dx = _col2im(np.matmul(w2.T, dz), in_shape, b.kernel, b.stride, oh, ow)
     return loss, grads
+
+
+# The batch-last patch copy and scatter that classifier._im2col and
+# _col2im replaced, kept as their bitwise oracles: one reshape of a strided
+# window view, whose copy moves runs of n values, and nine strided adds
+# into a zeroed input.
+
+def window_view_im2col(x, k, s):
+    v = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    c, oh, ow, n = v.shape[:4]
+    return v.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n), oh, ow
+
+
+def nine_add_col2im(dcols, xshape, k, s, oh, ow):
+    dx = np.zeros(xshape, dtype=dcols.dtype)
+    dc = dcols.reshape(xshape[0], k, k, oh, ow, xshape[3])
+    for ky in range(k):
+        for kx in range(k):
+            dx[:, ky : ky + s * oh : s, kx : kx + s * ow : s] += dc[:, ky, kx]
+    return dx
+
+
+class TestPatchCopies:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_match_oracles(self, rng, s, k):
+        for side in (7, 8, 11, 12):
+            for c in (1, 8):
+                for n in (1, 32):
+                    x = rng.standard_normal((c, side, side, n)).astype(np.float32)
+                    cols, oh, ow = classifier._im2col(x, k, s)
+                    want, *want_sides = window_view_im2col(x, k, s)
+                    assert [oh, ow] == want_sides
+                    assert cols.shape == want.shape and np.array_equal(cols, want)
+                    # Signed zeros included, so that the sums' order shows.
+                    d = rng.standard_normal(cols.shape).astype(np.float32)
+                    d[:, ::5] = -0.0
+                    dx = classifier._col2im(d, x.shape, k, s, oh, ow)
+                    want = nine_add_col2im(d, x.shape, k, s, oh, ow)
+                    assert dx.shape == want.shape
+                    assert np.array_equal(dx.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("toy, n", [(True, 32), (False, 4)], ids=["toy", "default"])
+    def test_training_and_inference_match_oracles(self, rng, monkeypatch, toy, n):
+        arch = load_config(None, toy, {}).arch()
+        m = init_model(arch, seed=5)
+        images = rng.random((n, arch.input_side, arch.input_side)).astype(np.float32)
+        labels = rng.integers(0, arch.num_classes, n)
+
+        def run():
+            loss, grads = backward(m, (images, labels))
+            return loss, grads, _forward(m, images), predict_batch(m, images)
+
+        got = run()
+        monkeypatch.setattr(classifier, "_im2col", window_view_im2col)
+        monkeypatch.setattr(classifier, "_col2im", nine_add_col2im)
+        want = run()
+        assert got[0] == want[0]
+        assert sorted(got[1]) == sorted(want[1])
+        for name, g in want[1].items():
+            assert np.array_equal(got[1][name].view(np.uint32), g.view(np.uint32)), name
+        assert np.array_equal(got[2].view(np.uint32), want[2].view(np.uint32))
+        assert np.array_equal(got[3], want[3])
 
 
 class TestArchValidation:

@@ -16,6 +16,7 @@ from pixelret.iip import (
     bin_class,
     bin_classes,
     class_value,
+    class_values,
     compute_iip,
     export_iip,
     import_iip,
@@ -127,6 +128,15 @@ class TestBinning:
         assert class_value(19, 20) == pytest.approx(0.975)
         assert class_value(50, 100) == pytest.approx(0.505)
 
+    def test_class_values_table(self):
+        for C in (1, 2, 20, 100, 65536):
+            table = class_values(C)
+            assert table.dtype == np.float64 and table.shape == (C,)
+            assert table.tolist() == [(c + 0.5) / C for c in range(C)]
+            assert class_value(C - 1, C) == table[-1]
+        with pytest.raises(ParamError):
+            class_values(0)
+
     def test_roundtrip_class_value(self):
         for C in (2, 20, 100):
             for c in range(C):
@@ -139,6 +149,20 @@ class TestBinning:
             class_value(0, 0)
         # a single class is degenerate but well defined
         assert bin_class(0.7, 1) == 0
+
+    @pytest.mark.parametrize("c", [True, False, 1.5, 1.0, "1", None, np.float32(1)])
+    def test_class_value_refuses_non_integer_id(self, c):
+        with pytest.raises(ParamError, match="class id"):
+            class_value(c, 20)
+
+    def test_class_value_takes_numpy_ints(self):
+        for c in (np.uint16(3), np.int64(3)):
+            value = class_value(c, 20)
+            assert value == class_value(3, 20) and type(value) is float
+        with pytest.raises(RangeError):
+            class_value(np.int64(20), 20)
+        with pytest.raises(RangeError):
+            class_value(-1, 20)
 
 
 class TestThreshold:

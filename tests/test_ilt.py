@@ -416,14 +416,8 @@ TWO_CPUS = pytest.mark.skipif(
 
 
 def prepare_fork():
-    """Ends the worker pool an earlier pipeline test may have left, whose
-    handler threads keep ILT's checks inline, so that this process runs
-    one thread, as a new program that imports pixelret first does."""
-    if pipeline._pool is not None:
-        pool = pipeline._pool[2]
-        pipeline._pool = None
-        pool.terminate()
-        pool.join()
+    """Asserts that this process runs one thread, as a new program that
+    imports pixelret first does, so that ILT may fork its checker."""
     assert ilt._may_fork(), "this process runs other threads, such as a BLAS pool's"
 
 
@@ -560,16 +554,19 @@ class TestChecker:
             optimize_mask(random_target(rng, side=512), small_litho(), IltConfig(steps=20))
         assert children() == before
 
+    @TWO_CPUS
     def test_with_worker_pool_alive(self, rng, checker_pids):
-        # The pool's handler threads make the call check inline.
-        pool = pipeline._worker_pool(2)
-        workers = {p.pid for p in pool._pool}
-        assert workers <= children()
+        # Inference workers start no thread here, so the checker still
+        # forks, and the call leaves the workers running.
+        pipeline._worker_pool(2)
+        workers = [proc for proc, _ in pipeline._pool[1]]
+        prepare_fork()
         before = children()
+        assert {proc.pid for proc in workers} <= before
         assert_equals_oracle(rng)
+        assert checker_pids == []
         assert children() == before
-        assert workers <= before
-        assert checker_pids and set(checker_pids) == {os.getpid()}
+        assert all(proc.is_alive() for proc in workers)
 
 
 class TestLossHistoryFile:

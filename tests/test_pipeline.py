@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -93,16 +95,6 @@ class TestPredictMap:
         assert np.array_equal(a.grid.values, b.grid.values)
         assert np.array_equal(a.grid.values, c.grid.values)
 
-    def test_worker_pool_kept_between_calls(self):
-        m = toy_model()
-        pool = pipeline._worker_pool(2)
-        a = predict_map(m, PATTERN, toy_cfg(workers=3))
-        b = predict_map(m, PATTERN, toy_cfg(workers=2))
-        assert pipeline._worker_pool(2) is pool
-        assert np.array_equal(a.grid.values, b.grid.values)
-        # a call that needs more processes replaces the pool
-        assert pipeline._worker_pool(pipeline._pool[1] + 1) is not pool
-
     def test_translation_consistency(self):
         m = toy_model()
         moved = LayoutPattern([rect(8 + 4, 8 + 4, 24 + 4, 24 + 4)])
@@ -137,6 +129,170 @@ class TestPredictMap:
         # bbox (8,8,24,24) expanded by interaction distance 8 on all sides
         assert g.bbox_nm() == (0.0, 0.0, 32.0, 32.0)
         assert g.shape == (32, 32)
+
+
+def worker_pids():
+    return [proc.pid for proc, _ in pipeline._pool[1]]
+
+
+def report_workers(conn, m):
+    """Runs in a forked child: its map at 2 workers and its workers' pids."""
+    out = predict_map(m, PATTERN, toy_cfg(workers=2))
+    conn.send((worker_pids(), out.grid.values))
+
+
+class TestWorkers:
+    """Inference workers are forked on demand, each on its own pipe, and
+    kept between calls; every call reads back exactly its own replies."""
+
+    def test_workers_reused(self):
+        m = toy_model()
+        want = predict_map(m, PATTERN, toy_cfg()).grid.values
+        a = predict_map(m, PATTERN, toy_cfg(workers=2))
+        pids = worker_pids()
+        assert pids
+        b = predict_map(m, PATTERN, toy_cfg(workers=2))
+        assert worker_pids() == pids
+        # A call that needs more workers keeps these and starts the rest.
+        c = predict_map(m, PATTERN, toy_cfg(workers=len(pids) + 2))
+        assert worker_pids()[: len(pids)] == pids
+        assert len(worker_pids()) == len(pids) + 1
+        for out in (a, b, c):
+            assert np.array_equal(out.grid.values, want)
+
+    def test_forked_child_starts_its_own(self):
+        m = toy_model()
+        predict_map(m, PATTERN, toy_cfg(workers=2))
+        parent = worker_pids()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=report_workers, args=(send, m))
+        child.start()
+        assert receive.poll(120)
+        pids, values = receive.recv()
+        child.join(60)
+        assert child.exitcode == 0
+        assert pids and not set(pids) & set(parent)
+        assert np.array_equal(values, predict_map(m, PATTERN, toy_cfg()).grid.values)
+        assert worker_pids() == parent
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        m = toy_model()
+        want = predict_map(m, PATTERN, toy_cfg()).grid.values
+        real = pipeline._task
+
+        def off_crop(m, raster, flat, tiling, table):
+            # Every chunk but the caller's (which starts at pixel 0) gets
+            # coords past its crop, which window_field refuses.
+            task = real(m, raster, flat, tiling, table)
+            if flat[0]:
+                task = (*task[:2], task[2] + (0, raster.height), *task[3:])
+            return task
+
+        monkeypatch.setattr(pipeline, "_task", off_crop)
+        with pytest.raises(CoordError, match="outside grid"):
+            predict_map(m, PATTERN, toy_cfg(workers=3))
+        pids = worker_pids()
+        monkeypatch.undo()
+        assert np.array_equal(predict_map(m, PATTERN, toy_cfg(workers=3)).grid.values, want)
+        assert worker_pids() == pids
+
+    def test_killed_worker_named_then_replaced(self):
+        m = toy_model()
+        want = predict_map(m, PATTERN, toy_cfg()).grid.values
+        predict_map(m, PATTERN, toy_cfg(workers=2))
+        proc = pipeline._pool[1][0][0]
+        proc.kill()
+        proc.join(60)
+        assert not proc.is_alive()
+        with pytest.raises(RuntimeError, match=f"worker {proc.pid} died"):
+            predict_map(m, PATTERN, toy_cfg(workers=2))
+        assert proc.pid not in worker_pids()
+        assert np.array_equal(predict_map(m, PATTERN, toy_cfg(workers=2)).grid.values, want)
+        assert proc.pid not in worker_pids()
+
+    def test_error_in_callers_chunk_drains_replies(self, monkeypatch):
+        m, m2 = toy_model(), toy_model(seed=9)
+        predict_map(m, PATTERN, toy_cfg(workers=3))  # forks the workers unpatched
+        pids = worker_pids()
+
+        def failing(task):
+            raise ZeroDivisionError("the caller's chunk")
+
+        monkeypatch.setattr(pipeline, "_infer_chunk", failing)
+        with pytest.raises(ZeroDivisionError):
+            predict_map(m, PATTERN, toy_cfg(workers=3))
+        monkeypatch.undo()
+        # The next call reads its own replies, not the failed call's.
+        want = predict_map(m2, PATTERN, toy_cfg()).grid.values
+        assert np.array_equal(predict_map(m2, PATTERN, toy_cfg(workers=3)).grid.values, want)
+        assert worker_pids() == pids
+
+    def test_call_cut_short_in_its_replies(self, monkeypatch):
+        m, m2 = toy_model(), toy_model(seed=9)
+        predict_map(m, PATTERN, toy_cfg(workers=2))
+        pids = worker_pids()
+
+        def interrupted(worker):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "_receive", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            predict_map(m, PATTERN, toy_cfg(workers=2))
+        monkeypatch.undo()
+        # Its workers, whose replies were never read, are not reused.
+        want = predict_map(m2, PATTERN, toy_cfg()).grid.values
+        assert np.array_equal(predict_map(m2, PATTERN, toy_cfg(workers=2)).grid.values, want)
+        assert worker_pids() and not set(worker_pids()) & set(pids)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_boxes_at_raster_edges(self, workers, factor):
+        # Each chunk's task holds only the raster its windows read, so
+        # boxes at every edge and corner cut crops that the raster clips.
+        # At factor 1 a window reads its whole side, radius included; at
+        # factor 2 compression trims its far edge.
+        cfg = toy_cfg()
+        cfg.tiling.compression_factor = factor
+        arch = ArchDescriptor(cfg.tiling.output_side, 5, [ConvBlock(4), ConvBlock(8)])
+        m1, m2 = init_model(arch, seed=0), init_model(arch, seed=9)
+        prior = predict_map(m1, PATTERN, cfg)
+        fresh = predict_map(m2, PATTERN, cfg).grid.values
+        x0, y0, x1, y1 = prior.grid.bbox_nm()
+        corners = [
+            (x0 + fx * (x1 - x0 - 6), y0 + fy * (y1 - y0 - 6))
+            for fy in (0, 0.5, 1) for fx in (0, 0.5, 1)
+        ]
+        regions = [[(x, y, x + 6, y + 6)] for x, y in corners]
+        regions.append([(x, y, x + 6, y + 6) for x, y in corners[::8]])
+        cfg.workers = workers
+        for region in regions:
+            out = recorrect(prior, PATTERN, region, m2, cfg)
+            mask = pipeline._bbox_pixel_mask(prior.grid, region)
+            assert np.array_equal(out.grid.values[mask], fresh[mask])
+            assert np.array_equal(out.grid.values[~mask], prior.grid.values[~mask])
+
+    def test_task_crop(self):
+        raster = deployment_raster(PATTERN, toy_cfg().tiling)  # 32 x 32, radius 8
+        flat = np.array([20 * 32 + 10, 20 * 32 + 12, 22 * 32 + 11])
+        _, crop, coords, _, _ = pipeline._task(toy_model(), raster, flat, toy_cfg().tiling, None)
+        assert crop.shape == (31 - 12, 21 - 2)
+        assert np.array_equal(crop.values, raster.values[12:31, 2:21])
+        assert crop.origin == raster.pixel_center(2, 12)
+        assert np.array_equal(coords, [[8, 8], [10, 8], [9, 10]])
+        # Clipped to the raster at its corner.
+        _, crop, coords, _, _ = pipeline._task(toy_model(), raster, np.array([0, 33]),
+                                               toy_cfg().tiling, None)
+        assert crop.shape == (10, 10) and crop.origin == raster.origin
+        assert np.array_equal(coords, [[0, 0], [1, 1]])
+
+    def test_no_process_accumulates(self):
+        m = toy_model()
+        predict_map(m, PATTERN, toy_cfg(workers=3))
+        before = {p.pid for p in multiprocessing.active_children()}
+        for workers in (2, 3, 1, 3, 2):
+            predict_map(m, PATTERN, toy_cfg(workers=workers))
+        assert {p.pid for p in multiprocessing.active_children()} <= before
 
 
 class TestRecorrect:

@@ -458,6 +458,7 @@ class TestDatasetIO:
         ("num_samples", None), ("num_samples", -1), ("num_samples", True),
         ("num_classes", "5"), ("checksums", []), ("sample_source_index", 5),
         ("sample_source_index", [[0]]),  # one unhashable entry per sample
+        ("sample_source_index", [2**63]),  # one entry beyond int64 per sample
     ])
     def test_malformed_meta_rejected(self, tmp_path, key, value):
         ds, _ = build_small(cap=30)
@@ -476,8 +477,23 @@ class TestPixelDataset:
         labels = np.concatenate([ds.labels, ds.labels[:1]])
         coords = np.concatenate([ds.coords, ds.coords[:1]])
         splits = np.concatenate([ds.splits, ds.splits[:1]])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="duplicate"):
             PixelDataset(images, labels, coords, splits, dict(ds.meta))
+
+    def test_sample_identity_is_source_and_coord(self):
+        def dataset(sources):
+            n = len(sources)
+            coords = np.array([[1, 2], [1, 2], [2, 1], [1, 2]], np.int32)[:n]
+            return PixelDataset(
+                np.zeros((n, 4, 4), np.float32), np.zeros(n, np.uint16), coords,
+                np.zeros(n, np.uint8), {"num_classes": 5, "sample_source_index": sources},
+            )
+
+        # Equal coords in other sources, and (x, y) beside (y, x), are kept.
+        assert len(dataset([0, 1, 0, 2])) == 4
+        for sources in ([0, 1, 0, 1], [3, 3, 0], [0, 1, 1, 0]):
+            with pytest.raises(FormatError, match="duplicate"):
+                dataset(sources)
 
 
 class TestFieldBackedImages:
