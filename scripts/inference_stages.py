@@ -8,7 +8,10 @@ it ran in blocks) and once for the block forward at the arch's
 inference_block size; and the wall time of one pipeline._infer_chunk call
 on a 200-pixel chunk of a 20 x 20 px box of a toy line-space raster, the
 shape of one worker's share of a recorrect request, with the raster crop
-that pipeline._task gives the chunk.  The block forward's
+that pipeline._task gives the chunk, followed by the share of the chunk's
+windows that predict_batch classifies (one per distinct window) and the
+time it spends reading and fingerprinting them, and on the sort and bit
+compare that find the copies.  The block forward's
 timed steps are checked to give classifier._forward's logits bit for bit.
 OpenBLAS is pinned to one thread, as in the benchmark.
 
@@ -26,11 +29,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from pixelret.classifier import _forward, _im2col, inference_block, init_model
+from pixelret.classifier import _distinct, _forward, _im2col, _probe, inference_block, init_model
 from pixelret.cli import load_config
 from pixelret.iip import class_values
 from pixelret.layout import generate_test_pattern
 from pixelret.pipeline import _infer_chunk, _task, deployment_raster
+from pixelret.tiling import window_field
 
 
 def per_sample_steps(m, images, clock):
@@ -68,6 +72,17 @@ def block_steps(m, images, clock):
     out = x.reshape(x.shape[0], -1, n).mean(axis=1).T @ m.weights["dense_w"].T + m.weights["dense_b"]
     clock("pool+dense")
     return out
+
+
+def median_ms(f, reps):
+    """Median milliseconds of f() over reps calls, after two untimed ones."""
+    times = []
+    for rep in range(reps + 2):
+        t0 = time.perf_counter()
+        f()
+        if rep >= 2:
+            times.append(time.perf_counter() - t0)
+    return 1000.0 * float(np.median(times))
 
 
 def step_times(steps, m, images, reps):
@@ -113,15 +128,31 @@ def main() -> None:
     ys, xs = np.mgrid[: 20, : 20]
     flat = ((raster.height // 2 + ys) * raster.width + raster.width // 2 + xs).ravel()[:200]
     task = _task(m, raster, flat, tiling, class_values(num_classes))
-    times = []
-    for rep in range(args.reps + 2):
-        t0 = time.perf_counter()
-        _infer_chunk(task)
-        if rep >= 2:
-            times.append(time.perf_counter() - t0)
     print(
         f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, block "
-        f"{inference_block(m.arch)}: {1000.0 * np.median(times):.2f} ms (median of {args.reps})"
+        f"{inference_block(m.arch)}: {median_ms(lambda: _infer_chunk(task), args.reps):.2f} ms "
+        f"(median of {args.reps})"
+    )
+    # predict_batch's fingerprints of the chunk's windows, one block read
+    # at a time, then its sort and bit compare (one group: 200 windows).
+    _, crop, coords, _, _ = task
+    windows = window_field(crop, coords, tiling)
+    size, block, n = m.arch.input_side**2, inference_block(m.arch), len(windows)
+    probe = _probe(size)
+
+    def fingerprints():
+        return np.concatenate([
+            np.asarray(windows[s : s + block]).reshape(-1, size) @ probe for s in range(0, n, block)
+        ])
+
+    fp = fingerprints()
+    distinct = len(_distinct(windows, fp, block)[0])
+    fp_ms = median_ms(fingerprints, args.reps)
+    compare_ms = median_ms(lambda: _distinct(windows, fp, block), args.reps)
+    print(
+        f"  distinct windows {distinct} of {n} ({distinct / n:.2f}); reading and "
+        f"fingerprinting {fp_ms:.3f} ms, sort and bit compare {compare_ms:.3f} ms "
+        f"(medians of {args.reps})"
     )
 
 

@@ -15,7 +15,10 @@ exactly inference_block images, the last one zero-padded.  At those fixed
 call shapes every image's logits come out bitwise the same whatever its
 slot in the block and whatever images share it (the tests check this).
 predict_batch is the one place that cuts blocks; validation and deployment
-hand it a WindowStack, and it reads one block of windows at a time.
+hand it a WindowStack, which it reads one block of windows at a time.  It
+classifies each distinct window of a group once, found by a fingerprint
+and confirmed by comparing bits, and gives its class to every copy: equal
+bits in give equal bits out, so no class changes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ MOMENTUM = 0.9
 # three blocks of work on a 10^4-pixel map.
 BLOCK_BYTES = 3 << 19
 BLOCK_IMAGES = 128
+# Images that predict_batch deduplicates as one group.  A group holds only
+# their fingerprints and indices, about 70 bytes an image; their bits are
+# read a block at a time.  Copies lie rows apart in a raster, so a larger
+# group finds more: on whole toy patterns, groups of 2,048, 16,384 and all
+# pixels left iso60 0.70, 0.67 and 0.66 of the windows to classify, and
+# ls140 0.31, 0.20 and 0.18.  Groups of 288 left 0.97-1.00.
+GROUP_IMAGES = 16384
 
 
 @dataclass
@@ -238,28 +248,84 @@ def inference_block(arch: ArchDescriptor) -> int:
     return max(1, min(BLOCK_IMAGES, BLOCK_BYTES // largest))
 
 
+def _probe(size: int) -> np.ndarray:
+    """The fixed vector whose dot product with a flattened image is its
+    fingerprint."""
+    return np.random.Generator(np.random.PCG64(0)).random(size, dtype=np.float32)
+
+
+def _distinct(images: WindowStack, fp: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over images whose fingerprints are fp: the ascending
+    indices of one image of each distinct float32 bit pattern, and each
+    image's index into first.
+
+    Images are sorted by fingerprint.  An image joins the first image of
+    its fingerprint's run only if their bits are equal, so a fingerprint
+    collision costs a classification, never a wrong class, as does a copy
+    whose fingerprint BLAS rounds differently.  The bits are read and
+    compared step pairs at a time.
+    """
+    k = len(fp)
+    order = np.argsort(fp, kind="stable")
+    fp = fp[order]
+    starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
+    leader = order[np.repeat(starts, np.diff(np.r_[starts, k]))]
+    copies = order.copy()  # per sorted image: the image it is a copy of
+    pairs = np.flatnonzero(leader != order)
+    for s in range(0, len(pairs), step):
+        j = pairs[s : s + step]
+        a, b = images[order[j]].view(np.uint32), images[leader[j]].view(np.uint32)
+        j = j[(a == b).reshape(len(j), -1).all(axis=1)]
+        copies[j] = leader[j]
+    rep = np.empty(k, dtype=np.intp)
+    rep[order] = copies
+    first = np.flatnonzero(rep == np.arange(k))
+    return first, np.searchsorted(first, rep)
+
+
 def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarray:
     """Argmax class per image; ties resolve to the lower class index.
 
-    Images run through _forward in blocks of exactly inference_block
+    Classifies each distinct image of a group of GROUP_IMAGES once: equal
+    bits in give equal bits out.  The distinct images, in order of first
+    appearance, run through _forward in blocks of exactly inference_block
     images, the last one zero-padded, so every image goes through the same
-    GEMM call shapes and its class does not depend on its batch.  This is
-    the one loop that cuts inference blocks: it reads one block of a
-    WindowStack at a time, so the whole image stack is never held.
+    GEMM call shapes and its class depends neither on its batch nor on
+    which copy of it ran.  A group's images are read a block at a time, to
+    be fingerprinted, compared and classified, so the whole image stack is
+    never held.  This is the one loop that cuts inference blocks.
     """
     if not isinstance(images, WindowStack):
         images = np.asarray(images)
     shape = images.shape
     if len(shape) != 3 or shape[1] != shape[2] or shape[1] != m.arch.input_side:
         raise ShapeError(f"images {shape} incompatible with model")
-    n, block = shape[0], inference_block(m.arch)
-    out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, block):
-        part = np.asarray(images[start : start + block], dtype=np.float32)
-        if len(part) < block:
-            part = np.pad(part, ((0, block - len(part)), (0, 0), (0, 0)))
-        out[start : start + block] = np.argmax(_forward(m, part)[: n - start], axis=1)
-    return out
+    if not isinstance(images, WindowStack):
+        images = WindowStack.of_array(images)
+    n, block, size = shape[0], inference_block(m.arch), shape[1] * shape[2]
+    probe = _probe(size)
+    ids = np.empty(n, dtype=np.intp)  # each image's number among the distinct ones
+    classes = np.empty(n, dtype=np.int64)  # per distinct image
+    buf = np.zeros((block, *shape[1:]), dtype=np.float32)
+    done = fill = 0  # distinct images classified, and waiting in buf
+    for start in range(0, n, GROUP_IMAGES):
+        group = images.take(np.arange(start, min(n, start + GROUP_IMAGES)))
+        fp = np.concatenate([
+            group[s : s + block].reshape(-1, size) @ probe for s in range(0, len(group), block)
+        ])
+        first, inverse = _distinct(group, fp, block)
+        ids[start : start + len(group)] = done + fill + inverse
+        while len(first):
+            take, first = first[: block - fill], first[block - fill :]
+            buf[fill : fill + len(take)] = group[take]
+            fill += len(take)
+            if fill == block:
+                classes[done : done + block] = np.argmax(_forward(m, buf), axis=1)
+                done, fill = done + block, 0
+    if fill:
+        buf[fill:] = 0
+        classes[done : done + fill] = np.argmax(_forward(m, buf)[:fill], axis=1)
+    return classes[ids]
 
 
 def _col2im(dcols: np.ndarray, xshape: tuple, k: int, s: int, oh: int, ow: int) -> np.ndarray:

@@ -9,19 +9,22 @@ other tiling or classes is refused rather than deployed.
 
 The caller and forked worker processes, started on demand and kept, each
 on its own pipe, classify one pixel chunk each (model, tiling and the crop
-of the raster that the chunk's windows read passed in the task); the caller
-reads every reply, even when its own chunk fails, and re-raises a worker's
-exception with its type.  Inference starts no thread.  window_field builds
-one compressed field per chunk, and predict_batch reads its windows one
-inference block at a time.  Field values are reduced by the same ops in
-the same order whatever chunk holds them, zero beyond the raster whether
-or not it is cropped, and the CNN classifies fixed-shape blocks in which a
-pixel's class does not depend on its slot or block-mates, so the map is
-bitwise identical for any worker count, chunking or region.
+of the raster that the chunk's windows read passed in the task; a worker
+keeps the last model it received, and a task leaves out a model equal to
+it); the caller reads every reply, even when its own chunk fails, and
+re-raises a worker's exception with its type.  Inference starts no thread.
+window_field builds one compressed field per chunk, and predict_batch
+classifies each distinct window of a group once.  Field values are reduced
+by the same ops in the same order whatever chunk holds them, zero beyond
+the raster whether or not it is cropped; equal windows get the class of
+one of them, and the CNN classifies fixed-shape blocks in which a window's
+class does not depend on its slot or block-mates, so the map is bitwise
+identical for any worker count, chunking or region.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import multiprocessing
 import os
@@ -251,19 +254,26 @@ def _infer(
         # Every task sent is answered, whatever was raised, so that no
         # reply is left for the next call to read.
         replies = [reply or _receive(worker) for worker, reply in zip(pool, replies)]
-        _pool = (os.getpid(), tuple(w for w in pool if not w[1].closed))
+        _pool = (os.getpid(), tuple(w for w in pool if not w.conn.closed))
     for reply in replies:
         if isinstance(reply, BaseException):
             raise reply
     return np.concatenate([first, *replies])
 
 
-# A worker: a forked process and this process's end of its pipe.
-_Worker = tuple[BaseProcess, Connection]
+@dataclass(eq=False)
+class _Worker:
+    """A forked process, this process's end of its pipe, and a copy of the
+    last model sent to it, which the process keeps."""
+
+    proc: BaseProcess
+    conn: Connection
+    model: ModelParams | None = None
+
 
 # (owner pid, idle workers), kept so that only the first call at a worker
-# count starts processes; a worker holds no data, every task carries its
-# own.
+# count starts processes; a worker holds no data but its last model, and
+# every task carries the rest.
 _pool: tuple[int, tuple[_Worker, ...]] = (os.getpid(), ())
 
 
@@ -274,31 +284,36 @@ def _worker_pool(workers: int) -> tuple[_Worker, ...]:
     global _pool
     owner, pool = _pool
     if owner != os.getpid():
-        for _, conn in pool:
-            conn.close()  # the parent's pipe ends, inherited by fork
+        for w in pool:
+            w.conn.close()  # the parent's pipe ends, inherited by fork
         pool = ()
     ctx = multiprocessing.get_context("fork")
     while len(pool) < workers:
         conn, child_end = ctx.Pipe()
-        ends = [c for _, c in pool] + [conn]
+        ends = [w.conn for w in pool] + [conn]
         proc = ctx.Process(target=_serve, args=(child_end, ends), daemon=True)
         proc.start()
         child_end.close()
-        pool += ((proc, conn),)
+        pool += (_Worker(proc, conn),)
     _pool = (os.getpid(), pool)
     return pool
 
 
 def _serve(conn: Connection, ends: list[Connection]) -> None:
     """A worker: answer each task from conn with its class values, or with
-    the exception it raised, until the caller closes the pipe."""
+    the exception it raised, until the caller closes the pipe.  A task
+    whose model is None is for the last model received."""
     for end in ends:
         end.close()  # the caller's ends, so that its exit reaches recv as EOF
+    model = None
     while True:
         try:
             task = conn.recv()
         except EOFError:
             return
+        if task[0] is None:
+            task = (model, *task[1:])
+        model = task[0]
         try:
             reply = _infer_chunk(task)
         except Exception as e:
@@ -307,16 +322,31 @@ def _serve(conn: Connection, ends: list[Connection]) -> None:
 
 
 def _send(worker: _Worker, task: tuple) -> RuntimeError | None:
+    """Send a task, without its model when the worker holds an equal one.
+    Models are compared by value, since a caller may change one in place."""
+    m = task[0]
+    held = worker.model is not None and _same_model(worker.model, m)
     try:
-        worker[1].send(task)
+        worker.conn.send((None, *task[1:]) if held else task)
     except OSError:
         return _lost(worker)
+    if not held:
+        worker.model = copy.deepcopy(m)
     return None
+
+
+def _same_model(a: ModelParams, b: ModelParams) -> bool:
+    """Whether a and b have equal archs and bitwise equal weights."""
+    return a.arch == b.arch and a.weights.keys() == b.weights.keys() and all(
+        w.dtype == b.weights[k].dtype and w.shape == b.weights[k].shape
+        and w.tobytes() == b.weights[k].tobytes()
+        for k, w in a.weights.items()
+    )
 
 
 def _receive(worker: _Worker):
     try:
-        return worker[1].recv()
+        return worker.conn.recv()
     except (EOFError, OSError):
         return _lost(worker)
 
@@ -324,11 +354,12 @@ def _receive(worker: _Worker):
 def _lost(worker: _Worker) -> RuntimeError:
     """The error for a worker that has died; its pipe end is closed, which
     keeps it out of the pool, and it is reaped."""
-    proc, conn = worker
-    conn.close()
-    proc.kill()
-    proc.join()
-    return RuntimeError(f"inference worker {proc.pid} died (exit code {proc.exitcode})")
+    worker.conn.close()
+    worker.proc.kill()
+    worker.proc.join()
+    return RuntimeError(
+        f"inference worker {worker.proc.pid} died (exit code {worker.proc.exitcode})"
+    )
 
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:

@@ -457,6 +457,73 @@ def test_predict_batch_reads_one_block_at_a_time():
         predict_batch(init_model(tiny_arch(), seed=0), windows)
 
 
+def rectangle_windows(side):
+    """Field-backed 16 x 16 px windows of every pixel of a side x side px
+    raster holding one rectangle: long uniform runs, so most windows have
+    equal copies."""
+    t = TilingConfig(interaction_distance=16.0, px_per_nm=1.0, compression_factor=2)
+    raster = rasterize(LayoutPattern([rect(20, 20, side - 20, side - 30)]), 1.0, (0, 0, side, side))
+    ys, xs = np.mgrid[:side, :side]
+    return window_field(raster, np.stack([xs.ravel(), ys.ravel()], axis=1), t)
+
+
+class TestDistinctImages:
+    """predict_batch classifies each distinct image of a group once; its
+    classes are still bitwise those of each image on its own."""
+
+    def images(self, rng):
+        """Copies of a few images, binary and not, with signed zeros."""
+        base = rng.random((12, 8, 8)).astype(np.float32)
+        base[::2] = base[::2] > 0.5
+        base[3] = 0.0
+        base[4] = -0.0
+        return base[rng.integers(0, len(base), 300)]
+
+    def test_copies_classified_once(self, rng, monkeypatch):
+        m = init_model(tiny_arch(), seed=3)
+        images = self.images(rng)
+        want = np.array([predict(m, x) for x in images])
+        calls = record_forward(monkeypatch)
+        assert np.array_equal(predict_batch(m, images), want)
+        assert [len(x) for x, _ in calls] == [inference_block(m.arch)]
+
+    def test_every_fingerprint_colliding(self, rng, monkeypatch):
+        # A zero probe gives every image the same fingerprint, so only the
+        # bit compare keeps unequal images apart.
+        m = init_model(tiny_arch(), seed=3)
+        images = self.images(rng)
+        want = np.array([predict(m, x) for x in images])
+        monkeypatch.setattr(classifier, "_probe", lambda size: np.zeros(size, np.float32))
+        assert np.array_equal(predict_batch(m, images), want)
+        assert np.array_equal(predict_batch(m, WindowStack.of_array(images)), want)
+
+    def test_groups_match_one_group(self, monkeypatch):
+        windows = rectangle_windows(100)
+        m = init_model(tiny_arch(input_side=windows.shape[1]), seed=0)
+        monkeypatch.setattr(classifier, "GROUP_IMAGES", len(windows))
+        whole = predict_batch(m, windows)
+        for images in (7, 100, 1000):
+            monkeypatch.setattr(classifier, "GROUP_IMAGES", images)
+            assert np.array_equal(predict_batch(m, windows), whole)
+
+    def test_peak_does_not_grow_with_images(self, monkeypatch):
+        # Groups of 1,000 images, windows of 1 KB: beyond 16 bytes of class
+        # and index per image, the peak holds a group's fingerprints and
+        # indices and the windows of one block's compare or forward, a
+        # bound that the 10 and 41 MB stacks do not move.
+        monkeypatch.setattr(classifier, "GROUP_IMAGES", 1000)
+        for side in (100, 200):
+            windows = rectangle_windows(side)
+            m = init_model(tiny_arch(input_side=windows.shape[1]), seed=0)
+            tracemalloc.start()
+            try:
+                predict_batch(m, windows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 16 * len(windows) < 1_000_000, (side, peak)
+
+
 class TestBackward:
     @pytest.mark.parametrize("arch, n", [
         (load_config(None, True, {}).arch(), 1),

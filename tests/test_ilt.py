@@ -559,7 +559,7 @@ class TestChecker:
         # Inference workers start no thread here, so the checker still
         # forks, and the call leaves the workers running.
         pipeline._worker_pool(2)
-        workers = [proc for proc, _ in pipeline._pool[1]]
+        workers = [w.proc for w in pipeline._pool[1]]
         prepare_fork()
         before = children()
         assert {proc.pid for proc in workers} <= before

@@ -3,8 +3,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from pixelret import pipeline
-from pixelret.classifier import ArchDescriptor, ConvBlock, init_model
+from pixelret import classifier, pipeline
+from pixelret.classifier import ArchDescriptor, ConvBlock, init_model, predict
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid, iou
 from pixelret.iip import IipConfig, IipMap, class_value, make_iik, threshold_iip
@@ -23,7 +23,7 @@ from pixelret.pipeline import (
     write_confusion_csv,
     write_scaling_csv,
 )
-from pixelret.tiling import TilingConfig
+from pixelret.tiling import TilingConfig, compress_window, extract_window
 
 
 def rect(x0, y0, x1, y1):
@@ -60,6 +60,18 @@ def zero_model(num_classes=5):
 
 
 PATTERN = LayoutPattern([rect(8, 8, 24, 24)])
+
+
+def oracle_map(m, target, cfg):
+    """The deployment raster's class values, one pixel at a time:
+    class_value(predict(compress_window(extract_window(...))))."""
+    raster = deployment_raster(target, cfg.tiling)
+    out = np.empty(raster.shape)
+    for y in range(raster.height):
+        for x in range(raster.width):
+            img = compress_window(extract_window(raster, (x, y), cfg.tiling), cfg.tiling)
+            out[y, x] = class_value(predict(m, img), cfg.iip.num_classes)
+    return out
 
 
 class TestConfigs:
@@ -124,6 +136,22 @@ class TestPredictMap:
         with pytest.raises(ConfigError, match="col_reducer"):
             recorrect(prior, PATTERN, [prior.grid.bbox_nm()], m, toy_cfg())
 
+    def test_long_uniform_runs(self, monkeypatch):
+        # A long bar: along its rows and in the dark field many windows are
+        # equal, and each is classified once.
+        bar = LayoutPattern([rect(8, 8, 72, 20)])
+        m = toy_model(seed=4)
+        want = oracle_map(m, bar, toy_cfg())
+        forwarded = []
+        real = classifier._forward
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier, "_forward",
+                          lambda m, x, cache=None: forwarded.append(len(x)) or real(m, x))
+            assert np.array_equal(predict_map(m, bar, toy_cfg()).grid.values, want)
+        assert sum(forwarded) < want.size / 2
+        for workers in (2, 3):
+            assert np.array_equal(predict_map(m, bar, toy_cfg(workers)).grid.values, want)
+
     def test_deployment_raster_margin(self):
         g = deployment_raster(PATTERN, toy_cfg().tiling)
         # bbox (8,8,24,24) expanded by interaction distance 8 on all sides
@@ -132,7 +160,7 @@ class TestPredictMap:
 
 
 def worker_pids():
-    return [proc.pid for proc, _ in pipeline._pool[1]]
+    return [w.proc.pid for w in pipeline._pool[1]]
 
 
 def report_workers(conn, m):
@@ -201,7 +229,7 @@ class TestWorkers:
         m = toy_model()
         want = predict_map(m, PATTERN, toy_cfg()).grid.values
         predict_map(m, PATTERN, toy_cfg(workers=2))
-        proc = pipeline._pool[1][0][0]
+        proc = pipeline._pool[1][0].proc
         proc.kill()
         proc.join(60)
         assert not proc.is_alive()
@@ -285,6 +313,39 @@ class TestWorkers:
                                                toy_cfg().tiling, None)
         assert crop.shape == (10, 10) and crop.origin == raster.origin
         assert np.array_equal(coords, [[0, 0], [1, 1]])
+
+    def test_model_resent_only_when_changed(self):
+        m = toy_model()
+        cfg = toy_cfg(workers=2)
+        prior = predict_map(m, PATTERN, cfg)
+        region = [prior.grid.bbox_nm()]
+        worker = pipeline._pool[1][0]
+        sent = []
+
+        class Recording:
+            """The worker's pipe end, recording whether each task held a model."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, task):
+                sent.append(task[0] is not None)
+                self.conn.send(task)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        worker.conn = Recording(worker.conn)
+        try:
+            first = recorrect(prior, PATTERN, region, m, cfg)
+            m.weights["conv0_w"] *= -1.0  # in place: the same object, other weights
+            second = recorrect(prior, PATTERN, region, m, cfg)
+        finally:
+            worker.conn = worker.conn.conn
+        assert sent == [False, True]
+        assert np.array_equal(first.grid.values, prior.grid.values)
+        assert not np.array_equal(second.grid.values, first.grid.values)
+        assert np.array_equal(second.grid.values, oracle_map(m, PATTERN, cfg))
 
     def test_no_process_accumulates(self):
         m = toy_model()
