@@ -148,10 +148,14 @@ class ModelParams:
         )
 
     def checksum(self) -> str:
-        h = json.dumps(self.arch.to_dict(), sort_keys=True).encode()
-        for name in self.tensor_names():
-            h += self.weights[name].astype("<f4").tobytes()
-        return sha256_bytes(h)
+        head = json.dumps(self.arch.to_dict(), sort_keys=True).encode()
+        return sha256_bytes(head + _payload(self))
+
+
+def _payload(m: ModelParams) -> bytes:
+    """The model's weights as stored: little-endian float32 tensors in
+    manifest order."""
+    return b"".join(m.weights[n].astype("<f4").tobytes() for n in m.tensor_names())
 
 
 def _tensor_shapes(arch: ArchDescriptor) -> dict[str, tuple[int, ...]]:
@@ -295,13 +299,10 @@ def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarra
     be fingerprinted, compared and classified, so the whole image stack is
     never held.  This is the one loop that cuts inference blocks.
     """
-    if not isinstance(images, WindowStack):
-        images = np.asarray(images)
-    shape = images.shape
+    shape = np.shape(images)  # a WindowStack's, without reading its windows
     if len(shape) != 3 or shape[1] != shape[2] or shape[1] != m.arch.input_side:
         raise ShapeError(f"images {shape} incompatible with model")
-    if not isinstance(images, WindowStack):
-        images = WindowStack.of_array(images)
+    images = WindowStack.of_array(images)
     n, block, size = shape[0], inference_block(m.arch), shape[1] * shape[2]
     probe = _probe(size)
     ids = np.empty(n, dtype=np.intp)  # each image's number among the distinct ones
@@ -487,15 +488,14 @@ def save_model(m: ModelParams, path: str | Path) -> None:
     """One JSON header line (arch, seed, tensor manifest, payload digest)
     followed by the raw little-endian float32 tensors in manifest order.
     """
-    names = m.tensor_names()
-    payload = b"".join(m.weights[n].astype("<f4").tobytes() for n in names)
+    payload = _payload(m)
     header = {
         "format": "pixel-correction-model",
         "version": MODEL_FORMAT_VERSION,
         "arch": m.arch.to_dict(),
         "seed": m.seed,
         "train_meta": m.train_meta,
-        "tensors": [[n, list(m.weights[n].shape)] for n in names],
+        "tensors": [[n, list(m.weights[n].shape)] for n in m.tensor_names()],
         "payload_sha256": sha256_bytes(payload),
     }
     with open(path, "wb") as f:

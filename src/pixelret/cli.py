@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -29,7 +28,7 @@ from . import litho as litho_mod
 from . import pipeline as pipe
 from . import tiling as tiling_mod
 from .errors import ConfigError, FormatError, PixelretError, check_int
-from .grid import iou, json_object, read_bytes, read_text, write_graymap
+from .grid import iou, json_object, read_bytes, read_text, write_csv, write_graymap
 
 # Production-leaning defaults; --toy swaps in a fast profile for CI and
 # desk-scale experiments.  Sections and fields that a dataclass holds take
@@ -384,13 +383,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     model, history = cls.train(model0, ds, cfg.train())
     out = _outdir(args)
     cls.save_model(model, out / "model.bin")
-    with open(out / "history.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "val_accuracy"])
-        for i, (tl, va) in enumerate(
-            zip(history["train_loss"], history["val_accuracy"])
-        ):
-            w.writerow([i, f"{tl:.6f}", f"{va:.6f}"])
+    rows = enumerate(zip(history["train_loss"], history["val_accuracy"]))
+    write_csv(out / "history.csv", ((i, f"{tl:.6f}", f"{va:.6f}") for i, (tl, va) in rows),
+              ["epoch", "train_loss", "val_accuracy"])
     print(
         f"best val accuracy {model.train_meta['final_val_accuracy']:.4f} "
         f"(epoch {model.train_meta['best_epoch']}); wrote model.bin, history.csv"

@@ -12,6 +12,7 @@ Grids are exported as binary PGM ("P5", maxval 255) with pixel value
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -58,6 +59,11 @@ class RasterGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.height, self.width)
+
+    @property
+    def placement(self) -> tuple[int, int, tuple[float, float], float]:
+        """(width, height, origin, px_per_nm): where every pixel sits."""
+        return (self.width, self.height, self.origin, self.px_per_nm)
 
     def is_binary(self) -> bool:
         """True when every pixel is exactly 0 or 1."""
@@ -142,6 +148,15 @@ def parse_graymap(raw: bytes, origin, px_per_nm: float) -> RasterGrid:
         raise FormatError(f"PGM payload has {len(payload)} bytes, expected {w * h}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     return RasterGrid(w, h, tuple(origin), px_per_nm, data.astype(np.float64) / 255.0)
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write rows, after the header row when one is given, as CSV."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        if header is not None:
+            w.writerow(header)
+        w.writerows(rows)
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -8,32 +8,33 @@ admissible iterate is returned.
 The returned mask is guaranteed no worse than the target-as-mask baseline:
 candidates are restricted to iterates whose relaxed loss does not exceed
 the initial loss, selection maximizes printed-vs-target IoU over those
-candidates, and the winner is then printed in float64 next to the target
-itself, which is returned instead if it prints better.  final_fidelity is
-that float64 print's IoU, the number simulate_print gives.
+candidates, and the winner is then printed by simulate_print next to the
+target itself, which is returned instead if it prints better.
+final_fidelity is therefore simulate_print's IoU by construction.
 
 Precision: the descent runs in float32 and everything a caller sees
 outside it stays float64.  optimize_mask runs both convolutions of each
 step through a float32 fft_convolver, and the step's elementwise work,
 theta and the per-iterate fidelity checks in float32; the loss is summed
-in float64, and the winner and the target are printed in float64.  On
-the 8 canonical patterns and the benchmark's 2 layouts the masks and
-fidelities are bitwise the float64 descent's, loss histories moved by at
-most 6.2e-6 relative, and optimize_mask took 0.58x the time (2-CPU
-AVX-512 host).  ilt_loss, convolve_fft, aerial_image and compute_iip stay
-float64: with float32 convolutions, ilt_loss's gradient reads a worst
-relative error of 1.67 against central differences at h = 1e-3 (criterion
-3 allows 1e-3; float64 reads 1.6e-5), since at pixels with small
-gradients a 1e-3 step moves the loss less than float32 round-off does.
+in float64, and the winner and the target are printed by simulate_print,
+in float64.  On the 8 canonical patterns and the benchmark's 2 layouts
+the masks and fidelities are bitwise the float64 descent's, loss
+histories moved by at most 6.2e-6 relative, and optimize_mask took 0.58x
+the time (2-CPU AVX-512 host).  ilt_loss, convolve_fft, aerial_image and
+compute_iip stay float64: with float32 convolutions, ilt_loss's gradient
+reads a worst relative error of 1.67 against central differences at
+h = 1e-3 (criterion 3 allows 1e-3; float64 reads 1.6e-5), since at pixels
+with small gradients a 1e-3 step moves the loss less than float32
+round-off does.
 
-Cost: the kernel's spectrum is computed once per optimize_mask call, so a
-step transforms only its two images, through fft_convolver's pruned
-passes and its reused work buffer, and the step's elementwise work writes
-into arrays it already owns, in the order of the plain expressions.
-Every kernel here comes from
-make_gaussian_kernel, which is bitwise point-symmetric, so the adjoint
-(correlation) is the same convolution and one convolver serves the
-image, the gradient and the fidelity check.
+Cost: the descent's kernel spectrum is computed once per optimize_mask
+call, so a step transforms only its two images, through fft_convolver's
+pruned passes and its reused work buffer, and the step's elementwise
+work writes into arrays it already owns, in the order of the plain
+expressions.  Every kernel here comes from make_gaussian_kernel, which
+is bitwise point-symmetric, so the adjoint (correlation) is the same
+convolution and one convolver serves the image, the gradient and the
+fidelity check.
 The IoU check images the *binarized* mask, not the step's relaxed mask,
 so the step's aerial image cannot stand in for it without changing bits;
 instead the check is skipped when the binarized mask equals the last one
@@ -41,15 +42,15 @@ checked.  Masks, loss history and fidelity are bitwise those of the
 float32 loop that convolves afresh at every use, with one rfftn/irfftn
 pair over the whole padded transform, and allocates every intermediate.
 What runs where: the descent stays in the calling process, and the
-selection half (_Selector: the IoU checks, the ranking, the float64
-prints of the winner and of the target) runs beside it in one checker
-process per call, forked so that it inherits the float32 convolver.  The
-caller sends each admissible step's loss, step and packed binarized mask
-down a pipe and keeps no masks; the checker prints the target in float64
-while the descent runs, and answers the end-of-descent sentinel with the
-winner or with the exception it raised, which the caller re-raises.  The
-checker and the calling thread run on separate CPUs during the call,
-since each message would otherwise wake the checker on the caller's CPU,
+selection half (_Selector: the IoU checks, the ranking, the prints of
+the winner and of the target) runs beside it in one checker process per
+call, forked so that it inherits the float32 convolver.  The caller sends
+each admissible step's loss, step and packed binarized mask down a pipe
+and keeps no masks; the checker prints the target while the descent
+runs, and answers the end-of-descent sentinel with the winner or with
+the exception it raised, which the caller re-raises.  The checker and
+the calling thread run on separate CPUs during the call, since each
+message would otherwise wake the checker on the caller's CPU,
 where it preempts the descent; measured, the fork without this made the
 benchmark's model build slower than the inline selection.  A process,
 not a thread: a helper thread shares the interpreter lock with
@@ -74,7 +75,6 @@ SIMD exp is within 4 ulp of libm's.
 
 from __future__ import annotations
 
-import csv
 import multiprocessing
 import os
 from collections.abc import Callable
@@ -86,8 +86,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatch, DivergenceError, RangeError, check_int, check_real
-from .grid import RasterGrid, iou
-from .litho import LithoConfig, fft_convolver
+from .grid import RasterGrid, iou, write_csv
+from .litho import LithoConfig, fft_convolver, simulate_print
 
 
 @dataclass
@@ -178,10 +178,11 @@ def ilt_loss(
 
     loss = mean((sigmoid_resist(aerial(sigmoid_mask(theta))) - target)^2).
     """
-    theta_at = (theta.shape, theta.origin, theta.px_per_nm)
-    target_at = (target.shape, target.origin, target.px_per_nm)
-    if theta_at != target_at:
-        raise DimMismatch(f"theta (shape, origin, px/nm) {theta_at} vs target {target_at}")
+    if theta.placement != target.placement:
+        raise DimMismatch(
+            f"theta placement {theta.placement} vs target {target.placement} "
+            "(width, height, origin in nm, px/nm)"
+        )
     loss, grad, _ = _loss_and_grad(
         theta.values.astype(np.float64),
         target.values.astype(np.float64),
@@ -195,12 +196,13 @@ def ilt_loss(
 
 class _Selector:
     """The selection half of optimize_mask.  add takes each admissible
-    iterate's loss, step and np.packbits of its binarized mask; result
-    returns the winning mask and its float64 fidelity, or the target and
-    its own (baseline) when the target prints better."""
+    iterate's loss, step and np.packbits of its binarized mask, and ranks
+    it by its print through the float32 convolver; result returns the
+    winning mask and its fidelity, or the target and its own (baseline)
+    when the target prints better, both printed by simulate_print."""
 
-    def __init__(self, target: RasterGrid, kernel: np.ndarray, convolve, thr: float):
-        self.target, self.kernel, self.convolve, self.thr = target, kernel, convolve, thr
+    def __init__(self, target: RasterGrid, litho: LithoConfig, convolve):
+        self.target, self.litho, self.convolve = target, litho, convolve
         self.as_is = target.values.astype(np.uint8)
         self.best: tuple[float, float, int, np.ndarray] | None = None  # (-fid, loss, step, bits)
         self.checked: tuple[np.ndarray, float] | None = None  # last bits checked, fidelity
@@ -209,19 +211,15 @@ class _Selector:
         return np.unpackbits(bits, count=self.as_is.size).reshape(self.as_is.shape)
 
     @cached_property
-    def print64(self) -> Callable[[np.ndarray], np.ndarray]:
-        return fft_convolver(self.kernel, self.target.shape)
-
-    @cached_property
     def baseline(self) -> float:
         return self.fidelity64(self.as_is)
 
     def fidelity64(self, mask: np.ndarray) -> float:
-        return iou(self.target.with_values(self.print64(mask) >= self.thr), self.target)
+        return iou(simulate_print(self.target.with_values(mask), self.litho), self.target)
 
     def add(self, loss: float, step: int, bits: np.ndarray) -> None:
         if self.checked is None or not np.array_equal(bits, self.checked[0]):
-            printed = self.convolve(self.unpack(bits)) >= self.thr
+            printed = self.convolve(self.unpack(bits)) >= self.litho.resist_threshold
             self.checked = (bits, iou(self.target.with_values(printed), self.target))
         key = (-self.checked[1], loss, step)
         if self.best is None or key < self.best[:3]:
@@ -230,7 +228,7 @@ class _Selector:
     def result(self) -> tuple[np.ndarray, float]:
         assert self.best is not None
         # The float32 checks rank the iterates; the returned mask is the
-        # winner or the target, whichever prints better in float64.
+        # winner or the target, whichever simulate_print prints better.
         mask = self.unpack(self.best[3])
         fidelity = self.fidelity64(mask)
         if fidelity < self.baseline:
@@ -247,7 +245,7 @@ def _check(conn, caller_end, *selector_args) -> None:
     items = iter(conn.recv, None)
     try:
         selector = _Selector(*selector_args)
-        selector.baseline  # the target's float64 print, while the descent runs
+        selector.baseline  # the target's print, while the descent runs
         for item in items:
             selector.add(*item)
         out = selector.result()
@@ -328,9 +326,9 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
 
     Admissible means relaxed loss <= initial loss; among those the iterate
     with the highest printed-vs-target IoU wins (ties: lower loss, then
-    earlier step); the target itself is returned if it prints better in
-    float64.  loss_history has steps+1 entries, non-finite loss raises
-    DivergenceError.
+    earlier step); the target itself is returned if it prints better, and
+    final_fidelity is simulate_print's IoU.  loss_history has steps+1
+    entries, non-finite loss raises DivergenceError.
 
     Where this process may fork (see _may_fork), the call forks one
     checker process for the print checks and joins it before it returns
@@ -342,15 +340,14 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
     if not target.is_binary():
         raise RangeError("ILT target must be a binary grid")
     tv = target.values.astype(np.float32)
-    kernel = litho.kernel(target.px_per_nm).values
-    convolve = fft_convolver(kernel, tv.shape, np.float32)
+    convolve = fft_convolver(litho.kernel(target.px_per_nm).values, tv.shape, np.float32)
     k_m = cfg.sigmoid_steepness_mask
     k_r = cfg.sigmoid_steepness_resist
     thr = litho.resist_threshold
 
     theta = k_m * (2.0 * tv - 1.0)
     history: list[float] = []
-    with _selection(target, kernel, convolve, thr) as selector:
+    with _selection(target, litho, convolve) as selector:
         for step in range(cfg.steps + 1):
             loss, grad, m = _loss_and_grad(theta, tv, convolve, thr, k_m, k_r)
             if not np.isfinite(loss):
@@ -371,8 +368,5 @@ def optimize_mask(target: RasterGrid, litho: LithoConfig, cfg: IltConfig) -> Ilt
 
 def save_loss_history(result: IltResult, path: str | Path) -> None:
     """Write loss_history as CSV with header step,loss."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "loss"])
-        for i, v in enumerate(result.loss_history):
-            w.writerow([i, f"{v:.12g}"])
+    rows = ((i, f"{v:.12g}") for i, v in enumerate(result.loss_history))
+    write_csv(path, rows, ["step", "loss"])

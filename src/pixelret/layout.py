@@ -4,8 +4,8 @@ polygons.
 
 Coordinates are nanometers.  Layout files store integer nm only; in memory a
 pattern may carry sub-nm vertices (vectorizing a grid finer than 1 px/nm
-yields vertices on the 1/px_per_nm lattice), and :func:`snap_pattern` maps
-those onto the integer-nm file lattice.
+yields vertices on the 1/px_per_nm lattice), and :func:`snap_pattern`
+resamples it onto the integer-nm file lattice.
 
 Layout file format (UTF-8 text, one object)::
 
@@ -165,19 +165,16 @@ class LayoutPattern:
 
 
 def snap_pattern(p: LayoutPattern) -> LayoutPattern:
-    """Round every vertex to the nearest integer nm.
-
-    Raises GeometryError if rounding degenerates any polygon (e.g. collapses
-    an edge); callers should clean up slivers first.
+    """The pattern on the integer-nm lattice: the unit squares whose centres
+    it covers (rasterize's rule at 1 px/nm), traced by vectorize.  Every
+    vertex is integer nm and every polygon valid; a part narrower than 1 nm
+    may vanish, split or merge with a neighbour.
     """
-    snapped = []
-    for i, poly in enumerate(p.polygons):
-        ring = [(np.floor(x + 0.5), np.floor(y + 0.5)) for x, y in poly]
-        for (x1, y1, x2, y2) in _edges_of(ring):
-            if x1 == x2 and y1 == y2:
-                raise GeometryError(f"polygon {i}: snapping to 1 nm collapses an edge")
-        snapped.append(ring)
-    return LayoutPattern(snapped, p.layer)
+    if p.is_empty:
+        return p
+    x0, y0, x1, y1 = p.bbox
+    region = (np.floor(x0), np.floor(y0), np.ceil(x1), np.ceil(y1))
+    return LayoutPattern(vectorize(rasterize(p, 1.0, region)).polygons, p.layer)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +311,13 @@ def raster_region(p: LayoutPattern, margin: float) -> Bbox:
 # ---------------------------------------------------------------------------
 
 def _trace_boundary(comp: np.ndarray) -> list[tuple[int, int]] | None:
-    """Trace the single CCW boundary ring of a hole-free mask.
+    """Trace the single CCW boundary ring of a 4-connected mask.
 
     Vertices are pixel-corner coordinates (col, row).  Returns None when the
-    boundary is not a single unambiguous loop (caller falls back to
-    rectangle decomposition).
+    boundary is not a single unambiguous loop, which is when the mask has a
+    hole (4-connected background): the hole's boundary is a second loop, or
+    meets the outer one at a corner that two edges leave.  The caller then
+    falls back to rectangle decomposition.
     """
     padded = np.zeros((comp.shape[0] + 2, comp.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = comp
@@ -427,8 +426,7 @@ def vectorize(g: RasterGrid) -> LayoutPattern:
     for idx in range(count):
         sl = slices[idx]
         comp = labels[sl] == (idx + 1)
-        filled = ndimage.binary_fill_holes(comp)
-        ring = None if not np.array_equal(filled, comp) else _trace_boundary(comp)
+        ring = _trace_boundary(comp)  # None when comp has a hole
         local = [ring] if ring is not None else _rectangles_of(comp)
         oy, ox = sl[0].start, sl[1].start
         for lp in local:

@@ -4,15 +4,18 @@ threshold and vectorize it into a mask pattern, enforce minimal geometry
 rules, and measure quality and scaling.
 
 Every entry point that runs a model (predict_map, recorrect, correct,
-bench_scaling) first checks it against the config, so a model trained on
-other tiling or classes is refused rather than deployed.
+bench_scaling) gets its deployment raster from _deployment, which first
+checks the model against the config, so a model trained on other tiling
+or classes is refused rather than deployed.
 
 The caller and forked worker processes, started on demand and kept, each
 on its own pipe, classify one pixel chunk each (model, tiling and the crop
 of the raster that the chunk's windows read passed in the task; a worker
 keeps the last model it received, and a task leaves out a model equal to
 it); the caller reads every reply, even when its own chunk fails, and
-re-raises a worker's exception with its type.  Inference starts no thread.
+re-raises a worker's exception with its type.  A daemonic caller, which
+may not start processes, classifies every chunk itself.  Inference starts
+no thread.
 window_field builds one compressed field per chunk, and predict_batch
 classifies each distinct window of a group once.  Field values are reduced
 by the same ops in the same order whatever chunk holds them, zero beyond
@@ -25,7 +28,6 @@ identical for any worker count, chunking or region.
 from __future__ import annotations
 
 import copy
-import csv
 import multiprocessing
 import os
 import time
@@ -39,7 +41,7 @@ import numpy as np
 from .classifier import ModelParams, predict_batch
 from .errors import (ConfigError, CoordError, DimMismatch, ParamError, ShapeError, check_int,
                      check_real)
-from .grid import RasterGrid
+from .grid import RasterGrid, write_csv
 from .iip import IipConfig, IipMap, bin_classes, class_values, threshold_iip
 from .layout import (
     Bbox,
@@ -161,17 +163,13 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
     return mask
 
 
-def _geometry(g: RasterGrid) -> tuple:
-    """(width, height, origin x, origin y, px_per_nm): where each pixel is."""
-    return (g.width, g.height, float(g.origin[0]), float(g.origin[1]), float(g.px_per_nm))
-
-
 # ---------------------------------------------------------------------------
-# Model/config compatibility
+# Model check and deployment raster
 # ---------------------------------------------------------------------------
 
-def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
-    """Refuse a model trained on differently tiled or differently classed
+def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> RasterGrid:
+    """The deployment raster of target, once m is checked against cfg:
+    refuse a model trained on differently tiled or differently classed
     data than cfg describes (ConfigError naming each clash), or whose input
     side or class count does not fit cfg (ShapeError).
     """
@@ -193,6 +191,7 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
         raise ShapeError(
             f"model has {m.arch.num_classes} classes, config {cfg.iip.num_classes}"
         )
+    return deployment_raster(target, tiling)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +220,20 @@ def _infer_chunk(task: tuple) -> np.ndarray:
 
 
 def _infer(
-    m: ModelParams,
-    raster: RasterGrid,
-    sel_flat: np.ndarray,
-    tiling: TilingConfig,
-    num_classes: int,
-    workers: int,
+    m: ModelParams, raster: RasterGrid, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
 ) -> np.ndarray:
+    """Class values of the raster pixels with the given flat indices, in
+    `workers` chunks.  A daemonic process may not start workers, so it
+    classifies every chunk itself, with the same bits."""
     global _pool
-    table = class_values(num_classes)
+    table = class_values(cfg.iip.num_classes)
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        _task(m, raster, chunk, tiling, table)
+        _task(m, raster, chunk, cfg.tiling, table)
         for chunk in np.array_split(sel_flat, workers)
         if chunk.size
     ]
-    if len(tasks) <= 1:
+    if len(tasks) <= 1 or multiprocessing.current_process().daemon:
         parts = [_infer_chunk(t) for t in tasks]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
     pool = _worker_pool(len(tasks) - 1)
@@ -366,10 +363,9 @@ def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
     """Predicted IIP map over the deployment raster; bitwise independent of
     cfg.workers.
     """
-    _check_model(m, cfg)
-    raster = deployment_raster(target, cfg.tiling)
+    raster = _deployment(m, target, cfg)
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
-    values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)
+    values = _infer(m, raster, sel_flat, cfg, cfg.workers)
     grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
@@ -390,16 +386,15 @@ def recorrect(
     is bitwise untouched.  The prior must lie on the deployment raster's
     pixels (size, origin and resolution), else CoordError.
     """
-    _check_model(m2, cfg)
-    raster = deployment_raster(target, cfg.tiling)
-    if _geometry(raster) != _geometry(prior.grid):
+    raster = _deployment(m2, target, cfg)
+    if raster.placement != prior.grid.placement:
         raise CoordError(
-            f"prior map geometry {_geometry(prior.grid)} does not match the "
-            f"deployment raster's {_geometry(raster)} (width, height, origin "
-            "x and y in nm, px/nm)"
+            f"prior map placement {prior.grid.placement} does not match the "
+            f"deployment raster's {raster.placement} (width, height, origin "
+            "in nm, px/nm)"
         )
     sel_flat = np.nonzero(_bbox_pixel_mask(raster, region).ravel())[0]
-    values = _infer(m2, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, cfg.workers)
+    values = _infer(m2, raster, sel_flat, cfg, cfg.workers)
     flat = prior.grid.values.copy().ravel()
     flat[sel_flat] = values
     return IipMap(
@@ -492,8 +487,7 @@ def bench_scaling(
     for w in worker_counts:
         check_int("worker_counts entry", w, least=1)
     check_int("repeats", repeats, least=1)
-    _check_model(m, cfg)
-    raster = deployment_raster(target, cfg.tiling)
+    raster = _deployment(m, target, cfg)
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
     if sel_flat.size < 10_000:
         raise ParamError(
@@ -505,11 +499,11 @@ def bench_scaling(
     consistent = True
     for w in worker_counts:
         times = []
-        _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, w)
+        _infer(m, raster, sel_flat, cfg, w)
         for _ in range(repeats):
             calls, t0 = 0, time.perf_counter()
             while (elapsed := time.perf_counter() - t0) < 0.2:
-                values = _infer(m, raster, sel_flat, cfg.tiling, cfg.iip.num_classes, w)
+                values = _infer(m, raster, sel_flat, cfg, w)
                 calls += 1
             times.append(elapsed / calls)
         wall = float(np.median(times))
@@ -535,22 +529,12 @@ def bench_scaling(
 # ---------------------------------------------------------------------------
 
 def write_scaling_csv(report: ScalingReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["workers", "wall_seconds", "speedup", "efficiency"])
-        for row in report.rows:
-            w.writerow(
-                [
-                    row["workers"],
-                    f"{row['wall_seconds']:.6f}",
-                    f"{row['speedup']:.4f}",
-                    f"{row['efficiency']:.4f}",
-                ]
-            )
+    rows = (
+        (r["workers"], f"{r['wall_seconds']:.6f}", f"{r['speedup']:.4f}", f"{r['efficiency']:.4f}")
+        for r in report.rows
+    )
+    write_csv(path, rows, ["workers", "wall_seconds", "speedup", "efficiency"])
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for row in cm.counts:
-            w.writerow([int(v) for v in row])
+    write_csv(path, ([int(v) for v in row] for row in cm.counts))

@@ -119,7 +119,10 @@ class WindowStack:
         self.shape = (len(src), *sources[0][1].shape[2:])
 
     @classmethod
-    def of_array(cls, images: np.ndarray) -> "WindowStack":
+    def of_array(cls, images) -> "WindowStack":
+        """images as one source; a WindowStack is returned as it is."""
+        if isinstance(images, WindowStack):
+            return images
         images = np.asarray(images, dtype=np.float32)
         if images.ndim != 3 or images.shape[1] != images.shape[2]:
             raise FormatError(f"images must be (n, side, side), got {images.shape}")
@@ -167,8 +170,7 @@ class PixelDataset:
     meta: dict
 
     def __post_init__(self):
-        if not isinstance(self.images, WindowStack):
-            self.images = WindowStack.of_array(self.images)
+        self.images = WindowStack.of_array(self.images)
         n = len(self.images)
         if self.labels.shape != (n,) or self.coords.shape != (n, 2) or self.splits.shape != (n,):
             raise FormatError("labels/coords/splits length mismatch with images")
@@ -346,9 +348,7 @@ def build_dataset(
         if idx.size > per_class_cap:
             idx = idx[rng.permutation(idx.size)[:per_class_cap]]
         chosen.append(idx)
-    sel = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, np.int64)
-    if sel.size == 0:
-        raise EmptyDataset("no pixels selected")
+    sel = np.sort(np.concatenate(chosen))
 
     ys, xs = np.unravel_index(sel, label_map.shape)
     coords = np.stack([xs, ys], axis=1)

@@ -262,6 +262,13 @@ class TestConfig:
         assert self._run_with(tmp_path, cfg) == 2
         assert capsys.readouterr().err.startswith(f"error: config key {name} must hold")
 
+    @pytest.mark.parametrize("value", [[0.5, 0.5], [0.4, 0.2, 0.2, 0.2]])
+    def test_split_fractions_need_three_entries(self, tmp_path, capsys, value):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["sampling"]["split_fractions"] = value
+        assert self._run_with(tmp_path, cfg) == 2
+        assert "sampling.split_fractions needs 3 entries" in capsys.readouterr().err
+
     def test_int_accepted_for_float(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text(json.dumps({
@@ -426,6 +433,41 @@ class TestStages:
         ])
         assert rc == 2
         assert "10000" in capsys.readouterr().err
+
+    def test_bench(self, ws, model_path, tmp_path, capsys):
+        # 84 nm square + 8 nm halo on each side: 100 x 100 px = 1e4 pixels.
+        rc = main([
+            "gen-patterns", "--config", ws.cfg, "--out", str(tmp_path / "p"),
+            "--topology", "square", "--width", "84", "--name", "sq",
+        ])
+        assert rc == 0
+        rc = main([
+            "bench", "--config", ws.cfg, "--layout", str(tmp_path / "p" / "sq.layout"),
+            "--model", model_path, "--out", str(tmp_path / "b"),
+            "--workers", "1,2", "--repeats", "1",
+        ])
+        assert rc == 0
+        rows = (tmp_path / "b" / "scaling.csv").read_text().splitlines()
+        assert rows[0] == "workers,wall_seconds,speedup,efficiency"
+        assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+        assert "outputs bitwise consistent: True" in capsys.readouterr().out
+
+    def test_correct_at_two_px_per_nm(self, ws, tmp_path):
+        # Pixel corners at 2 px/nm fall on half nm; the written mask is
+        # snapped to the file format's integer nm.
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["tiling"]["px_per_nm"] = 2.0
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (
+            ["prep-data", "--layouts", ws.layout],
+            ["train", "--data", str(tmp_path / "prep-data" / "dataset")],
+            ["correct", "--layout", ws.layout, "--model", str(tmp_path / "train" / "model.bin")],
+        ):
+            assert main([*argv, "--config", str(path), "--out", str(tmp_path / argv[0])]) == 0
+        mask = parse_layout((tmp_path / "correct" / "mask.layout").read_text())
+        assert mask.polygons
+        assert all(float(c).is_integer() for poly in mask.polygons for v in poly for c in v)
 
 
 class TestModelCompat:

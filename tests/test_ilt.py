@@ -555,6 +555,21 @@ class TestChecker:
         assert children() == before
 
     @TWO_CPUS
+    def test_checker_gone_without_result_named(self, rng, monkeypatch):
+        def silent(conn, caller_end, *selector_args):
+            # Reads every message up to the sentinel, then exits unanswered.
+            caller_end.close()
+            for _ in iter(conn.recv, None):
+                pass
+
+        monkeypatch.setattr(ilt, "_check", silent)
+        prepare_fork()
+        before = children()
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            optimize_mask(random_target(rng), small_litho(), IltConfig(steps=8, learning_rate=2e4))
+        assert children() == before
+
+    @TWO_CPUS
     def test_with_worker_pool_alive(self, rng, checker_pids):
         # Inference workers start no thread here, so the checker still
         # forks, and the call leaves the workers running.

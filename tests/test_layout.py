@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pixelret.errors import GeometryError, ParamError, ParseError, RegionError
+from pixelret.grid import RasterGrid
 from pixelret.layout import (
     LayoutPattern,
     generate_test_pattern,
@@ -70,15 +71,29 @@ class TestPolygonHelpers:
 
 
 class TestSnap:
-    def test_rounds_to_grid(self):
-        p = LayoutPattern([rect(0.4, 0.6, 10.4, 20.5)])
+    def test_covers_the_unit_squares_rasterize_covers(self):
+        # A centre on a left or bottom edge is inside, on a right or top
+        # edge outside.
+        p = LayoutPattern([rect(0.4, 0.6, 10.4, 20.5)], layer=3)
         q = snap_pattern(p)
-        assert q.polygons[0] == rect(0.0, 1.0, 10.0, 21.0)
+        assert q.polygons == [rect(0, 1, 10, 20)]
+        assert q.layer == 3
 
-    def test_collapse_raises(self):
-        p = LayoutPattern([rect(0.2, 0.0, 0.4, 10.0)])
-        with pytest.raises(GeometryError):
-            snap_pattern(p)
+    def test_half_nm_jogs(self, rng):
+        # Masks traced at 2 px/nm step by half a nanometre; rounding their
+        # vertices one by one would collapse edges.
+        for _ in range(20):
+            v = (rng.random((12, 12)) < 0.6).astype(np.uint8)
+            p = vectorize(RasterGrid(12, 12, (0.25, 0.25), 2.0, v))
+            q = snap_pattern(p)
+            assert all(float(c).is_integer() for poly in q.polygons for xy in poly for c in xy)
+            assert parse_layout(write_layout(q)) == q
+            region = (0, 0, 6, 6)
+            assert np.array_equal(rasterize(q, 1.0, region).values,
+                                  rasterize(p, 1.0, region).values)
+
+    def test_sliver_vanishes(self):
+        assert snap_pattern(LayoutPattern([rect(0.2, 0.0, 0.4, 10.0)])).is_empty
 
 
 class TestGenerate:

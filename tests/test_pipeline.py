@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,14 @@ def report_workers(conn, m):
     conn.send((worker_pids(), out.grid.values))
 
 
+def map_in_daemon(m):
+    """Runs in a pool worker, which may not start a process: its map at 2
+    workers and the processes it started."""
+    assert multiprocessing.current_process().daemon
+    values = predict_map(m, PATTERN, toy_cfg(workers=2)).grid.values
+    return values, multiprocessing.active_children()
+
+
 class TestWorkers:
     """Inference workers are forked on demand, each on its own pipe, and
     kept between calls; every call reads back exactly its own replies."""
@@ -238,6 +247,29 @@ class TestWorkers:
         assert proc.pid not in worker_pids()
         assert np.array_equal(predict_map(m, PATTERN, toy_cfg(workers=2)).grid.values, want)
         assert proc.pid not in worker_pids()
+
+    def test_worker_dying_on_its_task_named(self, monkeypatch):
+        caller, real = os.getpid(), pipeline._infer_chunk
+
+        def dying(task):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(task)
+
+        # Fresh workers, forked with the patched chunk; the kept ones are
+        # restored with the pool afterwards.
+        monkeypatch.setattr(pipeline, "_infer_chunk", dying)
+        monkeypatch.setattr(pipeline, "_pool", (caller, ()))
+        with pytest.raises(RuntimeError, match=r"died \(exit code 3\)"):
+            predict_map(toy_model(), PATTERN, toy_cfg(workers=2))
+        assert pipeline._pool == (caller, ())
+
+    def test_daemonic_caller_classifies_itself(self):
+        m = toy_model()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            values, children = pool.apply_async(map_in_daemon, (m,)).get(timeout=120)
+        assert values.tobytes() == predict_map(m, PATTERN, toy_cfg()).grid.values.tobytes()
+        assert children == []
 
     def test_error_in_callers_chunk_drains_replies(self, monkeypatch):
         m, m2 = toy_model(), toy_model(seed=9)
@@ -412,7 +444,7 @@ class TestRecorrect:
             with pytest.raises(CoordError) as err:
                 recorrect(prior, PATTERN, [box], m, toy_cfg())
             for g in (prior.grid, raster):
-                assert str(pipeline._geometry(g)) in str(err.value)
+                assert str(g.placement) in str(err.value)
         # An empty region splices nothing but must still refuse the prior.
         with pytest.raises(CoordError):
             recorrect(shifted, PATTERN, [], m, toy_cfg())
@@ -648,6 +680,17 @@ class TestBenchScaling:
     def test_repeats_must_be_an_integer(self, repeats):
         with pytest.raises(ParamError, match="repeats"):
             bench_scaling(toy_model(), PATTERN, toy_cfg(), worker_counts=[1], repeats=repeats)
+
+    def test_differing_outputs_reported(self, monkeypatch):
+        # A worker count whose values differ from the 1-worker run's.
+        def infer(m, raster, sel_flat, cfg, workers):
+            return np.full(sel_flat.size, float(workers > 1))
+
+        monkeypatch.setattr(pipeline, "_infer", infer)
+        square = LayoutPattern([rect(0, 0, 84, 84)])  # 100 x 100 px
+        report = bench_scaling(toy_model(), square, toy_cfg(), worker_counts=[1, 2, 1], repeats=1)
+        assert not report.consistent
+        assert [row["workers"] for row in report.rows] == [1, 2, 1]
 
     def test_small_workload_rejected(self):
         m = toy_model()
