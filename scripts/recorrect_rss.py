@@ -1,46 +1,80 @@
-"""Peak RSS of one recorrect call under the default CLI profile.
+"""Peak RSS and request time of recorrect under the default CLI profile.
 
 An 1800 x 840 nm rectangle gives a 5200 x 3280 px deployment raster at the
 default tiling (400 nm interaction distance, 2 px/nm, 200 x 200 px inputs).
-An untrained model of the default arch re-corrects a 30 x 30 px region of an
-all-zero prior map at --workers (default 1).  Prints the map's sha256 and
-the process's peak RSS up to the end of the call, which includes the raster
-and the prior map; the workers' memory is not counted.
+An untrained model of the default arch re-corrects 30 x 30 px regions at
+--workers (default 1), --requests of them (default 1), each on the map the
+one before returned, starting from an all-zero prior map.  The first region
+is the raster's centre; region i > 0 is placed at random, seeded by i, so
+that it lies on the rectangle.  Prints the last map's sha256, the median
+request time, the share of region pixels that took a class from recorrect's
+deployment memo (the memo's windows, kept between calls, grow its field by
+the tiles each new region's windows read), and the process's peak RSS up to
+the end of the last call, which includes the raster and the prior map; the
+workers' memory is not counted.
 
-    PYTHONPATH=src python3 scripts/recorrect_rss.py [--workers N]
+    PYTHONPATH=src python3 scripts/recorrect_rss.py [--workers N] [--requests K]
 """
 
 import argparse
 import hashlib
 import resource
+import time
 
 import numpy as np
 
+from pixelret import pipeline
 from pixelret.classifier import init_model
 from pixelret.cli import load_config
 from pixelret.iip import IipMap
 from pixelret.layout import LayoutPattern
 from pixelret.pipeline import deployment_raster, recorrect
 
+SIDE = 30  # region side, px
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workers", type=int, default=1, help="processes that run inference")
+    ap.add_argument("--requests", type=int, default=1, help="recorrect calls, one region each")
     args = ap.parse_args()
     cfg = load_config(None, False, {})
     ccfg = cfg.correction(workers=args.workers)
     target = LayoutPattern([[(0, 0), (1800, 0), (1800, 840), (0, 840)]])
     raster = deployment_raster(target, ccfg.tiling)
-    prior = IipMap(raster.with_values(np.zeros(raster.shape)), "", "")
-    x0, y0 = raster.pixel_center(raster.width // 2, raster.height // 2)
-    x1, y1 = raster.pixel_center(raster.width // 2 + 29, raster.height // 2 + 29)
+    out = IipMap(raster.with_values(np.zeros(raster.shape)), "", "")
     model = init_model(cfg.arch(), cfg.init_seed)
-    out = recorrect(prior, target, [(x0, y0, x1, y1)], model, ccfg)
+    # The rectangle's pixels, so that a region's corner lies on it.
+    ppn, (ox, oy) = raster.px_per_nm, raster.origin
+    lo = np.ceil((np.array([0.0, 0.0]) - (ox, oy)) * ppn).astype(int)
+    hi = np.floor((np.array([1800.0, 840.0]) - (ox, oy)) * ppn).astype(int) - SIDE
+    region_px, inferred, seconds = 0, [], []
+    real_infer = pipeline._infer
+
+    def counted(m, raster, sel_flat, cfg, workers):
+        inferred.append(len(sel_flat))
+        return real_infer(m, raster, sel_flat, cfg, workers)
+
+    pipeline._infer = counted
+    for i in range(args.requests):
+        if i == 0:
+            x, y = raster.width // 2, raster.height // 2
+        else:
+            x, y = np.random.default_rng(i).integers(lo, hi + 1)
+        box = (*raster.pixel_center(x, y), *raster.pixel_center(x + SIDE - 1, y + SIDE - 1))
+        t0 = time.perf_counter()
+        out = recorrect(out, target, [box], model, ccfg)
+        seconds.append(time.perf_counter() - t0)
+        region_px += SIDE * SIDE
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    changed = int(np.count_nonzero(out.grid.values != prior.grid.values))
-    print(f"raster {raster.width}x{raster.height} px, {changed} px changed")
+    pipeline._infer = real_infer
+    changed = int(np.count_nonzero(out.grid.values))
+    print(f"raster {raster.width}x{raster.height} px, {changed} px nonzero after "
+          f"{args.requests} request(s) of {SIDE}x{SIDE} px")
     print("map sha256", hashlib.sha256(out.grid.values).hexdigest())
-    print(f"peak RSS up to the end of recorrect {peak_mib:.0f} MiB")
+    print(f"median request {1000 * float(np.median(seconds)):.0f} ms, memo hit share "
+          f"{1 - sum(inferred) / region_px:.3f}")
+    print(f"peak RSS up to the end of the last recorrect {peak_mib:.0f} MiB")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -252,10 +253,25 @@ def inference_block(arch: ArchDescriptor) -> int:
     return max(1, min(BLOCK_IMAGES, BLOCK_BYTES // largest))
 
 
+@cache
 def _probe(size: int) -> np.ndarray:
     """The fixed vector whose dot product with a flattened image is its
     fingerprint."""
-    return np.random.Generator(np.random.PCG64(0)).random(size, dtype=np.float32)
+    probe = np.random.Generator(np.random.PCG64(0)).random(size, dtype=np.float32)
+    probe.flags.writeable = False
+    return probe
+
+
+def fingerprints(images: np.ndarray, block: int) -> np.ndarray:
+    """The fingerprints of at most `block` (k, side, side) images, as one
+    C-ordered (block, side*side) product with _probe, zero-padded: every
+    call has one shape, so an image's fingerprint does not depend on how
+    many images share its call."""
+    k, size = len(images), int(np.prod(images.shape[1:]))
+    x = np.ascontiguousarray(images).reshape(k, size)
+    if k < block:
+        x = np.concatenate([x, np.zeros((block - k, size), np.float32)])
+    return (x @ _probe(size))[:k]
 
 
 def _distinct(images: WindowStack, fp: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +319,7 @@ def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarra
     if len(shape) != 3 or shape[1] != shape[2] or shape[1] != m.arch.input_side:
         raise ShapeError(f"images {shape} incompatible with model")
     images = WindowStack.of_array(images)
-    n, block, size = shape[0], inference_block(m.arch), shape[1] * shape[2]
-    probe = _probe(size)
+    n, block = shape[0], inference_block(m.arch)
     ids = np.empty(n, dtype=np.intp)  # each image's number among the distinct ones
     classes = np.empty(n, dtype=np.int64)  # per distinct image
     buf = np.zeros((block, *shape[1:]), dtype=np.float32)
@@ -312,7 +327,7 @@ def predict_batch(m: ModelParams, images: np.ndarray | WindowStack) -> np.ndarra
     for start in range(0, n, GROUP_IMAGES):
         group = images.take(np.arange(start, min(n, start + GROUP_IMAGES)))
         fp = np.concatenate([
-            group[s : s + block].reshape(-1, size) @ probe for s in range(0, len(group), block)
+            fingerprints(group[s : s + block], block) for s in range(0, len(group), block)
         ])
         first, inverse = _distinct(group, fp, block)
         ids[start : start + len(group)] = done + fill + inverse

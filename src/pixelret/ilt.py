@@ -280,17 +280,23 @@ class _Remote:
         return out
 
 
-def _may_fork() -> bool:
-    """Whether this process may fork a checker: it is not daemonic, has
-    at least 2 CPUs and runs no other thread, native ones such as a BLAS
-    pool's included."""
-    if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+def fork_safe() -> bool:
+    """Whether this process may fork: it is not daemonic and runs no other
+    thread, native ones such as a BLAS pool's included.  False where the
+    platform cannot tell."""
+    if multiprocessing.current_process().daemon:
         return False
     try:
-        threads = len(os.listdir("/proc/self/task"))
+        return len(os.listdir("/proc/self/task")) == 1
     except OSError:
         return False
-    return threads == 1 and len(os.sched_getaffinity(0)) >= 2
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a checker: fork_safe(), with at least
+    2 CPUs."""
+    return (fork_safe() and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 @contextmanager

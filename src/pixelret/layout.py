@@ -256,14 +256,15 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
 
     Boundary rule is half-open, lower-left inclusive: a center exactly on a
     left/bottom polygon edge counts as inside, on a right/top edge as
-    outside.  Grid dims are ceil(extent * px_per_nm).
+    outside.  Grid dims are ceil(extent * px_per_nm), where an extent
+    within round-off of a whole pixel count is that count, so that a
+    grid's own bbox_nm() gives back its shape.
     """
     check_real("px_per_nm", px_per_nm, above=0, error=RegionError)
     xmin, ymin, xmax, ymax = (check_real("region", c, error=RegionError) for c in region)
     if not (xmin < xmax and ymin < ymax):
         raise RegionError(f"degenerate region {region}")
-    w = float(np.ceil((xmax - xmin) * px_per_nm))
-    h = float(np.ceil((ymax - ymin) * px_per_nm))
+    w, h = _pixel_count(xmin, xmax, px_per_nm), _pixel_count(ymin, ymax, px_per_nm)
     # Bytes of the float64 pixel centres and the output; an extent that
     # overflowed to inf fails the comparison too.
     if not 8 * (w + h) + w * h <= np.iinfo(np.intp).max:
@@ -296,6 +297,15 @@ def rasterize(p: LayoutPattern, px_per_nm: float, region: Bbox) -> RasterGrid:
         out[j0:j1, i0:i1] |= inside
     origin = (xmin + 0.5 / px_per_nm, ymin + 0.5 / px_per_nm)
     return RasterGrid(w, h, origin, px_per_nm, out.astype(np.uint8))
+
+
+def _pixel_count(lo: float, hi: float, px_per_nm: float) -> float:
+    """ceil((hi - lo) * px_per_nm), less the round-off that bounds computed
+    in nm carry (a few ulps of each, in pixels) where that is under half
+    the count."""
+    n = (hi - lo) * px_per_nm
+    slack = 4 * np.finfo(float).eps * (abs(lo) + abs(hi)) * px_per_nm
+    return float(np.ceil(n - slack if slack < n / 2 else n))
 
 
 def raster_region(p: LayoutPattern, margin: float) -> Bbox:

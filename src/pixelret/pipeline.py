@@ -13,36 +13,46 @@ on its own pipe, classify one pixel chunk each (model, tiling and the crop
 of the raster that the chunk's windows read passed in the task; a worker
 keeps the last model it received, and a task leaves out a model equal to
 it); the caller reads every reply, even when its own chunk fails, and
-re-raises a worker's exception with its type.  A daemonic caller, which
-may not start processes, classifies every chunk itself.  Inference starts
+re-raises a worker's exception with its type.  A chunk holds at least one
+inference block.  A caller that may not fork (ilt.fork_safe: daemonic, or
+running another thread) classifies every chunk itself.  Inference starts
 no thread.
+recorrect keeps one deployment memo (_memo) between calls: the raster,
+the whole raster's compressed field, filled a tile at a time, and one
+classified window per fingerprint.  A region pixel whose window equals a
+kept one bit for bit takes its class, and only the rest are inferred; a
+new target, tiling, class count or model replaces the entry.  Like _pool,
+it is not safe to share between threads.
 window_field builds one compressed field per chunk, and predict_batch
 classifies each distinct window of a group once.  Field values are reduced
 by the same ops in the same order whatever chunk holds them, zero beyond
 the raster whether or not it is cropped; equal windows get the class of
 one of them, and the CNN classifies fixed-shape blocks in which a window's
 class does not depend on its slot or block-mates, so the map is bitwise
-identical for any worker count, chunking or region.
+identical for any worker count, chunking, region or memo state.
 """
 
 from __future__ import annotations
 
 import copy
+import mmap
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .classifier import ModelParams, predict_batch
+from .classifier import ModelParams, fingerprints, inference_block, predict_batch
 from .errors import (ConfigError, CoordError, DimMismatch, ParamError, ShapeError, check_int,
                      check_real)
 from .grid import RasterGrid, write_csv
 from .iip import IipConfig, IipMap, bin_classes, class_values, threshold_iip
+from .ilt import fork_safe
 from .layout import (
     Bbox,
     LayoutPattern,
@@ -52,7 +62,7 @@ from .layout import (
     rasterize,
     vectorize,
 )
-from .tiling import TilingConfig, provenance, window_field
+from .tiling import TilingConfig, fill_field, provenance, window_field
 
 
 @dataclass
@@ -168,8 +178,13 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> RasterGrid:
-    """The deployment raster of target, once m is checked against cfg:
-    refuse a model trained on differently tiled or differently classed
+    """The deployment raster of target, once m is checked against cfg."""
+    _check_model(m, cfg)
+    return deployment_raster(target, cfg.tiling)
+
+
+def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
+    """Refuse a model trained on differently tiled or differently classed
     data than cfg describes (ConfigError naming each clash), or whose input
     side or class count does not fit cfg (ShapeError).
     """
@@ -191,7 +206,6 @@ def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
         raise ShapeError(
             f"model has {m.arch.num_classes} classes, config {cfg.iip.num_classes}"
         )
-    return deployment_raster(target, tiling)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +237,19 @@ def _infer(
     m: ModelParams, raster: RasterGrid, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
 ) -> np.ndarray:
     """Class values of the raster pixels with the given flat indices, in
-    `workers` chunks.  A daemonic process may not start workers, so it
-    classifies every chunk itself, with the same bits."""
+    at most `workers` chunks, none smaller than one inference block.  A
+    process that may not fork (see fork_safe) classifies every chunk
+    itself, with the same bits."""
     global _pool
     table = class_values(cfg.iip.num_classes)
+    chunks = min(workers, -(-len(sel_flat) // inference_block(m.arch)))
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
         _task(m, raster, chunk, cfg.tiling, table)
-        for chunk in np.array_split(sel_flat, workers)
+        for chunk in np.array_split(sel_flat, max(chunks, 1))
         if chunk.size
     ]
-    if len(tasks) <= 1 or multiprocessing.current_process().daemon:
+    if len(tasks) <= 1 or not fork_safe():
         parts = [_infer_chunk(t) for t in tasks]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
     pool = _worker_pool(len(tasks) - 1)
@@ -359,6 +375,127 @@ def _lost(worker: _Worker) -> RuntimeError:
     )
 
 
+# ---------------------------------------------------------------------------
+# Deployment memo
+# ---------------------------------------------------------------------------
+
+# Field values per side of a memo field tile, the unit it is filled in.
+_TILE = 32
+
+
+class _Memo:
+    """The windows one deployment has classified: its key (target
+    checksum, a copy of the tiling, class count) and a deep copy of its
+    model; its raster; the compressed field of the whole zero-padded
+    raster, filled a tile at a time as windows need it; and, sorted by
+    fingerprint, one classified window per fingerprint, as its pixel's
+    flat index and its class value.
+
+    The field lives in a private anonymous mapping, so that its untouched
+    pages are never backed nor promoted to huge pages, and a forked
+    child's writes stay its own.
+    """
+
+    def __init__(self, key: tuple, m: ModelParams, raster: RasterGrid):
+        self.key, self.model, self.raster = key, copy.deepcopy(m), raster
+        tiling = key[1]
+        side, f = tiling.output_side, tiling.compression_factor
+        self.span = (side - 1) * f + 1
+        shape = (raster.height + self.span - 1, raster.width + self.span - 1)
+        buf = mmap.mmap(-1, 4 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        self.field = np.frombuffer(buf, np.float32).reshape(shape)
+        # Field value (v, u) compresses the block at raster pixel (u - r, v - r),
+        # r the window radius, so the window of pixel (x, y) is view[y, x].
+        self.view = sliding_window_view(self.field, (self.span, self.span))[:, :, ::f, ::f]
+        self.filled = np.zeros((-(-shape[0] // _TILE), -(-shape[1] // _TILE)), bool)
+        self.fp = np.empty(0, np.float32)
+        self.flat = np.empty(0, np.int64)
+        self.values = np.empty(0, np.float64)
+
+    def fill(self, ys: np.ndarray, xs: np.ndarray) -> None:
+        """Fill every tile that the windows of pixels (xs, ys) read: those
+        up to `reach` tiles below and right of each pixel's own tile, which
+        may hold one more tile of each side than its window reads."""
+        t, r = _TILE, self.key[1].window_radius
+        reach = (t - 1 + self.span - 1) // t
+        cells = np.zeros_like(self.filled)
+        cells[ys // t, xs // t] = True
+        rows = cells.copy()
+        for k in range(1, reach + 1):
+            rows[k:] |= cells[:-k]
+        need = rows.copy()
+        for k in range(1, reach + 1):
+            need[:, k:] |= rows[:, :-k]
+        need &= ~self.filled
+        for ty in np.flatnonzero(need.any(axis=1)):
+            cols = np.flatnonzero(need[ty])
+            # One fill per run of adjacent tiles.
+            for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
+                v0, u0 = ty * t, run[0] * t
+                out = self.field[v0 : v0 + t, u0 : (run[-1] + 1) * t]
+                fill_field(self.raster, self.key[1], out, u0 - r, v0 - r)
+        self.filled |= need
+
+    def lookup(self, sel_flat: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
+        """(hit, values, fp) for the raster pixels with the given flat
+        indices: whether a kept window's fingerprint and float32 bits equal
+        the pixel window's, the kept class value where they do, and each
+        window's fingerprint.  Windows are read and compared `block` at a
+        time."""
+        ys, xs = np.divmod(sel_flat, self.raster.width)
+        self.fill(ys, xs)
+        hit = np.zeros(len(sel_flat), bool)
+        values = np.empty(len(sel_flat), np.float64)
+        fp = np.empty(len(sel_flat), np.float32)
+        for s in range(0, len(sel_flat), block):
+            windows = self.view[ys[s : s + block], xs[s : s + block]]
+            fp[s : s + block] = fingerprints(windows, block)
+            j, found = _find(self.fp, fp[s : s + block])
+            cand = np.flatnonzero(found)
+            ry, rx = np.divmod(self.flat[j[cand]], self.raster.width)
+            a, b = windows[cand].view(np.uint32), self.view[ry, rx].view(np.uint32)
+            same = cand[(a == b).all(axis=(1, 2))]
+            hit[s + same] = True
+            values[s + same] = self.values[j[same]]
+        return hit, values, fp
+
+    def add(self, fp: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
+        """Keep the first classified window of each fingerprint that no kept
+        window has."""
+        fp, first = np.unique(fp, return_index=True)
+        at, found = _find(self.fp, fp)
+        fp, first, at = fp[~found], first[~found], at[~found]
+        self.fp = np.insert(self.fp, at, fp)
+        self.flat = np.insert(self.flat, at, flat[first])
+        self.values = np.insert(self.values, at, values[first])
+
+
+def _find(keys: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found): where each fp would sit in the sorted keys, and
+    whether keys holds it there."""
+    at = np.searchsorted(keys, fp)
+    if not len(keys):
+        return at, np.zeros(len(fp), bool)
+    return at, keys[np.minimum(at, len(keys) - 1)] == fp
+
+
+# The last deployment recorrect served, kept between its calls like _pool
+# and, like it, not safe to share between threads.
+_memo: _Memo | None = None
+
+
+def _memo_for(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> _Memo:
+    """The kept memo if it serves m, target and cfg, else a new empty one
+    (which is not kept until the call that made it succeeds)."""
+    key = (target.checksum(), cfg.tiling, cfg.iip.num_classes)
+    if _memo is not None and _memo.key == key and _same_model(_memo.model, m):
+        return _memo
+    tiling = replace(cfg.tiling)
+    return _Memo((key[0], tiling, key[2]), m, deployment_raster(target, tiling))
+
+
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
     """Predicted IIP map over the deployment raster; bitwise independent of
     cfg.workers.
@@ -384,9 +521,14 @@ def recorrect(
     """Re-run inference with m2 only on pixels inside the given regions and
     splice the new values into a copy of the prior map; everything outside
     is bitwise untouched.  The prior must lie on the deployment raster's
-    pixels (size, origin and resolution), else CoordError.
+    pixels (size, origin and resolution), else CoordError.  A pixel whose
+    window the deployment memo holds takes its class from it; the others
+    are inferred, and kept in the memo once inference has returned.
     """
-    raster = _deployment(m2, target, cfg)
+    global _memo
+    _check_model(m2, cfg)
+    memo = _memo_for(m2, target, cfg)
+    raster = memo.raster
     if raster.placement != prior.grid.placement:
         raise CoordError(
             f"prior map placement {prior.grid.placement} does not match the "
@@ -394,7 +536,11 @@ def recorrect(
             "in nm, px/nm)"
         )
     sel_flat = np.nonzero(_bbox_pixel_mask(raster, region).ravel())[0]
-    values = _infer(m2, raster, sel_flat, cfg, cfg.workers)
+    hit, values, fp = memo.lookup(sel_flat, inference_block(m2.arch))
+    miss = ~hit
+    values[miss] = _infer(m2, raster, sel_flat[miss], cfg, cfg.workers)
+    memo.add(fp[miss], sel_flat[miss], values[miss])
+    _memo = memo
     flat = prior.grid.values.copy().ravel()
     flat[sel_flat] = values
     return IipMap(

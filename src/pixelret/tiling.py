@@ -278,9 +278,7 @@ def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Window
     Field value (v, u) compresses the f x f block of the zero-padded
     raster at top-left pixel (x0 - r + u, y0 - r + v), where (x0, y0) is
     the box's low corner, so the window of (x, y) is
-    field[y - y0 + i*f, x - x0 + j*f].  Row bands, each within
-    _BAND_BYTES, reduce the f shifted rows, then the f shifted columns,
-    with compress_window's _reduce, so the bits match.
+    field[y - y0 + i*f, x - x0 + j*f]; fill_field computes it.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (g.width, g.height))).any():
@@ -291,19 +289,30 @@ def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> Window
     view = np.empty((0, 0, side, side), np.float32)
     if len(coords):
         lo = coords.min(axis=0)
-        (x, y), (w, h) = lo - cfg.window_radius, np.ptp(coords, axis=0) + span
+        w, h = np.ptp(coords, axis=0) + span
         field = np.empty((h, w), dtype=np.float32)
-        band = max(1, _BAND_BYTES // (8 * 3 * (w + f - 1)))
-        b0, b1 = np.clip((x, x + w + f - 1), 0, g.width)
-        for v0 in range(0, h, band):
-            n, top = min(band, h - v0), y + v0
-            a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
-            pad = np.zeros((n + f - 1, w + f - 1))
-            pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
-            rows = _reduce([pad[k : k + n] for k in range(f)], cfg.row_reducer)
-            field[v0 : v0 + n] = _reduce([rows[:, k : k + w] for k in range(f)], cfg.col_reducer)
+        fill_field(g, cfg, field, *(lo - cfg.window_radius))
         view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
     return WindowStack([(field, view)], np.zeros(len(coords), np.intp), (coords - lo)[:, ::-1])
+
+
+def fill_field(g: RasterGrid, cfg: TilingConfig, out: np.ndarray, x: int, y: int) -> None:
+    """Fill out with compressed field values: out[v, u] compresses the
+    f x f block of the zero-padded raster at top-left pixel (x + u, y + v).
+    Row bands, each within _BAND_BYTES, reduce the f shifted rows, then the
+    f shifted columns, with compress_window's _reduce, so each value's bits
+    match compress_window's whatever box or band holds it.
+    """
+    (h, w), f = out.shape, cfg.compression_factor
+    band = max(1, _BAND_BYTES // (8 * 3 * (w + f - 1)))
+    b0, b1 = np.clip((x, x + w + f - 1), 0, g.width)
+    for v0 in range(0, h, band):
+        n, top = min(band, h - v0), y + v0
+        a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
+        pad = np.zeros((n + f - 1, w + f - 1))
+        pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
+        rows = _reduce([pad[k : k + n] for k in range(f)], cfg.row_reducer)
+        out[v0 : v0 + n] = _reduce([rows[:, k : k + w] for k in range(f)], cfg.col_reducer)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,17 @@ class TestRasterize:
         with pytest.raises(RegionError, match=re.escape(str(region))):
             rasterize(LayoutPattern([rect(0, 0, 2, 2)]), 1.0, region)
 
+    @pytest.mark.parametrize("side, px_per_nm, origin", [
+        (6, 0.3, (0.0, 0.0)),  # 20 nm * 0.3 is 6.000000000000001 px
+        (10, 3.0, (1.9, 1.9)),
+    ])
+    def test_grid_bbox_round_trip(self, side, px_per_nm, origin):
+        # A grid's own bbox_nm() gives back its shape, though its extent
+        # times px_per_nm lies a few ulps above the pixel count.
+        g = RasterGrid(side, side, origin, px_per_nm, np.zeros((side, side)))
+        p = LayoutPattern([rect(0, 0, 10, 10)])
+        assert rasterize(p, px_per_nm, g.bbox_nm()).shape == g.shape
+
     def test_raster_region_empty_pattern(self):
         with pytest.raises(RegionError):
             raster_region(LayoutPattern([]), 10)

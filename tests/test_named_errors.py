@@ -107,10 +107,11 @@ class TestTiling:
             compress_window(np.zeros(side), toy_tiling())
 
     def test_build_dataset_shape_mismatch(self):
-        # At 0.3 px/nm a 6 px mask spans 20 nm, which rasterizes to 7 px.
-        tiling = TilingConfig(interaction_distance=10.0, px_per_nm=0.3, compression_factor=2)
-        mask = RasterGrid(6, 6, (0.0, 0.0), 0.3, np.eye(6, dtype=np.uint8))
-        iip = IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 0.3))
+        # Pixel centres at 1e17 nm lie 16 nm apart in float64, so the nm
+        # bounds of a 12 px mask there do not give back its 12 px.
+        tiling = TilingConfig(interaction_distance=10.0, px_per_nm=1.0, compression_factor=2)
+        mask = RasterGrid(12, 12, (1e17, 1e17), 1.0, np.eye(12, dtype=np.uint8))
+        iip = IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 1.0))
         with pytest.raises(DimMismatch, match="target raster"):
             build_dataset(LayoutPattern([rect(0, 0, 10, 10)]), mask, tiling, iip)
 

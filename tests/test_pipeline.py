@@ -1,13 +1,16 @@
 import multiprocessing
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pixelret import classifier, pipeline
-from pixelret.classifier import ArchDescriptor, ConvBlock, init_model, predict
+from pixelret.classifier import ArchDescriptor, ConvBlock, inference_block, init_model, predict
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid, iou
+from pixelret.ilt import fork_safe
 from pixelret.iip import IipConfig, IipMap, class_value, make_iik, threshold_iip
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.pipeline import (
@@ -61,6 +64,14 @@ def zero_model(num_classes=5):
 
 
 PATTERN = LayoutPattern([rect(8, 8, 24, 24)])
+# Four lines: along them and between them many windows are equal.
+LINES = LayoutPattern([rect(8 + 12 * k, 8, 14 + 12 * k, 40) for k in range(4)])
+
+
+@pytest.fixture(autouse=True)
+def empty_memo(monkeypatch):
+    """Every test starts with no deployment memo and leaves none behind."""
+    monkeypatch.setattr(pipeline, "_memo", None)
 
 
 def oracle_map(m, target, cfg):
@@ -183,15 +194,18 @@ class TestWorkers:
     kept between calls; every call reads back exactly its own replies."""
 
     def test_workers_reused(self):
+        # LINES's 2,784 px make 22 blocks, a chunk for each of the kept
+        # workers and a new one.
         m = toy_model()
-        want = predict_map(m, PATTERN, toy_cfg()).grid.values
-        a = predict_map(m, PATTERN, toy_cfg(workers=2))
+        want = predict_map(m, LINES, toy_cfg()).grid.values
+        a = predict_map(m, LINES, toy_cfg(workers=2))
         pids = worker_pids()
         assert pids
-        b = predict_map(m, PATTERN, toy_cfg(workers=2))
+        b = predict_map(m, LINES, toy_cfg(workers=2))
         assert worker_pids() == pids
         # A call that needs more workers keeps these and starts the rest.
-        c = predict_map(m, PATTERN, toy_cfg(workers=len(pids) + 2))
+        assert len(pids) + 2 <= 22
+        c = predict_map(m, LINES, toy_cfg(workers=len(pids) + 2))
         assert worker_pids()[: len(pids)] == pids
         assert len(worker_pids()) == len(pids) + 1
         for out in (a, b, c):
@@ -311,7 +325,9 @@ class TestWorkers:
         # Each chunk's task holds only the raster its windows read, so
         # boxes at every edge and corner cut crops that the raster clips.
         # At factor 1 a window reads its whole side, radius included; at
-        # factor 2 compression trims its far edge.
+        # factor 2 compression trims its far edge.  A box holds 400 px,
+        # at least one 128-image block per worker, and the memo is emptied
+        # before each call, so every pixel runs in a chunk.
         cfg = toy_cfg()
         cfg.tiling.compression_factor = factor
         arch = ArchDescriptor(cfg.tiling.output_side, 5, [ConvBlock(4), ConvBlock(8)])
@@ -320,13 +336,15 @@ class TestWorkers:
         fresh = predict_map(m2, PATTERN, cfg).grid.values
         x0, y0, x1, y1 = prior.grid.bbox_nm()
         corners = [
-            (x0 + fx * (x1 - x0 - 6), y0 + fy * (y1 - y0 - 6))
+            (x0 + fx * (x1 - x0 - 20), y0 + fy * (y1 - y0 - 20))
             for fy in (0, 0.5, 1) for fx in (0, 0.5, 1)
         ]
-        regions = [[(x, y, x + 6, y + 6)] for x, y in corners]
-        regions.append([(x, y, x + 6, y + 6) for x, y in corners[::8]])
+        regions = [[(x, y, x + 20, y + 20)] for x, y in corners]
+        regions.append([(x, y, x + 20, y + 20) for x, y in corners[::8]])
         cfg.workers = workers
+        assert inference_block(arch) * workers <= 400
         for region in regions:
+            pipeline._memo = None
             out = recorrect(prior, PATTERN, region, m2, cfg)
             mask = pipeline._bbox_pixel_mask(prior.grid, region)
             assert np.array_equal(out.grid.values[mask], fresh[mask])
@@ -386,6 +404,214 @@ class TestWorkers:
         for workers in (2, 3, 1, 3, 2):
             predict_map(m, PATTERN, toy_cfg(workers=workers))
         assert {p.pid for p in multiprocessing.active_children()} <= before
+
+
+class TestChunks:
+    """_infer cuts at most `workers` chunks, none smaller than one
+    inference block, and forks only where fork_safe()."""
+
+    @staticmethod
+    def requested(monkeypatch):
+        """The worker counts _infer asks _worker_pool for."""
+        counts, real = [], pipeline._worker_pool
+
+        def counting(workers):
+            counts.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(pipeline, "_worker_pool", counting)
+        return counts
+
+    def test_no_chunk_below_one_block(self, monkeypatch):
+        m = toy_model()
+        assert inference_block(m.arch) == 128  # PATTERN's 1,024 px make 8 blocks
+        want = predict_map(m, PATTERN, toy_cfg()).grid.values
+        counts = self.requested(monkeypatch)
+        for workers, pool in ((2, [1]), (8, [7]), (10_000, [7])):
+            counts.clear()
+            assert np.array_equal(predict_map(m, PATTERN, toy_cfg(workers)).grid.values, want)
+            assert counts == pool
+        # A region of fewer pixels than one block runs in the caller.
+        counts.clear()
+        x0, y0, _, _ = deployment_raster(PATTERN, toy_cfg().tiling).bbox_nm()
+        region = [(x0, y0, x0 + 10, y0 + 10)]
+        out = recorrect(predict_map(m, PATTERN, toy_cfg()), PATTERN, region, m, toy_cfg(3))
+        assert counts == []
+        assert np.array_equal(out.grid.values, want)
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        m = toy_model()
+        want = predict_map(m, PATTERN, toy_cfg()).grid.values
+        forks, counting = [], [True]
+        os.register_at_fork(before=lambda: counting[0] and forks.append(os.getpid()))
+        # No kept worker, so a 2-worker call could only fork one.
+        monkeypatch.setattr(pipeline, "_pool", (os.getpid(), ()))
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait, args=(60,))
+        waiting.start()
+        try:
+            assert not fork_safe()
+            values = predict_map(m, PATTERN, toy_cfg(workers=2)).grid.values
+        finally:
+            done.set()
+            waiting.join(60)
+            counting[0] = False
+        assert forks == []
+        assert values.tobytes() == want.tobytes()
+
+
+def request_stream(grid, seed, n):
+    """n seeded requests of 1-2 boxes of 2-7 nm a side inside the grid."""
+    rng = np.random.default_rng(seed)
+    x0, y0, x1, y1 = grid.bbox_nm()
+    for _ in range(n):
+        boxes = []
+        for _ in range(int(rng.integers(1, 3))):
+            w, h = rng.integers(2, 8, 2)
+            bx, by = rng.uniform(x0, x1 - w), rng.uniform(y0, y1 - h)
+            boxes.append((bx, by, bx + w, by + h))
+        yield boxes
+
+
+def count_inferred(monkeypatch):
+    """The pixel count of every _infer call."""
+    counts, real = [], pipeline._infer
+
+    def counting(m, raster, sel_flat, cfg, workers):
+        counts.append(len(sel_flat))
+        return real(m, raster, sel_flat, cfg, workers)
+
+    monkeypatch.setattr(pipeline, "_infer", counting)
+    return counts
+
+
+class TestDeploymentMemo:
+    """recorrect gives a pixel the class of a bitwise-equal window that an
+    earlier call on the same deployment classified, and infers the rest."""
+
+    def test_stream_bitwise_equal_to_emptied_memo(self, monkeypatch):
+        m, cfg = toy_model(seed=3), toy_cfg()
+        inferred = count_inferred(monkeypatch)
+        prior = predict_map(zero_model(), LINES, cfg)
+        maps, touched = {}, np.zeros(prior.grid.shape, bool)
+        for empty in (False, True):
+            inferred.clear()
+            out = prior
+            for boxes in request_stream(prior.grid, 5, 300):
+                if empty:
+                    pipeline._memo = None
+                out = recorrect(out, LINES, boxes, m, cfg)
+                touched |= pipeline._bbox_pixel_mask(out.grid, boxes)
+            maps[empty] = (out.grid.values, sum(inferred))
+        assert maps[False][0].tobytes() == maps[True][0].tobytes()
+        assert maps[False][1] < maps[True][1] / 4
+        fresh = predict_map(m, LINES, cfg).grid.values
+        assert np.array_equal(maps[False][0][touched], fresh[touched])
+        assert np.array_equal(maps[False][0][~touched], prior.grid.values[~touched])
+
+    def test_entry_replaced_on_any_difference(self, monkeypatch):
+        inferred = count_inferred(monkeypatch)
+        m, cfg = toy_model(), toy_cfg()
+
+        def served(target, model, cfg):
+            """recorrect over target's whole raster equals a fresh map; the
+            entry it leaves."""
+            prior = predict_map(zero_model(model.arch.num_classes), target, cfg)
+            out = recorrect(prior, target, [prior.grid.bbox_nm()], model, cfg)
+            assert out.grid.values.tobytes() == predict_map(model, target, cfg).grid.values.tobytes()
+            return pipeline._memo
+
+        memo = served(PATTERN, m, cfg)
+        inferred.clear()
+        # An equal model, compared by value, keeps it: the prior and the
+        # fresh map infer all 1,024 px, recorrect none.
+        assert served(PATTERN, m.copy(), cfg) is memo
+        assert inferred == [1024, 0, 1024]
+        # Each call differs from the last in one thing only.
+        m.weights["conv0_w"] *= -1.0  # in place
+        memo, last = served(PATTERN, m, cfg), memo
+        assert memo is not last
+        cfg.tiling.row_reducer = "max"  # in place
+        memo, last = served(PATTERN, m, cfg), memo
+        assert memo is not last
+        memo, last = served(LayoutPattern([rect(12, 12, 28, 28)]), m, cfg), memo
+        assert memo is not last
+        # A class count fits only a model of as many classes.
+        cfg7 = CorrectionConfig(cfg.tiling, IipConfig(num_classes=7, iik=cfg.iip.iik))
+        assert served(PATTERN, toy_model(num_classes=7), cfg7) is not memo
+
+    def test_every_fingerprint_colliding(self, monkeypatch):
+        # A zero probe gives every window the same fingerprint, so the
+        # entry keeps one window and every other one is told apart by bits.
+        m, cfg = toy_model(seed=3), toy_cfg()
+        want = predict_map(m, LINES, cfg).grid.values
+        monkeypatch.setattr(classifier, "_probe", lambda size: np.zeros(size, np.float32))
+        out = predict_map(zero_model(), LINES, cfg)
+        for boxes in request_stream(out.grid, 6, 20):
+            out = recorrect(out, LINES, boxes, m, cfg)
+            mask = pipeline._bbox_pixel_mask(out.grid, boxes)
+            assert np.array_equal(out.grid.values[mask], want[mask])
+        assert len(pipeline._memo.fp) == 1
+
+    def test_failing_worker_leaves_entry_unchanged(self, monkeypatch):
+        m, cfg = toy_model(), toy_cfg(workers=2)
+        prior = predict_map(m, PATTERN, toy_cfg())
+        x0, y0, _, _ = prior.grid.bbox_nm()
+        recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, cfg)
+        memo = pipeline._memo
+        kept = [a.tobytes() for a in (memo.fp, memo.flat, memo.values)]
+        caller, real = os.getpid(), pipeline._infer_chunk
+
+        def failing(task):
+            if os.getpid() != caller:
+                raise ZeroDivisionError("a worker's chunk")
+            return real(task)
+
+        # Fresh workers, forked with the failing chunk; about 1,000 misses
+        # make 2 chunks.
+        monkeypatch.setattr(pipeline, "_infer_chunk", failing)
+        monkeypatch.setattr(pipeline, "_pool", (caller, ()))
+        with pytest.raises(ZeroDivisionError):
+            recorrect(prior, PATTERN, [prior.grid.bbox_nm()], m, cfg)
+        assert pipeline._memo is memo
+        assert [a.tobytes() for a in (memo.fp, memo.flat, memo.values)] == kept
+
+    def test_only_recorrect_reads_the_memo(self, monkeypatch):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"read the memo's {name}")
+
+        memo = Unreadable()
+        monkeypatch.setattr(pipeline, "_memo", memo)
+        m, cfg = toy_model(), toy_cfg()
+        raster = deployment_raster(PATTERN, cfg.tiling)
+        predict(m, compress_window(extract_window(raster, (5, 5), cfg.tiling), cfg.tiling))
+        predict_map(m, PATTERN, toy_cfg(workers=2))
+        correct(PATTERN, m, cfg)
+        square = LayoutPattern([rect(0, 0, 84, 84)])  # 100 x 100 px
+        bench_scaling(m, square, cfg, worker_counts=[1], repeats=1)
+        assert pipeline._memo is memo
+
+    def test_entry_holds_no_more_than_its_windows(self):
+        # Over a stream, the traced memory held at its end is the entry's
+        # raster, model and 20 bytes per kept window (a float32
+        # fingerprint, an int64 pixel and a float64 class value), plus the
+        # last map; the field is a mapping that tracemalloc does not see.
+        m, cfg = toy_model(seed=3), toy_cfg()
+        out = predict_map(zero_model(), LINES, cfg)
+        boxes = list(request_stream(out.grid, 7, 200))
+        tracemalloc.start()
+        try:
+            for region in boxes:
+                out = recorrect(out, LINES, region, m, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        memo = pipeline._memo
+        entry = (memo.raster.values.nbytes + memo.filled.nbytes + 20 * len(memo.fp)
+                 + sum(w.nbytes for w in memo.model.weights.values()))
+        assert len(memo.fp) > 100
+        assert held <= entry + out.grid.values.nbytes + (64 << 10), (held, entry)
 
 
 class TestRecorrect:
@@ -577,6 +803,21 @@ class TestCorrect:
             assert got.grid.checksum() == expect_grid.checksum()
             empty.append(expect.is_empty)
         assert empty == [False, True]
+
+
+    def test_grid_on_the_threshold_grid_at_fractional_resolution(self):
+        # At 0.3 px/nm the deployment raster's nm bounds are a few ulps
+        # wider than its 11 x 12 px; the re-rasterized pattern keeps them.
+        tiling = TilingConfig(interaction_distance=10.0, px_per_nm=0.3, compression_factor=1)
+        cfg = CorrectionConfig(tiling, IipConfig(num_classes=5, iik=make_iik("gaussian", 2.0, 6.0, 0.3)))
+        m = init_model(ArchDescriptor(tiling.output_side, 5, [ConvBlock(4)]), seed=0)
+        for w in m.weights.values():
+            w[...] = 0.0
+        m.weights["dense_b"][-1] = 1.0  # every pixel in the top class
+        out = correct(LayoutPattern([rect(0, 0, 20, 14)]), m, cfg)
+        assert out.threshold.shape == (11, 12) and out.threshold.values.all()
+        assert not out.pattern.is_empty
+        assert out.grid.shape == out.threshold.shape
 
 
 class TestConfusion:
