@@ -7,7 +7,7 @@ target's own raster serves as the reference mask, so no ILT runs; with
 per_class_cap 3 the 100 IIP classes give at most 300 samples.  Prints the
 dataset's sha256 (images, labels and coords), the wall time of the call,
 the process's peak RSS up to its end, which includes the raster, and the
-bytes the dataset holds (its compressed field plus its per-sample columns)
+bytes the dataset holds (its polyphase planes plus its per-sample columns)
 next to the bytes of the (n, side, side) image stack it reads on demand.
 Before that call it runs compute_iip once on the same raster, the first
 step of build_dataset, and prints its wall time and tracemalloc peak, with
@@ -61,7 +61,7 @@ def main() -> None:
     print(f"build_dataset {wall:.2f} s")
     print(f"peak RSS up to the end of build_dataset {peak_mib:.0f} MiB")
     print(
-        f"dataset holds {held / 2**20:.1f} MiB (field and columns); "
+        f"dataset holds {held / 2**20:.1f} MiB (planes and columns); "
         f"its image stack is {len(ds) * ds.image_side**2 * 4 / 2**20:.1f} MiB"
     )
 

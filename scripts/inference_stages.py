@@ -7,13 +7,15 @@ per image in an (n, c, h, w) layout, the arithmetic inference used before
 it ran in blocks) and once for the block forward at the arch's
 inference_block size; and the wall time of one pipeline._infer_chunk call
 on a 200-pixel chunk of a 20 x 20 px box of a toy line-space raster, the
-shape of one worker's share of a recorrect request, with the raster crop
-that pipeline._task gives the chunk, followed by the share of the chunk's
-windows that predict_batch classifies (one per distinct window) and the
-time it spends reading and fingerprinting them, and on the sort and bit
-compare that find the copies.  The block forward's
-timed steps are checked to give classifier._forward's logits bit for bit.
-OpenBLAS is pinned to one thread, as in the benchmark.
+shape of one worker's share of a request, once with the raster crop that
+pipeline._task gives a predict_map chunk (the worker reduces it) and once
+with the crop of a deployment memo's polyphase planes that it gives a
+recorrect chunk, followed by the share of the chunk's windows that
+predict_batch classifies (one per distinct window) and the time it spends
+reading them from the planes and fingerprinting them, and on the sort and
+bit compare that find the copies.  The block forward's timed steps are
+checked to give classifier._forward's logits bit for bit.  OpenBLAS is
+pinned to one thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/inference_stages.py [--reps N]
 """
@@ -33,7 +35,7 @@ from pixelret.classifier import _distinct, _forward, _im2col, _probe, inference_
 from pixelret.cli import load_config
 from pixelret.iip import class_values
 from pixelret.layout import generate_test_pattern
-from pixelret.pipeline import _infer_chunk, _task, deployment_raster
+from pixelret.pipeline import _infer_chunk, _Memo, _task, deployment_raster
 from pixelret.tiling import window_field
 
 
@@ -127,15 +129,22 @@ def main() -> None:
     raster = deployment_raster(pattern, tiling)
     ys, xs = np.mgrid[: 20, : 20]
     flat = ((raster.height // 2 + ys) * raster.width + raster.width // 2 + xs).ravel()[:200]
-    task = _task(m, raster, flat, tiling, class_values(num_classes))
-    print(
-        f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, block "
-        f"{inference_block(m.arch)}: {median_ms(lambda: _infer_chunk(task), args.reps):.2f} ms "
-        f"(median of {args.reps})"
-    )
+    memo = _Memo((pattern.checksum(), tiling, num_classes), m, raster)
+    memo.fill(*np.divmod(flat, raster.width))
+    tasks = {
+        "raster crop": _task(m, raster, flat, tiling, class_values(num_classes)),
+        "planes crop": _task(m, memo, flat, tiling, class_values(num_classes)),
+    }
+    for kind, task in tasks.items():
+        print(
+            f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, {kind}, "
+            f"block {inference_block(m.arch)}: "
+            f"{median_ms(lambda: _infer_chunk(task), args.reps):.2f} ms (median of {args.reps})"
+        )
     # predict_batch's fingerprints of the chunk's windows, one block read
-    # at a time, then its sort and bit compare (one group: 200 windows).
-    _, crop, coords, _, _ = task
+    # from the planes at a time, then its sort and bit compare (one group:
+    # 200 windows).
+    _, crop, coords, _, _ = tasks["planes crop"]
     windows = window_field(crop, coords, tiling)
     size, block, n = m.arch.input_side**2, inference_block(m.arch), len(windows)
     probe = _probe(size)

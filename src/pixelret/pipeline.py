@@ -10,26 +10,32 @@ or classes is refused rather than deployed.
 
 The caller and forked worker processes, started on demand and kept, each
 on its own pipe, classify one pixel chunk each (model, tiling and the crop
-of the raster that the chunk's windows read passed in the task; a worker
-keeps the last model it received, and a task leaves out a model equal to
-it); the caller reads every reply, even when its own chunk fails, and
-re-raises a worker's exception with its type.  A chunk holds at least one
-inference block.  A caller that may not fork (ilt.fork_safe: daemonic, or
-running another thread) classifies every chunk itself.  Inference starts
-no thread.
-recorrect keeps one deployment memo (_memo) between calls: the raster,
-the whole raster's compressed field, filled a tile at a time, and one
-classified window per fingerprint.  A region pixel whose window equals a
-kept one bit for bit takes its class, and only the rest are inferred; a
-new target, tiling, class count or model replaces the entry.  Like _pool,
-it is not safe to share between threads.
-window_field builds one compressed field per chunk, and predict_batch
-classifies each distinct window of a group once.  Field values are reduced
-by the same ops in the same order whatever chunk holds them, zero beyond
-the raster whether or not it is cropped; equal windows get the class of
-one of them, and the CNN classifies fixed-shape blocks in which a window's
-class does not depend on its slot or block-mates, so the map is bitwise
-identical for any worker count, chunking, region or memo state.
+that the chunk's windows read passed in the task; a worker keeps the last
+model it received, and a task leaves out a model equal to it); the caller
+reads every reply, even when its own chunk fails, and re-raises a worker's
+exception with its type.  A chunk holds at least one inference block.  A
+caller that may not fork (ilt.fork_safe: daemonic, or running another
+thread) classifies every chunk itself.  Inference starts no thread.
+predict_map's tasks carry a crop of the raster, which each process
+reduces into the polyphase planes of its own compressed field
+(window_field), so workers reduce in parallel.
+recorrect keeps one deployment memo (_memo) between calls: the raster, the
+polyphase planes of the whole raster's compressed field, filled a tile at
+a time, each pixel's class once known, and one classified window per
+fingerprint.  A region pixel that an earlier call classified takes its
+class from the per-pixel map with no read; another whose window, read from
+the planes, equals a kept one bit for bit takes that one's class; only the
+rest are inferred, from the same planes: in place in the caller's chunk,
+and from a crop of them in a worker's.  A new target, tiling, class count
+or model replaces the entry.  Like _pool, it is not safe to share between
+threads.
+predict_batch classifies each distinct window of a group once.  Field
+values are reduced by the same ops in the same order whatever planes hold
+them, zero beyond the raster whether or not it is cropped; equal windows
+get the class of one of them, and the CNN classifies fixed-shape blocks in
+which a window's class does not depend on its slot or block-mates, so the
+map is bitwise identical for any worker count, chunking, region or memo
+state.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ModelParams, fingerprints, inference_block, predict_batch
 from .errors import (ConfigError, CoordError, DimMismatch, ParamError, ShapeError, check_int,
@@ -62,7 +67,7 @@ from .layout import (
     rasterize,
     vectorize,
 )
-from .tiling import TilingConfig, fill_field, provenance, window_field
+from .tiling import TilingConfig, WindowStack, fill_field, provenance, window_field
 
 
 @dataclass
@@ -150,15 +155,15 @@ def deployment_raster(target: LayoutPattern, tiling: TilingConfig) -> RasterGrid
     return rasterize(target, tiling.px_per_nm, region)
 
 
-def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
-    """Boolean mask of pixels whose centers fall inside any box (closed
-    bounds); every box must lie within the grid's area.
+def _region_pixels(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
+    """Sorted flat indices of the pixels whose centers fall inside any box
+    (closed bounds); every box must lie within the grid's area.
     """
     gx0, gy0, gx1, gy1 = g.bbox_nm()
-    mask = np.zeros((g.height, g.width), dtype=bool)
     inv = 1.0 / g.px_per_nm
     xs = g.origin[0] + np.arange(g.width) * inv
     ys = g.origin[1] + np.arange(g.height) * inv
+    parts = []
     for box in boxes:
         x0, y0, x1, y1 = (check_real("region bbox", c, error=CoordError) for c in box)
         if not (x0 < x1 and y0 < y1):
@@ -169,8 +174,15 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
         # bounds form one index range per axis.
         c0, c1 = np.searchsorted(xs, x0, "left"), np.searchsorted(xs, x1, "right")
         r0, r1 = np.searchsorted(ys, y0, "left"), np.searchsorted(ys, y1, "right")
-        mask[r0:r1, c0:c1] = True
-    return mask
+        parts.append((np.arange(r0, r1)[:, None] * g.width + np.arange(c0, c1)).ravel())
+    return np.unique(np.concatenate([np.empty(0, np.int64), *parts]))
+
+
+def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
+    """_region_pixels as a boolean mask of the grid's shape."""
+    mask = np.zeros(g.width * g.height, dtype=bool)
+    mask[_region_pixels(g, boxes)] = True
+    return mask.reshape(g.height, g.width)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +224,27 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _task(m: ModelParams, raster: RasterGrid, flat: np.ndarray, tiling: TilingConfig,
+def _task(m: ModelParams, source: RasterGrid | _Memo, flat: np.ndarray, tiling: TilingConfig,
           table: np.ndarray) -> tuple:
-    """The task that classifies the raster pixels with the given flat
-    indices: the crop of the raster their windows read (their box plus the
-    window radius, clipped to the raster) and their coords on it."""
+    """The task that classifies the deployment raster's pixels with the
+    given flat indices: the crop of the source that their windows read,
+    and their coords on it.  From a raster (which the task's process
+    reduces) that is their box plus the window radius, clipped to the
+    raster; from a memo, the rows and columns of its planes that their
+    windows span, a view that a worker receives as a copy.  This is the one
+    place that tells the two kinds apart."""
+    raster = source if isinstance(source, RasterGrid) else source.raster
     coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
-    r = tiling.window_radius
-    x0, y0 = np.maximum(coords.min(axis=0) - r, 0)
-    x1, y1 = np.minimum(coords.max(axis=0) + r + 1, (raster.width, raster.height))
-    crop = RasterGrid(int(x1 - x0), int(y1 - y0), raster.pixel_center(x0, y0),
-                      raster.px_per_nm, raster.values[y0:y1, x0:x1])
-    return m, crop, coords - (x0, y0), tiling, table
+    if raster is source:
+        r = tiling.window_radius
+        x0, y0 = np.maximum(coords.min(axis=0) - r, 0)
+        x1, y1 = np.minimum(coords.max(axis=0) + r + 1, (raster.width, raster.height))
+        crop = RasterGrid(int(x1 - x0), int(y1 - y0), raster.pixel_center(x0, y0),
+                          raster.px_per_nm, raster.values[y0:y1, x0:x1])
+        return m, crop, coords - (x0, y0), tiling, table
+    f, side = tiling.compression_factor, tiling.output_side
+    (j0, i0), (j1, i1) = coords.min(axis=0) // f, coords.max(axis=0) // f + side
+    return m, source.planes[:, :, i0:i1, j0:j1], coords - (j0 * f, i0 * f), tiling, table
 
 
 def _infer_chunk(task: tuple) -> np.ndarray:
@@ -234,9 +255,11 @@ def _infer_chunk(task: tuple) -> np.ndarray:
 
 
 def _infer(
-    m: ModelParams, raster: RasterGrid, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
+    m: ModelParams, source: RasterGrid | _Memo, sel_flat: np.ndarray, cfg: CorrectionConfig,
+    workers: int
 ) -> np.ndarray:
-    """Class values of the raster pixels with the given flat indices, in
+    """Class values of the deployment raster's pixels with the given flat
+    indices, read from the raster or from a memo's planes (see _task), in
     at most `workers` chunks, none smaller than one inference block.  A
     process that may not fork (see fork_safe) classifies every chunk
     itself, with the same bits."""
@@ -245,7 +268,7 @@ def _infer(
     chunks = min(workers, -(-len(sel_flat) // inference_block(m.arch)))
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        _task(m, raster, chunk, cfg.tiling, table)
+        _task(m, source, chunk, cfg.tiling, table)
         for chunk in np.array_split(sel_flat, max(chunks, 1))
         if chunk.size
     ]
@@ -379,36 +402,44 @@ def _lost(worker: _Worker) -> RuntimeError:
 # Deployment memo
 # ---------------------------------------------------------------------------
 
-# Field values per side of a memo field tile, the unit it is filled in.
-_TILE = 32
+# Plane values per side of a memo planes tile, the unit it is filled in.
+_TILE = 8
+
+
+def _private(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in a private anonymous mapping, so that its untouched
+    pages are never backed nor promoted to huge pages, and a forked
+    child's writes stay its own."""
+    buf = mmap.mmap(-1, max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
+                    flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype, int(np.prod(shape))).reshape(shape)
 
 
 class _Memo:
-    """The windows one deployment has classified: its key (target
-    checksum, a copy of the tiling, class count) and a deep copy of its
-    model; its raster; the compressed field of the whole zero-padded
-    raster, filled a tile at a time as windows need it; and, sorted by
+    """What one deployment has classified: its key (target checksum, a
+    copy of the tiling, class count) and a deep copy of its model; its
+    raster; the polyphase planes of the compressed field of the whole
+    zero-padded raster, filled a tile at a time as windows need them; each
+    raster pixel's class id + 1, 0 while unknown; and, sorted by
     fingerprint, one classified window per fingerprint, as its pixel's
     flat index and its class value.
 
-    The field lives in a private anonymous mapping, so that its untouched
-    pages are never backed nor promoted to huge pages, and a forked
-    child's writes stay its own.
+    Field value (v, u) compresses the block at raster pixel (u - r, v - r),
+    r the window radius, so the window of pixel (x, y) is the one at field
+    offset (x, y).  The planes and the class ids live in private mappings
+    (_private).
     """
 
     def __init__(self, key: tuple, m: ModelParams, raster: RasterGrid):
         self.key, self.model, self.raster = key, copy.deepcopy(m), raster
         tiling = key[1]
         side, f = tiling.output_side, tiling.compression_factor
-        self.span = (side - 1) * f + 1
-        shape = (raster.height + self.span - 1, raster.width + self.span - 1)
-        buf = mmap.mmap(-1, 4 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE)
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        self.field = np.frombuffer(buf, np.float32).reshape(shape)
-        # Field value (v, u) compresses the block at raster pixel (u - r, v - r),
-        # r the window radius, so the window of pixel (x, y) is view[y, x].
-        self.view = sliding_window_view(self.field, (self.span, self.span))[:, :, ::f, ::f]
+        shape = ((raster.height - 1) // f + side, (raster.width - 1) // f + side)
+        self.planes = _private((f, f, *shape), np.float32)
+        self.known = _private((raster.height * raster.width,), np.min_scalar_type(key[2]))
+        self.stack = window_field(self.planes, np.empty((0, 2)), tiling)
         self.filled = np.zeros((-(-shape[0] // _TILE), -(-shape[1] // _TILE)), bool)
         self.fp = np.empty(0, np.float32)
         self.flat = np.empty(0, np.int64)
@@ -418,10 +449,11 @@ class _Memo:
         """Fill every tile that the windows of pixels (xs, ys) read: those
         up to `reach` tiles below and right of each pixel's own tile, which
         may hold one more tile of each side than its window reads."""
-        t, r = _TILE, self.key[1].window_radius
-        reach = (t - 1 + self.span - 1) // t
+        t, tiling = _TILE, self.key[1]
+        f, r = tiling.compression_factor, tiling.window_radius
+        reach = (t - 1 + tiling.output_side - 1) // t
         cells = np.zeros_like(self.filled)
-        cells[ys // t, xs // t] = True
+        cells[ys // f // t, xs // f // t] = True
         rows = cells.copy()
         for k in range(1, reach + 1):
             rows[k:] |= cells[:-k]
@@ -433,10 +465,15 @@ class _Memo:
             cols = np.flatnonzero(need[ty])
             # One fill per run of adjacent tiles.
             for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
-                v0, u0 = ty * t, run[0] * t
-                out = self.field[v0 : v0 + t, u0 : (run[-1] + 1) * t]
-                fill_field(self.raster, self.key[1], out, u0 - r, v0 - r)
+                i0, j0 = ty * t, run[0] * t
+                out = self.planes[:, :, i0 : i0 + t, j0 : (run[-1] + 1) * t]
+                fill_field(self.raster, tiling, out, j0 * f - r, i0 * f - r)
         self.filled |= need
+
+    def windows(self, flat: np.ndarray) -> WindowStack:
+        """The windows of the raster pixels with the given flat indices,
+        read from the planes in place."""
+        return self.stack.at(np.stack([flat % self.raster.width, flat // self.raster.width], 1))
 
     def lookup(self, sel_flat: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
         """(hit, values, fp) for the raster pixels with the given flat
@@ -446,17 +483,17 @@ class _Memo:
         time."""
         ys, xs = np.divmod(sel_flat, self.raster.width)
         self.fill(ys, xs)
+        stack = self.windows(sel_flat)
         hit = np.zeros(len(sel_flat), bool)
         values = np.empty(len(sel_flat), np.float64)
         fp = np.empty(len(sel_flat), np.float32)
         for s in range(0, len(sel_flat), block):
-            windows = self.view[ys[s : s + block], xs[s : s + block]]
+            windows = stack[s : s + block]
             fp[s : s + block] = fingerprints(windows, block)
             j, found = _find(self.fp, fp[s : s + block])
             cand = np.flatnonzero(found)
-            ry, rx = np.divmod(self.flat[j[cand]], self.raster.width)
-            a, b = windows[cand].view(np.uint32), self.view[ry, rx].view(np.uint32)
-            same = cand[(a == b).all(axis=(1, 2))]
+            kept = self.windows(self.flat[j[cand]])[:]
+            same = cand[(windows[cand].view(np.uint32) == kept.view(np.uint32)).all(axis=(1, 2))]
             hit[s + same] = True
             values[s + same] = self.values[j[same]]
         return hit, values, fp
@@ -521,9 +558,12 @@ def recorrect(
     """Re-run inference with m2 only on pixels inside the given regions and
     splice the new values into a copy of the prior map; everything outside
     is bitwise untouched.  The prior must lie on the deployment raster's
-    pixels (size, origin and resolution), else CoordError.  A pixel whose
-    window the deployment memo holds takes its class from it; the others
-    are inferred, and kept in the memo once inference has returned.
+    pixels (size, origin and resolution), else CoordError.  A pixel that
+    the deployment memo has classified takes its class from the memo's
+    per-pixel map, and one whose window equals a kept one takes that
+    window's class; the others are inferred from the memo's planes.  Once
+    inference has returned, the memo keeps their windows and every region
+    pixel's class.
     """
     global _memo
     _check_model(m2, cfg)
@@ -535,11 +575,16 @@ def recorrect(
             f"deployment raster's {raster.placement} (width, height, origin "
             "in nm, px/nm)"
         )
-    sel_flat = np.nonzero(_bbox_pixel_mask(raster, region).ravel())[0]
-    hit, values, fp = memo.lookup(sel_flat, inference_block(m2.arch))
-    miss = ~hit
-    values[miss] = _infer(m2, raster, sel_flat[miss], cfg, cfg.workers)
-    memo.add(fp[miss], sel_flat[miss], values[miss])
+    sel_flat = _region_pixels(raster, region)
+    table = class_values(cfg.iip.num_classes)
+    known = memo.known[sel_flat].astype(np.intp)
+    values = table[known - 1]
+    new = np.flatnonzero(known == 0)
+    hit, values[new], fp = memo.lookup(sel_flat[new], inference_block(m2.arch))
+    miss = new[~hit]
+    values[miss] = _infer(m2, memo, sel_flat[miss], cfg, cfg.workers)
+    memo.add(fp[~hit], sel_flat[miss], values[miss])
+    memo.known[sel_flat[new]] = np.searchsorted(table, values[new]) + 1
     _memo = memo
     flat = prior.grid.values.copy().ravel()
     flat[sel_flat] = values

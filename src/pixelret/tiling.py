@@ -4,13 +4,17 @@ Every pixel of a rasterized target owns a square window whose radius is the
 interaction distance: everything that can influence that pixel's correction.
 Windows are compressed blockwise with separate row/column reducers (the
 directional pair keeps horizontal and vertical context distinguishable) and
-paired with the pixel's IIP class to form a dataset.  window_field builds
-one compressed field per pixel set and returns a WindowStack that reads each
-window as a strided view of it on demand; that one reader serves dataset
-building, training and deployment alike, and extract_window plus
-compress_window is its one-pixel reference.  A dataset keeps each source's
-field, so no step from build to training holds a stack of every sample's
-image.
+paired with the pixel's IIP class to form a dataset.
+
+A compressed field is stored as f x f polyphase planes, plane (a, b) =
+field[a::f, b::f] (the shift-and-stitch layout of Long, Shelhamer & Darrell,
+CVPR 2015 §3.2), so the window at field offset (r, c) is the contiguous block
+plane (r % f, c % f)[r//f : r//f + side, c//f : c//f + side].  fill_field
+writes planes, and window_field returns a WindowStack that reads windows
+from them on demand; that one reader serves dataset building, training and
+deployment alike, and extract_window plus compress_window is its one-pixel
+reference.  A dataset keeps each source's planes, so no step from build to
+training holds a stack of every sample's image.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ SPLIT_NAMES = ("train", "val", "test")
 # Reducer names; compress_window and window_field reduce with _reduce.
 _REDUCERS = ("mean", "max")
 
-# Float64 bytes of one band of window_field's three arrays (padded raster,
-# rows reduced, field rows), and bytes per block of images save_dataset
-# writes; bounds their working memory.
+# Float64 bytes of one band of fill_field's arrays (padded raster, rows
+# reduced, plane rows), and bytes per block of images save_dataset writes;
+# bounds their working memory.
 _BAND_BYTES = 16 << 20
 
 
@@ -101,12 +105,14 @@ def provenance(tiling: TilingConfig, num_classes: int) -> dict:
 class WindowStack:
     """Read-on-demand (n, side, side) float32 stack of sample windows.
 
-    A source is a values array and a 4-D (rows, cols, side, side) view of
-    it: window_field's strided view of one compressed field, or a stored
-    image stack seen as (n, 1, side, side).  Sample i is window pos[i] =
-    (row, col) of source src[i].  Indexing by int, slice, index array or
-    mask reads those windows into a new ndarray; np.asarray reads them all;
-    take(idx) selects samples without reading any.
+    A source is a values array and a view of it whose last two axes are a
+    window: window_field's (f, f, rows, cols, side, side) view of one set
+    of polyphase planes, or a stored image stack seen as (n, 1, side,
+    side).  Sample i is window pos[i] of source src[i], the leading
+    entries of pos[i] indexing that source's view: (a, b, row, col) of
+    planes, (index, 0) of a stack.  Indexing by int, slice, index array or
+    mask reads those windows into a new ndarray; np.asarray reads them
+    all; take(idx) selects samples without reading any.
     """
 
     ndim = 3
@@ -116,7 +122,7 @@ class WindowStack:
         self, sources: list[tuple[np.ndarray, np.ndarray]], src: np.ndarray, pos: np.ndarray
     ):
         self.sources, self.src, self.pos = sources, src, pos
-        self.shape = (len(src), *sources[0][1].shape[2:])
+        self.shape = (len(src), *sources[0][1].shape[-2:])
 
     @classmethod
     def of_array(cls, images) -> "WindowStack":
@@ -127,7 +133,8 @@ class WindowStack:
         if images.ndim != 3 or images.shape[1] != images.shape[2]:
             raise FormatError(f"images must be (n, side, side), got {images.shape}")
         n = len(images)
-        pos = np.stack([np.arange(n), np.zeros(n, np.intp)], axis=1)
+        pos = np.zeros((n, 4), np.intp)
+        pos[:, 0] = np.arange(n)
         return cls([(images, images[:, None])], np.zeros(n, np.intp), pos)
 
     def __len__(self) -> int:
@@ -135,18 +142,27 @@ class WindowStack:
 
     def __getitem__(self, key) -> np.ndarray:
         pos = self.pos[key]
-        src, (row, col) = np.atleast_1d(self.src[key]), pos.reshape(-1, 2).T
+        src, idx = np.atleast_1d(self.src[key]), pos.reshape(-1, 4).T
         if len(self.sources) == 1:
-            out = self.sources[0][1][row, col]
+            view = self.sources[0][1]
+            out = view[tuple(idx[: view.ndim - 2])]
         else:
             out = np.empty((len(src), *self.shape[1:]), dtype=np.float32)
             for s, (_, view) in enumerate(self.sources):
                 k = src == s
-                out[k] = view[row[k], col[k]]
+                out[k] = view[tuple(i[k] for i in idx[: view.ndim - 2])]
         return out if pos.ndim == 2 else out[0]
 
     def take(self, idx) -> "WindowStack":
         return WindowStack(self.sources, self.src[idx], self.pos[idx])
+
+    def at(self, coords: np.ndarray) -> "WindowStack":
+        """The windows at field offsets coords[i] = (x, y) of this stack's
+        first source, which holds planes, in coords order; none is read."""
+        f = self.sources[0][1].shape[0]
+        yx = np.asarray(coords, dtype=np.int64).reshape(-1, 2)[:, ::-1]
+        pos = np.concatenate([yx % f, yx // f], axis=1)
+        return WindowStack(self.sources[:1], np.zeros(len(pos), np.intp), pos)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = self[:]
@@ -270,49 +286,61 @@ def _reduce(parts: list[np.ndarray], reducer: str) -> np.ndarray:
     return acc
 
 
-def window_field(g: RasterGrid, coords: np.ndarray, cfg: TilingConfig) -> WindowStack:
-    """The windows of pixels coords[i] = (x, y), in coords order, read on
-    demand from one compressed field over the box they cover; each is
-    bitwise compress_window(extract_window(g, coords[i], cfg), cfg).
+def window_field(source: RasterGrid | np.ndarray, coords: np.ndarray,
+                 cfg: TilingConfig) -> WindowStack:
+    """The windows at coords[i] = (x, y), in coords order, read on demand
+    as contiguous blocks of polyphase planes (see the module docstring).
 
-    Field value (v, u) compresses the f x f block of the zero-padded
-    raster at top-left pixel (x0 - r + u, y0 - r + v), where (x0, y0) is
-    the box's low corner, so the window of (x, y) is
-    field[y - y0 + i*f, x - x0 + j*f]; fill_field computes it.
+    From a raster, coords are pixels, and the planes of the compressed
+    field over the box they cover are filled here: field value (v, u)
+    compresses the f x f block of the zero-padded raster at top-left pixel
+    (x0 - r + u, y0 - r + v), (x0, y0) the box's low corner, so that each
+    window is bitwise compress_window(extract_window(g, coords[i], cfg),
+    cfg).  From (f, f, rows, cols) planes, coords are field offsets (column,
+    row), and the planes are read in place.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-    if ((coords < 0) | (coords >= (g.width, g.height))).any():
-        raise CoordError(f"pixel coords outside grid {g.width}x{g.height}")
     side, f = cfg.output_side, cfg.compression_factor
-    span = (side - 1) * f + 1
-    lo, field = np.zeros(2, np.int64), np.empty((0, 0), np.float32)
-    view = np.empty((0, 0, side, side), np.float32)
-    if len(coords):
-        lo = coords.min(axis=0)
-        w, h = np.ptp(coords, axis=0) + span
-        field = np.empty((h, w), dtype=np.float32)
-        fill_field(g, cfg, field, *(lo - cfg.window_radius))
-        view = sliding_window_view(field, (span, span))[:, :, ::f, ::f]
-    return WindowStack([(field, view)], np.zeros(len(coords), np.intp), (coords - lo)[:, ::-1])
+    if isinstance(source, RasterGrid):
+        if ((coords < 0) | (coords >= (source.width, source.height))).any():
+            raise CoordError(f"pixel coords outside grid {source.width}x{source.height}")
+        lo, extent = np.zeros((2, 2), np.int64)
+        if len(coords):
+            lo, extent = coords.min(axis=0), np.ptp(coords, axis=0)
+        w, h = extent // f + side
+        planes = np.empty((f, f, h, w), dtype=np.float32)
+        fill_field(source, cfg, planes, *(lo - cfg.window_radius))
+        values, coords = planes.reshape(-1, w), coords - lo
+    else:
+        values = planes = source
+        if ((coords < 0) | (coords // f + side > (planes.shape[3], planes.shape[2]))).any():
+            raise CoordError(f"window offsets outside planes {planes.shape}")
+    view = sliding_window_view(planes, (side, side), axis=(2, 3))
+    return WindowStack([(values, view)], np.empty(0, np.intp), np.empty((0, 4), np.intp)).at(coords)
 
 
 def fill_field(g: RasterGrid, cfg: TilingConfig, out: np.ndarray, x: int, y: int) -> None:
-    """Fill out with compressed field values: out[v, u] compresses the
-    f x f block of the zero-padded raster at top-left pixel (x + u, y + v).
-    Row bands, each within _BAND_BYTES, reduce the f shifted rows, then the
-    f shifted columns, with compress_window's _reduce, so each value's bits
-    match compress_window's whatever box or band holds it.
+    """Fill (f, f, h, w) polyphase planes out with compressed field values:
+    out[a, b, i, j] compresses the f x f block of the zero-padded raster at
+    top-left pixel (x + b + j*f, y + a + i*f), so plane (a, b) is the
+    blockwise compression of the raster shifted by (a, b).  Bands of plane
+    rows, each within _BAND_BYTES, reduce the f shifted rows, then the f
+    shifted columns, with compress_window's _reduce, into the band's field
+    rows, which are then dealt out to the planes; so each value's bits
+    match compress_window's whatever box, band or plane holds it.
     """
-    (h, w), f = out.shape, cfg.compression_factor
-    band = max(1, _BAND_BYTES // (8 * 3 * (w + f - 1)))
-    b0, b1 = np.clip((x, x + w + f - 1), 0, g.width)
-    for v0 in range(0, h, band):
-        n, top = min(band, h - v0), y + v0
-        a0, a1 = np.clip((top, top + n + f - 1), 0, g.height)
-        pad = np.zeros((n + f - 1, w + f - 1))
+    f, _, h, w = out.shape
+    cols = w * f + f - 1
+    band = max(1, _BAND_BYTES // (8 * 3 * f * cols))
+    b0, b1 = np.clip((x, x + cols), 0, g.width)
+    for i0 in range(0, h, band):
+        n, top = min(band, h - i0), y + i0 * f
+        a0, a1 = np.clip((top, top + n * f + f - 1), 0, g.height)
+        pad = np.zeros((n * f + f - 1, cols))
         pad[a0 - top : a1 - top, b0 - x : b1 - x] = g.values[a0:a1, b0:b1]
-        rows = _reduce([pad[k : k + n] for k in range(f)], cfg.row_reducer)
-        out[v0 : v0 + n] = _reduce([rows[:, k : k + w] for k in range(f)], cfg.col_reducer)
+        rows = _reduce([pad[k : k + n * f] for k in range(f)], cfg.row_reducer)
+        field = _reduce([rows[:, k : k + w * f] for k in range(f)], cfg.col_reducer)
+        out[:, :, i0 : i0 + n] = field.reshape(n, f, w, f).transpose(1, 3, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pixelret import classifier, pipeline
+from pixelret import classifier, pipeline, tiling
 from pixelret.classifier import ArchDescriptor, ConvBlock, inference_block, init_model, predict
 from pixelret.errors import ConfigError, CoordError, DimMismatch, ParamError, ShapeError
 from pixelret.grid import RasterGrid, iou
 from pixelret.ilt import fork_safe
-from pixelret.iip import IipConfig, IipMap, class_value, make_iik, threshold_iip
+from pixelret.iip import IipConfig, IipMap, class_value, class_values, make_iik, threshold_iip
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.pipeline import (
     CleanupRules,
@@ -612,6 +612,124 @@ class TestDeploymentMemo:
                  + sum(w.nbytes for w in memo.model.weights.values()))
         assert len(memo.fp) > 100
         assert held <= entry + out.grid.values.nbytes + (64 << 10), (held, entry)
+
+
+class TestClassMapAndPlanes:
+    """recorrect gives a pixel that an earlier call on the same deployment
+    classified its class with no window read, and classifies the misses
+    from the memo's planes, in the caller or in a worker's crop."""
+
+    def test_revisited_region_reads_no_window(self, monkeypatch):
+        m, cfg = toy_model(seed=3), toy_cfg()
+        prior = predict_map(zero_model(), LINES, cfg)
+        x0, y0, _, _ = prior.grid.bbox_nm()
+        first = [(x0 + 4, y0 + 4, x0 + 20, y0 + 14), (x0 + 12, y0 + 10, x0 + 30, y0 + 25)]
+        inside = [(x0 + 6, y0 + 5, x0 + 18, y0 + 12), (x0 + 14, y0 + 12, x0 + 28, y0 + 24)]
+        out = recorrect(prior, LINES, first, m, cfg)
+        reads, prints = [], []
+        real_read, real_fp = tiling.WindowStack.__getitem__, pipeline.fingerprints
+
+        def read(stack, key):
+            reads.append(key)
+            return real_read(stack, key)
+
+        def counted(images, block):
+            prints.append(len(images))
+            return real_fp(images, block)
+
+        monkeypatch.setattr(tiling.WindowStack, "__getitem__", read)
+        monkeypatch.setattr(pipeline, "fingerprints", counted)
+        monkeypatch.setattr(classifier, "fingerprints", counted)
+        inferred = count_inferred(monkeypatch)
+        again = recorrect(out, LINES, inside, m, cfg)
+        assert reads == [] and prints == [] and inferred == [0]
+        # The same bits as with the memo emptied, and as a fresh map.
+        monkeypatch.undo()
+        pipeline._memo = None
+        want = recorrect(out, LINES, inside, m, cfg).grid.values
+        assert again.grid.values.tobytes() == want.tobytes()
+        mask = pipeline._bbox_pixel_mask(out.grid, inside)
+        assert np.array_equal(again.grid.values[mask], predict_map(m, LINES, cfg).grid.values[mask])
+
+    def test_class_map_holds_every_region_pixel(self):
+        m, cfg = toy_model(seed=3), toy_cfg()
+        prior = predict_map(zero_model(), LINES, cfg)
+        out, touched = prior, np.zeros(prior.grid.shape, bool)
+        for boxes in request_stream(prior.grid, 8, 30):
+            out = recorrect(out, LINES, boxes, m, cfg)
+            touched |= pipeline._bbox_pixel_mask(out.grid, boxes)
+        known = pipeline._memo.known.reshape(prior.grid.shape).astype(np.intp)
+        assert np.array_equal(known > 0, touched)
+        table = class_values(cfg.iip.num_classes)
+        assert np.array_equal(table[known[touched] - 1], out.grid.values[touched])
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_planes_crop_tasks_match_the_callers_bits(self, factor):
+        # Misses classified from the memo's planes: in the caller (1
+        # worker) and from the crops that 2 and 3 workers receive, equal to
+        # the raster-crop tasks that predict_map sends.
+        cfg = toy_cfg()
+        cfg.tiling.compression_factor = factor  # windows of side 8 and 5
+        arch = ArchDescriptor(cfg.tiling.output_side, 5, [ConvBlock(4, stride=1), ConvBlock(8)])
+        m = init_model(arch, seed=4)
+        raster = deployment_raster(PATTERN, cfg.tiling)
+        memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), m, raster)
+        flat = np.flatnonzero(np.arange(raster.width * raster.height) % 3 != 1)
+        memo.fill(*np.divmod(flat, raster.width))
+        want = pipeline._infer(m, raster, flat, cfg, 1)
+        assert inference_block(arch) * 3 <= len(flat)
+        for workers in (1, 2, 3):
+            got = pipeline._infer(m, memo, flat, cfg, workers)
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(want, oracle_map(m, PATTERN, cfg).ravel()[flat])
+
+    def test_planes_crop_is_what_the_windows_read(self):
+        cfg = toy_cfg()  # radius 8, factor 2, side 8
+        raster = deployment_raster(PATTERN, cfg.tiling)  # 32 x 32
+        memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), toy_model(), raster)
+        flat = np.array([20 * 32 + 10, 20 * 32 + 13, 23 * 32 + 11])
+        _, crop, coords, _, _ = pipeline._task(toy_model(), memo, flat, cfg.tiling, None)
+        # Plane rows 10-11 and columns 5-6 start the windows, which span 8.
+        assert crop.shape == (2, 2, 11 + 8 - 10, 6 + 8 - 5)
+        assert np.shares_memory(crop, memo.planes)
+        assert np.array_equal(coords, [[0, 0], [3, 0], [1, 3]])
+
+
+class TestRegionPixels:
+    def test_matches_brute_force(self, rng):
+        # Random, overlapping and raster-edge boxes: the flat indices of
+        # the pixels whose centres lie in any box, sorted, each once.
+        g = RasterGrid(41, 29, (-3.25, 7.75), 2.0, np.zeros((29, 41)))
+        gx0, gy0, gx1, gy1 = g.bbox_nm()
+        xs = g.origin[0] + np.arange(g.width) / g.px_per_nm
+        ys = g.origin[1] + np.arange(g.height) / g.px_per_nm
+        for trial in range(300):
+            boxes = []
+            for _ in range(int(rng.integers(1, 5))):
+                x0, x1 = sorted(rng.uniform(gx0, gx1, 2))
+                y0, y1 = sorted(rng.uniform(gy0, gy1, 2))
+                if trial % 3 == 1:  # against the raster's edges
+                    x0, y1 = gx0, gy1
+                if trial % 3 == 2 and boxes:  # overlapping the last box
+                    x0, y0 = boxes[-1][0] + 0.5, boxes[-1][1] + 0.5
+                    x1, y1 = max(x1, x0 + 1), max(y1, y0 + 1)
+                boxes.append((x0, y0, min(x1, gx1), min(y1, gy1)))
+            brute = np.zeros(g.shape, bool)
+            for y in range(g.height):
+                for x in range(g.width):
+                    brute[y, x] = any(
+                        b[0] <= xs[x] <= b[2] and b[1] <= ys[y] <= b[3] for b in boxes
+                    )
+            got = pipeline._region_pixels(g, boxes)
+            assert np.array_equal(got, np.flatnonzero(brute))
+        assert len(pipeline._region_pixels(g, [])) == 0
+
+    def test_errors_named(self):
+        g = RasterGrid(8, 8, (0.5, 0.5), 1.0, np.zeros((8, 8)))
+        for box, match in (((2, 2, 2, 5), "degenerate"), ((float("nan"), 1, 4, 5), "region bbox"),
+                           ((-3, 1, 4, 5), "outside grid area")):
+            with pytest.raises(CoordError, match=match):
+                pipeline._region_pixels(g, [(1, 1, 3, 3), box])
 
 
 class TestRecorrect:

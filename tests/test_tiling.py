@@ -270,6 +270,73 @@ class TestWindowField:
             window_field(g, np.array([(3, 3), (10, 3)]), toy_tiling())
 
 
+class TestPolyphasePlanes:
+    """fill_field writes plane (a, b) = field[a::f, b::f], and window_field
+    reads each window from planes as one contiguous block."""
+
+    @staticmethod
+    def whole_planes(g, t):
+        """The planes of the compressed field of the whole zero-padded
+        raster, field value (v, u) at raster pixel (u - r, v - r), as a
+        deployment memo holds them: the window of pixel (x, y) is the one
+        at field offset (x, y)."""
+        f, side = t.compression_factor, t.output_side
+        planes = np.full((f, f, (g.height - 1) // f + side, (g.width - 1) // f + side), np.nan,
+                         dtype=np.float32)
+        tiling.fill_field(g, t, planes, -t.window_radius, -t.window_radius)
+        return planes
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    def test_windows_from_planes_match_oracle(self, grid_factory, rng, f):
+        # A 17 x 23 raster, sides not multiples of 2, 3 or 4; windows of
+        # side 13 reach past every edge and corner.  Values of both signs
+        # far apart in magnitude, so any other order of the mean's sums
+        # shows.
+        g = grid_factory(np.zeros((17, 23)))
+        g = g.with_values(rng.choice([1e16, -1e16, 1.0, 0.375, 3.0], (17, 23)))
+        coords = np.array([(x, y) for y in range(17) for x in range(23)])
+        for rr in ("mean", "max"):
+            for cr in ("mean", "max"):
+                t = TilingConfig(interaction_distance=6.0, px_per_nm=1.0,
+                                 compression_factor=f, row_reducer=rr, col_reducer=cr)
+                oracle = np.stack([
+                    compress_window(extract_window(g, (int(x), int(y)), t), t) for x, y in coords
+                ])
+                planes = self.whole_planes(g, t)
+                got = np.asarray(window_field(planes, coords, t))
+                assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
+                # A crop of the planes' rows and columns, offsets shifted by
+                # f times the rows and columns cut, reads the same windows.
+                part = coords[(coords[:, 0] >= 9) & (coords[:, 1] >= 5)]
+                crop = planes[:, :, 5 // f :, 9 // f :]
+                got = np.asarray(window_field(crop, part - (9 // f * f, 5 // f * f), t))
+                want = oracle[(coords[:, 0] >= 9) & (coords[:, 1] >= 5)]
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    def test_plane_is_the_shifted_block_reduction(self, grid_factory, rng, f):
+        g = grid_factory(rng.random((13, 11)))
+        t = TilingConfig(interaction_distance=4.0, px_per_nm=1.0, compression_factor=f,
+                         row_reducer="mean", col_reducer="max")
+        planes = np.empty((f, f, 7, 6), dtype=np.float32)
+        x, y = -3, 2
+        tiling.fill_field(g, t, planes, x, y)
+        padded = np.zeros((13 + 40, 11 + 40))
+        padded[20:33, 20:31] = g.values
+        for a, b, i, j in np.ndindex(planes.shape):
+            top, left = 20 + y + a + i * f, 20 + x + b + j * f
+            block = padded[top : top + f, left : left + f]
+            assert planes[a, b, i, j] == compress_window(block, t)[0, 0]
+
+    def test_offsets_outside_planes_rejected(self):
+        t = toy_tiling()  # side 8, factor 2
+        planes = np.zeros((2, 2, 10, 12), np.float32)
+        window_field(planes, np.array([(0, 0), (9, 5)]), t)
+        for bad in ((-1, 0), (10, 0), (0, 6)):
+            with pytest.raises(CoordError):
+                window_field(planes, np.array([bad]), t)
+
+
 def build_small(seed=0, cap=50):
     pattern = LayoutPattern([rect(8, 8, 24, 24)])
     tiling = toy_tiling()
