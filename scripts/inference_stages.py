@@ -5,17 +5,18 @@ microseconds per image of each conv layer's im2col, GEMM and bias+ReLU and
 of the pooled dense head, once for the per-sample forward (every product
 per image in an (n, c, h, w) layout, the arithmetic inference used before
 it ran in blocks) and once for the block forward at the arch's
-inference_block size; and the wall time of one pipeline._infer_chunk call
-on a 200-pixel chunk of a 20 x 20 px box of a toy line-space raster, the
-shape of one worker's share of a request, once with the raster crop that
-pipeline._task gives a predict_map chunk (the worker reduces it) and once
-with the crop of a deployment memo's polyphase planes that it gives a
-recorrect chunk, followed by the share of the chunk's windows that
-predict_batch classifies (one per distinct window) and the time it spends
-reading them from the planes and fingerprinting them, and on the sort and
-bit compare that find the copies.  The block forward's timed steps are
-checked to give classifier._forward's logits bit for bit.  OpenBLAS is
-pinned to one thread, as in the benchmark.
+inference_block size; the wall time of filling a new deployment memo's
+polyphase planes over the whole of a toy line-space raster, which
+predict_map runs in the caller before any chunk is sent; and the wall time
+of one pipeline._infer_chunk call on a 200-pixel chunk of a 20 x 20 px box
+of that raster, the shape of one worker's share of a request, with the
+crop of the memo's planes that pipeline._task gives every chunk, followed
+by the share of the chunk's windows that predict_batch classifies (one per
+distinct window) and the time it spends reading them from the planes and
+fingerprinting them, and on the sort and bit compare that find the
+copies.  The block forward's timed steps are checked to give
+classifier._forward's logits bit for bit.  OpenBLAS is pinned to one
+thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/inference_stages.py [--reps N]
 """
@@ -129,22 +130,25 @@ def main() -> None:
     raster = deployment_raster(pattern, tiling)
     ys, xs = np.mgrid[: 20, : 20]
     flat = ((raster.height // 2 + ys) * raster.width + raster.width // 2 + xs).ravel()[:200]
-    memo = _Memo((pattern.checksum(), tiling, num_classes), m, raster)
-    memo.fill(*np.divmod(flat, raster.width))
-    tasks = {
-        "raster crop": _task(m, raster, flat, tiling, class_values(num_classes)),
-        "planes crop": _task(m, memo, flat, tiling, class_values(num_classes)),
-    }
-    for kind, task in tasks.items():
-        print(
-            f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, {kind}, "
-            f"block {inference_block(m.arch)}: "
-            f"{median_ms(lambda: _infer_chunk(task), args.reps):.2f} ms (median of {args.reps})"
-        )
+    key = (pattern.checksum(), tiling, num_classes)
+    every = np.arange(raster.width * raster.height)
+    print(
+        f"planes fill of the whole {raster.width} x {raster.height} px raster, a new memo: "
+        f"{median_ms(lambda: _Memo(key, m, raster).fill(every), args.reps):.2f} ms "
+        f"(median of {args.reps})"
+    )
+    memo = _Memo(key, m, raster)
+    memo.fill(flat)
+    task = _task(m, memo, flat, tiling, class_values(num_classes))
+    print(
+        f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, planes crop, "
+        f"block {inference_block(m.arch)}: "
+        f"{median_ms(lambda: _infer_chunk(task), args.reps):.2f} ms (median of {args.reps})"
+    )
     # predict_batch's fingerprints of the chunk's windows, one block read
     # from the planes at a time, then its sort and bit compare (one group:
     # 200 windows).
-    _, crop, coords, _, _ = tasks["planes crop"]
+    _, crop, coords, _, _ = task
     windows = window_field(crop, coords, tiling)
     size, block, n = m.arch.input_side**2, inference_block(m.arch), len(windows)
     probe = _probe(size)

@@ -57,9 +57,9 @@ def main() -> None:
         looked_up.append(len(sel_flat))
         return real_lookup(memo, sel_flat, block)
 
-    def counted_infer(m, source, sel_flat, cfg, workers):
+    def counted_infer(m, memo, sel_flat, cfg, workers):
         inferred.append(len(sel_flat))
-        return real_infer(m, source, sel_flat, cfg, workers)
+        return real_infer(m, memo, sel_flat, cfg, workers)
 
     pipeline._Memo.lookup, pipeline._infer = counted_lookup, counted_infer
     for i in range(args.requests):

@@ -4,38 +4,34 @@ threshold and vectorize it into a mask pattern, enforce minimal geometry
 rules, and measure quality and scaling.
 
 Every entry point that runs a model (predict_map, recorrect, correct,
-bench_scaling) gets its deployment raster from _deployment, which first
-checks the model against the config, so a model trained on other tiling
-or classes is refused rather than deployed.
+bench_scaling) gets its deployment memo (_Memo) from _deployment, which
+first checks the model against the config, so a model trained on other
+tiling or classes is refused rather than deployed.  The memo holds the
+raster, the polyphase planes of its whole compressed field, filled a tile
+at a time in the caller before any window is read, each pixel's class once
+known, and one classified window per fingerprint.  The last one served is
+kept between calls (_memo) until a new target, tiling, class count or
+model replaces it; like _pool, it is not safe to share between threads.
 
 The caller and forked worker processes, started on demand and kept, each
 on its own pipe, classify one pixel chunk each (model, tiling and the crop
-that the chunk's windows read passed in the task; a worker keeps the last
-model it received, and a task leaves out a model equal to it); the caller
-reads every reply, even when its own chunk fails, and re-raises a worker's
-exception with its type.  A chunk holds at least one inference block.  A
-caller that may not fork (ilt.fork_safe: daemonic, or running another
-thread) classifies every chunk itself.  Inference starts no thread.
-predict_map's tasks carry a crop of the raster, which each process
-reduces into the polyphase planes of its own compressed field
-(window_field), so workers reduce in parallel.
-recorrect keeps one deployment memo (_memo) between calls: the raster, the
-polyphase planes of the whole raster's compressed field, filled a tile at
-a time, each pixel's class once known, and one classified window per
-fingerprint.  A region pixel that an earlier call classified takes its
-class from the per-pixel map with no read; another whose window, read from
-the planes, equals a kept one bit for bit takes that one's class; only the
-rest are inferred, from the same planes: in place in the caller's chunk,
-and from a crop of them in a worker's.  A new target, tiling, class count
-or model replaces the entry.  Like _pool, it is not safe to share between
-threads.
+of the planes that the chunk's windows span passed in the task; a worker
+keeps the last model it received, and a task leaves out a model equal to
+it); the caller reads its own chunk's windows in place, reads every reply,
+even when its own chunk fails, and re-raises a worker's exception with its
+type.  A chunk holds at least one inference block.  A caller that may not
+fork (ilt.fork_safe: daemonic, or running another thread) classifies every
+chunk itself.  Inference starts no thread.
+predict_map infers every pixel, never reading the class map or the kept
+windows, then records every class.  In recorrect a region pixel of known
+class costs no read; another whose window equals a kept one bit for bit
+takes that one's class; only the rest are inferred.
 predict_batch classifies each distinct window of a group once.  Field
-values are reduced by the same ops in the same order whatever planes hold
-them, zero beyond the raster whether or not it is cropped; equal windows
-get the class of one of them, and the CNN classifies fixed-shape blocks in
-which a window's class does not depend on its slot or block-mates, so the
-map is bitwise identical for any worker count, chunking, region or memo
-state.
+values are reduced by the same ops in the same order whatever tile or
+crop holds them, zero beyond the raster; equal windows get the class of
+one of them, and the CNN classifies fixed-shape blocks in which a
+window's class does not depend on its slot or block-mates, so the map is
+bitwise identical for any worker count, chunking, region or memo state.
 """
 
 from __future__ import annotations
@@ -69,6 +65,11 @@ from .layout import (
 )
 from .tiling import TilingConfig, WindowStack, fill_field, provenance, window_field
 
+# The most inference processes a call may use, the caller included: more
+# than any host this runs on has cores, and a bound on the processes a
+# mistyped count would fork (up to one per inference block).
+MAX_WORKERS = 256
+
 
 @dataclass
 class CleanupRules:
@@ -88,7 +89,7 @@ class CorrectionConfig:
     cleanup: CleanupRules = field(default_factory=CleanupRules)
 
     def __post_init__(self):
-        check_int("workers", self.workers, least=1)
+        check_int("workers", self.workers, least=1, most=MAX_WORKERS)
 
 
 @dataclass
@@ -186,14 +187,8 @@ def _bbox_pixel_mask(g: RasterGrid, boxes: list[Bbox]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model check and deployment raster
+# Model check
 # ---------------------------------------------------------------------------
-
-def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> RasterGrid:
-    """The deployment raster of target, once m is checked against cfg."""
-    _check_model(m, cfg)
-    return deployment_raster(target, cfg.tiling)
-
 
 def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
     """Refuse a model trained on differently tiled or differently classed
@@ -224,51 +219,40 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _task(m: ModelParams, source: RasterGrid | _Memo, flat: np.ndarray, tiling: TilingConfig,
+def _task(m: ModelParams, memo: _Memo, flat: np.ndarray, tiling: TilingConfig,
           table: np.ndarray) -> tuple:
-    """The task that classifies the deployment raster's pixels with the
-    given flat indices: the crop of the source that their windows read,
-    and their coords on it.  From a raster (which the task's process
-    reduces) that is their box plus the window radius, clipped to the
-    raster; from a memo, the rows and columns of its planes that their
-    windows span, a view that a worker receives as a copy.  This is the one
-    place that tells the two kinds apart."""
-    raster = source if isinstance(source, RasterGrid) else source.raster
-    coords = np.stack([flat % raster.width, flat // raster.width], axis=1)
-    if raster is source:
-        r = tiling.window_radius
-        x0, y0 = np.maximum(coords.min(axis=0) - r, 0)
-        x1, y1 = np.minimum(coords.max(axis=0) + r + 1, (raster.width, raster.height))
-        crop = RasterGrid(int(x1 - x0), int(y1 - y0), raster.pixel_center(x0, y0),
-                          raster.px_per_nm, raster.values[y0:y1, x0:x1])
-        return m, crop, coords - (x0, y0), tiling, table
+    """The task that classifies the memo raster's pixels with the given
+    flat indices: the rows and columns of the memo's planes that their
+    windows span, a view that a worker receives as a copy, and their
+    windows' offsets on it."""
+    coords = np.stack([flat % memo.raster.width, flat // memo.raster.width], axis=1)
     f, side = tiling.compression_factor, tiling.output_side
     (j0, i0), (j1, i1) = coords.min(axis=0) // f, coords.max(axis=0) // f + side
-    return m, source.planes[:, :, i0:i1, j0:j1], coords - (j0 * f, i0 * f), tiling, table
+    return m, memo.planes[:, :, i0:i1, j0:j1], coords - (j0 * f, i0 * f), tiling, table
 
 
 def _infer_chunk(task: tuple) -> np.ndarray:
-    """Class values (table indexed by class id) of the pixels at coords on
-    the (cropped) raster."""
-    m, raster, coords, tiling, table = task
-    return table[predict_batch(m, window_field(raster, coords, tiling))]
+    """Class values (table indexed by class id) of the windows at the
+    offsets coords on the planes crop."""
+    m, planes, coords, tiling, table = task
+    return table[predict_batch(m, window_field(planes, coords, tiling))]
 
 
 def _infer(
-    m: ModelParams, source: RasterGrid | _Memo, sel_flat: np.ndarray, cfg: CorrectionConfig,
-    workers: int
+    m: ModelParams, memo: _Memo, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
 ) -> np.ndarray:
-    """Class values of the deployment raster's pixels with the given flat
-    indices, read from the raster or from a memo's planes (see _task), in
-    at most `workers` chunks, none smaller than one inference block.  A
-    process that may not fork (see fork_safe) classifies every chunk
-    itself, with the same bits."""
+    """Class values of the memo raster's pixels with the given flat
+    indices, read from its planes (see _task), whose tiles their windows
+    read are filled first, in at most `workers` chunks, none smaller than
+    one inference block.  A process that may not fork (see fork_safe)
+    classifies every chunk itself, with the same bits."""
     global _pool
+    memo.fill(sel_flat)
     table = class_values(cfg.iip.num_classes)
     chunks = min(workers, -(-len(sel_flat) // inference_block(m.arch)))
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        _task(m, source, chunk, cfg.tiling, table)
+        _task(m, memo, chunk, cfg.tiling, table)
         for chunk in np.array_split(sel_flat, max(chunks, 1))
         if chunk.size
     ]
@@ -445,13 +429,15 @@ class _Memo:
         self.flat = np.empty(0, np.int64)
         self.values = np.empty(0, np.float64)
 
-    def fill(self, ys: np.ndarray, xs: np.ndarray) -> None:
-        """Fill every tile that the windows of pixels (xs, ys) read: those
-        up to `reach` tiles below and right of each pixel's own tile, which
-        may hold one more tile of each side than its window reads."""
+    def fill(self, flat: np.ndarray) -> None:
+        """Fill every tile that the windows of the raster pixels with the
+        given flat indices read: those up to `reach` tiles below and right
+        of each pixel's own tile, which may hold one more tile of each side
+        than its window reads."""
         t, tiling = _TILE, self.key[1]
         f, r = tiling.compression_factor, tiling.window_radius
         reach = (t - 1 + tiling.output_side - 1) // t
+        ys, xs = np.divmod(flat, self.raster.width)
         cells = np.zeros_like(self.filled)
         cells[ys // f // t, xs // f // t] = True
         rows = cells.copy()
@@ -481,8 +467,7 @@ class _Memo:
         the pixel window's, the kept class value where they do, and each
         window's fingerprint.  Windows are read and compared `block` at a
         time."""
-        ys, xs = np.divmod(sel_flat, self.raster.width)
-        self.fill(ys, xs)
+        self.fill(sel_flat)
         stack = self.windows(sel_flat)
         hit = np.zeros(len(sel_flat), bool)
         values = np.empty(len(sel_flat), np.float64)
@@ -518,14 +503,16 @@ def _find(keys: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, keys[np.minimum(at, len(keys) - 1)] == fp
 
 
-# The last deployment recorrect served, kept between its calls like _pool
-# and, like it, not safe to share between threads.
+# The last deployment predict_map or recorrect served, kept between calls
+# like _pool and, like it, not safe to share between threads.
 _memo: _Memo | None = None
 
 
-def _memo_for(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> _Memo:
-    """The kept memo if it serves m, target and cfg, else a new empty one
-    (which is not kept until the call that made it succeeds)."""
+def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> _Memo:
+    """Once m is checked against cfg, the kept memo if it serves m, target
+    and cfg, else a new empty one (which is not kept until the call that
+    made it succeeds)."""
+    _check_model(m, cfg)
     key = (target.checksum(), cfg.tiling, cfg.iip.num_classes)
     if _memo is not None and _memo.key == key and _same_model(_memo.model, m):
         return _memo
@@ -535,11 +522,17 @@ def _memo_for(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> _
 
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
     """Predicted IIP map over the deployment raster; bitwise independent of
-    cfg.workers.
+    cfg.workers.  Every pixel is inferred from the deployment memo's planes,
+    whatever its class map or kept windows hold; once inference has
+    returned, the memo keeps every pixel's class.
     """
-    raster = _deployment(m, target, cfg)
+    global _memo
+    memo = _deployment(m, target, cfg)
+    raster = memo.raster
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
-    values = _infer(m, raster, sel_flat, cfg, cfg.workers)
+    values = _infer(m, memo, sel_flat, cfg, cfg.workers)
+    memo.known[:] = np.searchsorted(class_values(cfg.iip.num_classes), values) + 1
+    _memo = memo
     grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
@@ -566,8 +559,7 @@ def recorrect(
     pixel's class.
     """
     global _memo
-    _check_model(m2, cfg)
-    memo = _memo_for(m2, target, cfg)
+    memo = _deployment(m2, target, cfg)
     raster = memo.raster
     if raster.placement != prior.grid.placement:
         raise CoordError(
@@ -669,17 +661,19 @@ def bench_scaling(
     outputs, and report speedup and efficiency relative to the single-worker
     run.
 
-    An untimed warm-up call starts the workers; each repeat then yields
-    the mean of as many calls as fill 0.2 s (a small workload's call lasts
-    milliseconds), and the wall time is the median over repeats.
+    An untimed warm-up call starts the workers (and the first fills the
+    deployment memo's planes, so no timed call reduces the raster); each
+    repeat then yields the mean of as many calls as fill 0.2 s (a small
+    workload's call lasts milliseconds), and the wall time is the median
+    over repeats.
     """
     if not worker_counts or worker_counts[0] != 1:
         raise ParamError("worker_counts must start with 1 (the baseline)")
     for w in worker_counts:
-        check_int("worker_counts entry", w, least=1)
+        check_int("worker_counts entry", w, least=1, most=MAX_WORKERS)
     check_int("repeats", repeats, least=1)
-    raster = _deployment(m, target, cfg)
-    sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
+    memo = _deployment(m, target, cfg)
+    sel_flat = np.arange(memo.raster.width * memo.raster.height, dtype=np.int64)
     if sel_flat.size < 10_000:
         raise ParamError(
             f"benchmark workload has {sel_flat.size} pixels; need >= 10000"
@@ -690,11 +684,11 @@ def bench_scaling(
     consistent = True
     for w in worker_counts:
         times = []
-        _infer(m, raster, sel_flat, cfg, w)
+        _infer(m, memo, sel_flat, cfg, w)
         for _ in range(repeats):
             calls, t0 = 0, time.perf_counter()
             while (elapsed := time.perf_counter() - t0) < 0.2:
-                values = _infer(m, raster, sel_flat, cfg, w)
+                values = _infer(m, memo, sel_flat, cfg, w)
                 calls += 1
             times.append(elapsed / calls)
         wall = float(np.median(times))

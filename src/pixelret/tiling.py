@@ -291,13 +291,14 @@ def window_field(source: RasterGrid | np.ndarray, coords: np.ndarray,
     """The windows at coords[i] = (x, y), in coords order, read on demand
     as contiguous blocks of polyphase planes (see the module docstring).
 
-    From a raster, coords are pixels, and the planes of the compressed
-    field over the box they cover are filled here: field value (v, u)
-    compresses the f x f block of the zero-padded raster at top-left pixel
-    (x0 - r + u, y0 - r + v), (x0, y0) the box's low corner, so that each
-    window is bitwise compress_window(extract_window(g, coords[i], cfg),
-    cfg).  From (f, f, rows, cols) planes, coords are field offsets (column,
-    row), and the planes are read in place.
+    From a raster (dataset building), coords are pixels, and the planes of
+    the compressed field over the box they cover are filled here: field
+    value (v, u) compresses the f x f block of the zero-padded raster at
+    top-left pixel (x0 - r + u, y0 - r + v), (x0, y0) the box's low corner,
+    so that each window is bitwise compress_window(extract_window(g,
+    coords[i], cfg), cfg).  From (f, f, rows, cols) planes (deployment,
+    whose memo fills them with fill_field), coords are field offsets
+    (column, row), and the planes are read in place.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     side, f = cfg.output_side, cfg.compression_factor

@@ -7,6 +7,7 @@ import pytest
 
 from pixelret.cli import CANONICAL_PATTERNS, load_config, main
 from pixelret.layout import parse_layout
+from pixelret.pipeline import MAX_WORKERS
 
 FAST_CONFIG = {
     "litho": {"sigma_nm": 3.0, "radius_nm": 9.0, "resist_threshold": 0.5},
@@ -222,6 +223,7 @@ class TestConfig:
         ("sampling", "per_class_cap", "x"),
         ("sampling", "per_class_cap", 0),
         ("correction", "workers", 0),
+        ("correction", "workers", 10_000),  # above pipeline.MAX_WORKERS
         ("iip", "num_classes", 70000),  # class ids are uint16
     ])
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, key, value):
@@ -387,6 +389,17 @@ class TestStages:
         assert rc == 0
         assert (tmp_path / "m" / "iip.pgm").exists()
         assert (tmp_path / "m" / "iip.pgm.json").exists()
+
+    @pytest.mark.parametrize("cmd, workers", [("predict-map", "10000"), ("bench", "1,10000")])
+    def test_workers_above_bound_rejected(self, ws, model_path, tmp_path, capsys, cmd, workers):
+        rc = main([
+            cmd, "--config", ws.cfg, "--layout", ws.layout,
+            "--model", model_path, "--out", str(tmp_path / "o"), "--workers", workers,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: worker") and f"<= {MAX_WORKERS}, got 10000" in err
+        assert not (tmp_path / "o").exists()
 
     def test_correct_artifacts(self, ws, model_path, tmp_path):
         rc = main([

@@ -232,16 +232,16 @@ class TestWorkers:
         want = predict_map(m, PATTERN, toy_cfg()).grid.values
         real = pipeline._task
 
-        def off_crop(m, raster, flat, tiling, table):
+        def off_crop(m, memo, flat, tiling, table):
             # Every chunk but the caller's (which starts at pixel 0) gets
-            # coords past its crop, which window_field refuses.
-            task = real(m, raster, flat, tiling, table)
+            # offsets past its planes crop, which window_field refuses.
+            task = real(m, memo, flat, tiling, table)
             if flat[0]:
-                task = (*task[:2], task[2] + (0, raster.height), *task[3:])
+                task = (*task[:2], task[2] + (0, memo.raster.height), *task[3:])
             return task
 
         monkeypatch.setattr(pipeline, "_task", off_crop)
-        with pytest.raises(CoordError, match="outside grid"):
+        with pytest.raises(CoordError, match="outside planes"):
             predict_map(m, PATTERN, toy_cfg(workers=3))
         pids = worker_pids()
         monkeypatch.undo()
@@ -350,24 +350,11 @@ class TestWorkers:
             assert np.array_equal(out.grid.values[mask], fresh[mask])
             assert np.array_equal(out.grid.values[~mask], prior.grid.values[~mask])
 
-    def test_task_crop(self):
-        raster = deployment_raster(PATTERN, toy_cfg().tiling)  # 32 x 32, radius 8
-        flat = np.array([20 * 32 + 10, 20 * 32 + 12, 22 * 32 + 11])
-        _, crop, coords, _, _ = pipeline._task(toy_model(), raster, flat, toy_cfg().tiling, None)
-        assert crop.shape == (31 - 12, 21 - 2)
-        assert np.array_equal(crop.values, raster.values[12:31, 2:21])
-        assert crop.origin == raster.pixel_center(2, 12)
-        assert np.array_equal(coords, [[8, 8], [10, 8], [9, 10]])
-        # Clipped to the raster at its corner.
-        _, crop, coords, _, _ = pipeline._task(toy_model(), raster, np.array([0, 33]),
-                                               toy_cfg().tiling, None)
-        assert crop.shape == (10, 10) and crop.origin == raster.origin
-        assert np.array_equal(coords, [[0, 0], [1, 1]])
-
     def test_model_resent_only_when_changed(self):
         m = toy_model()
         cfg = toy_cfg(workers=2)
         prior = predict_map(m, PATTERN, cfg)
+        pipeline._memo = None  # so that the first recorrect infers
         region = [prior.grid.bbox_nm()]
         worker = pipeline._pool[1][0]
         sent = []
@@ -427,7 +414,7 @@ class TestChunks:
         assert inference_block(m.arch) == 128  # PATTERN's 1,024 px make 8 blocks
         want = predict_map(m, PATTERN, toy_cfg()).grid.values
         counts = self.requested(monkeypatch)
-        for workers, pool in ((2, [1]), (8, [7]), (10_000, [7])):
+        for workers, pool in ((2, [1]), (8, [7]), (pipeline.MAX_WORKERS, [7])):
             counts.clear()
             assert np.array_equal(predict_map(m, PATTERN, toy_cfg(workers)).grid.values, want)
             assert counts == pool
@@ -435,9 +422,29 @@ class TestChunks:
         counts.clear()
         x0, y0, _, _ = deployment_raster(PATTERN, toy_cfg().tiling).bbox_nm()
         region = [(x0, y0, x0 + 10, y0 + 10)]
-        out = recorrect(predict_map(m, PATTERN, toy_cfg()), PATTERN, region, m, toy_cfg(3))
-        assert counts == []
+        prior = predict_map(m, PATTERN, toy_cfg())
+        pipeline._memo = None  # so that recorrect infers its region
+        inferred = count_inferred(monkeypatch)
+        out = recorrect(prior, PATTERN, region, m, toy_cfg(3))
+        assert inferred == [100] and counts == []
         assert np.array_equal(out.grid.values, want)
+
+    def test_workers_bounded_before_any_fork(self, monkeypatch):
+        forks, counting = [], [True]
+        os.register_at_fork(before=lambda: counting[0] and forks.append(os.getpid()))
+        monkeypatch.setattr(pipeline, "_pool", (os.getpid(), ()))
+        square = LayoutPattern([rect(0, 0, 84, 84)])  # 100 x 100 px
+        try:
+            bound = f"<= {pipeline.MAX_WORKERS}, got 10000"
+            with pytest.raises(ParamError, match=f"workers must be an integer >= 1 and {bound}"):
+                toy_cfg(workers=10_000)
+            with pytest.raises(ParamError, match=f"worker_counts entry .* {bound}"):
+                bench_scaling(toy_model(), square, toy_cfg(), worker_counts=[1, 10_000])
+        finally:
+            counting[0] = False
+        assert forks == []
+        # The bound itself is taken.
+        assert toy_cfg(workers=pipeline.MAX_WORKERS).workers == pipeline.MAX_WORKERS
 
     def test_no_fork_beside_another_thread(self, monkeypatch):
         m = toy_model()
@@ -477,9 +484,9 @@ def count_inferred(monkeypatch):
     """The pixel count of every _infer call."""
     counts, real = [], pipeline._infer
 
-    def counting(m, raster, sel_flat, cfg, workers):
+    def counting(m, memo, sel_flat, cfg, workers):
         counts.append(len(sel_flat))
-        return real(m, raster, sel_flat, cfg, workers)
+        return real(m, memo, sel_flat, cfg, workers)
 
     monkeypatch.setattr(pipeline, "_infer", counting)
     return counts
@@ -515,11 +522,16 @@ class TestDeploymentMemo:
 
         def served(target, model, cfg):
             """recorrect over target's whole raster equals a fresh map; the
-            entry it leaves."""
+            entry it leaves, which the fresh map keeps.  The prior's own
+            entry is dropped, so recorrect meets the last call's."""
+            kept = pipeline._memo
             prior = predict_map(zero_model(model.arch.num_classes), target, cfg)
+            pipeline._memo = kept
             out = recorrect(prior, target, [prior.grid.bbox_nm()], model, cfg)
+            memo = pipeline._memo
             assert out.grid.values.tobytes() == predict_map(model, target, cfg).grid.values.tobytes()
-            return pipeline._memo
+            assert pipeline._memo is memo
+            return memo
 
         memo = served(PATTERN, m, cfg)
         inferred.clear()
@@ -556,6 +568,7 @@ class TestDeploymentMemo:
     def test_failing_worker_leaves_entry_unchanged(self, monkeypatch):
         m, cfg = toy_model(), toy_cfg(workers=2)
         prior = predict_map(m, PATTERN, toy_cfg())
+        pipeline._memo = None  # so that recorrect infers its regions
         x0, y0, _, _ = prior.grid.bbox_nm()
         recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, cfg)
         memo = pipeline._memo
@@ -576,21 +589,74 @@ class TestDeploymentMemo:
         assert pipeline._memo is memo
         assert [a.tobytes() for a in (memo.fp, memo.flat, memo.values)] == kept
 
-    def test_only_recorrect_reads_the_memo(self, monkeypatch):
-        class Unreadable:
-            def __getattr__(self, name):
-                raise AssertionError(f"read the memo's {name}")
+    def test_failing_predict_map_leaves_entry_in_place(self, monkeypatch):
+        m = toy_model()
+        prior = predict_map(zero_model(), PATTERN, toy_cfg())
+        pipeline._memo = None
+        x0, y0, _, _ = prior.grid.bbox_nm()
+        recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, toy_cfg())
+        memo = pipeline._memo
+        kept = [a.tobytes() for a in (memo.known, memo.fp, memo.flat, memo.values)]
+        caller, real = os.getpid(), pipeline._infer_chunk
 
-        memo = Unreadable()
-        monkeypatch.setattr(pipeline, "_memo", memo)
-        m, cfg = toy_model(), toy_cfg()
-        raster = deployment_raster(PATTERN, cfg.tiling)
-        predict(m, compress_window(extract_window(raster, (5, 5), cfg.tiling), cfg.tiling))
-        predict_map(m, PATTERN, toy_cfg(workers=2))
-        correct(PATTERN, m, cfg)
-        square = LayoutPattern([rect(0, 0, 84, 84)])  # 100 x 100 px
-        bench_scaling(m, square, cfg, worker_counts=[1], repeats=1)
-        assert pipeline._memo is memo
+        def failing(task):
+            if os.getpid() != caller:
+                raise ZeroDivisionError("a worker's chunk")
+            return real(task)
+
+        # Fresh workers, forked with the failing chunk; 1,024 px make 2
+        # chunks.  The entry's own model, then one that would replace it.
+        monkeypatch.setattr(pipeline, "_infer_chunk", failing)
+        monkeypatch.setattr(pipeline, "_pool", (caller, ()))
+        for model in (m, toy_model(seed=9)):
+            with pytest.raises(ZeroDivisionError):
+                predict_map(model, PATTERN, toy_cfg(workers=2))
+            assert pipeline._memo is memo
+            assert [a.tobytes() for a in (memo.known, memo.fp, memo.flat, memo.values)] == kept
+
+    def test_maps_fresh_whatever_the_memo_holds(self):
+        # A memo whose class map and kept windows give every pixel another
+        # class than its own: predict_map and correct infer every pixel.
+        m = toy_model(seed=3)
+        want = oracle_map(m, PATTERN, toy_cfg())
+        table = class_values(5)
+
+        def poison(memo):
+            memo.known[:] = memo.known % 5 + 1
+            memo.values[:] = table[(np.searchsorted(table, memo.values) + 1) % 5]
+
+        for workers in (1, 2):
+            cfg = toy_cfg(workers)
+            prior = predict_map(zero_model(), PATTERN, cfg)
+            recorrect(prior, PATTERN, [prior.grid.bbox_nm()], m, cfg)
+            memo = pipeline._memo
+            assert memo.known.all() and len(memo.fp)
+            poison(memo)
+            assert predict_map(m, PATTERN, cfg).grid.values.tobytes() == want.tobytes()
+            assert pipeline._memo is memo
+            poison(memo)
+            assert correct(PATTERN, m, cfg).iip_map.grid.values.tobytes() == want.tobytes()
+            assert pipeline._memo is memo
+
+    @pytest.mark.parametrize("first", [predict_map, lambda m, target, cfg: correct(target, m, cfg)],
+                             ids=["predict_map", "correct"])
+    def test_recorrect_after_a_map_reads_nothing(self, monkeypatch, first):
+        m, cfg = toy_model(seed=3), toy_cfg(workers=2)
+        prior = predict_map(zero_model(), LINES, cfg)
+        first(m, LINES, cfg)
+        x0, y0, _, _ = prior.grid.bbox_nm()
+        region = [(x0 + 4, y0 + 4, x0 + 30, y0 + 25), (x0 + 20, y0 + 2, x0 + 44, y0 + 12)]
+        reads, real_read = [], tiling.WindowStack.__getitem__
+        with monkeypatch.context() as patch:
+            patch.setattr(tiling.WindowStack, "__getitem__",
+                          lambda stack, key: reads.append(key) or real_read(stack, key))
+            inferred = count_inferred(patch)
+            out = recorrect(prior, LINES, region, m, cfg)
+        assert reads == [] and inferred == [0]
+        # The same bits as with the memo emptied.
+        pipeline._memo = None
+        want = recorrect(prior, LINES, region, m, cfg).grid.values
+        assert out.grid.values.tobytes() == want.tobytes()
 
     def test_entry_holds_no_more_than_its_windows(self):
         # Over a stream, the traced memory held at its end is the entry's
@@ -665,23 +731,21 @@ class TestClassMapAndPlanes:
 
     @pytest.mark.parametrize("factor", [2, 3])
     def test_planes_crop_tasks_match_the_callers_bits(self, factor):
-        # Misses classified from the memo's planes: in the caller (1
+        # Pixels classified from the memo's planes: in the caller (1
         # worker) and from the crops that 2 and 3 workers receive, equal to
-        # the raster-crop tasks that predict_map sends.
+        # the per-pixel oracle.
         cfg = toy_cfg()
         cfg.tiling.compression_factor = factor  # windows of side 8 and 5
         arch = ArchDescriptor(cfg.tiling.output_side, 5, [ConvBlock(4, stride=1), ConvBlock(8)])
         m = init_model(arch, seed=4)
         raster = deployment_raster(PATTERN, cfg.tiling)
-        memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), m, raster)
         flat = np.flatnonzero(np.arange(raster.width * raster.height) % 3 != 1)
-        memo.fill(*np.divmod(flat, raster.width))
-        want = pipeline._infer(m, raster, flat, cfg, 1)
+        want = oracle_map(m, PATTERN, cfg).ravel()[flat]
         assert inference_block(arch) * 3 <= len(flat)
         for workers in (1, 2, 3):
+            memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), m, raster)
             got = pipeline._infer(m, memo, flat, cfg, workers)
             assert got.tobytes() == want.tobytes()
-        assert np.array_equal(want, oracle_map(m, PATTERN, cfg).ravel()[flat])
 
     def test_planes_crop_is_what_the_windows_read(self):
         cfg = toy_cfg()  # radius 8, factor 2, side 8
@@ -1042,7 +1106,7 @@ class TestBenchScaling:
 
     def test_differing_outputs_reported(self, monkeypatch):
         # A worker count whose values differ from the 1-worker run's.
-        def infer(m, raster, sel_flat, cfg, workers):
+        def infer(m, memo, sel_flat, cfg, workers):
             return np.full(sel_flat.size, float(workers > 1))
 
         monkeypatch.setattr(pipeline, "_infer", infer)

@@ -17,8 +17,8 @@ RUNS = {
         "dataset sha256", "compute_iip", "build_dataset", "peak RSS", "dataset holds",
     ]),
     "inference_stages.py": (["--reps", "1"], [
-        "nproc", "toy arch", "default arch", "total", "raster crop", "planes crop",
-        "distinct windows", "sort and bit compare",
+        "nproc", "toy arch", "default arch", "total", "planes fill", "_infer_chunk 200 px",
+        "planes crop", "distinct windows", "sort and bit compare",
     ]),
     "model_build_stages.py": (["--reps", "1"], [
         "nproc", "ms/step", "mask sha256", "final_fidelity", "build_dataset", "backward batch",
