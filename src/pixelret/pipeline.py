@@ -8,10 +8,11 @@ bench_scaling) gets its deployment memo (_Memo) from _deployment, which
 first checks the model against the config, so a model trained on other
 tiling or classes is refused rather than deployed.  The memo holds the
 raster, the polyphase planes of its whole compressed field, filled a tile
-at a time in the caller before any window is read, each pixel's class once
-known, and one classified window per fingerprint.  The last one served is
-kept between calls (_memo) until a new target, tiling, class count or
-model replaces it; like _pool, it is not safe to share between threads.
+at a time in the caller (_Memo.fill, once per call, before any window is
+read), each pixel's class once known, and one classified window per
+fingerprint.  The last one recorrect served is kept between calls (_memo)
+until a new target, tiling, class count or model replaces it; like _pool,
+it is not safe to share between threads.
 
 The caller and forked worker processes, started on demand and kept, each
 on its own pipe, classify one pixel chunk each (model, tiling and the crop
@@ -23,8 +24,8 @@ type.  A chunk holds at least one inference block.  A caller that may not
 fork (ilt.fork_safe: daemonic, or running another thread) classifies every
 chunk itself.  Inference starts no thread.
 predict_map infers every pixel, never reading the class map or the kept
-windows, then records every class.  In recorrect a region pixel of known
-class costs no read; another whose window equals a kept one bit for bit
+windows, and keeps no memo.  In recorrect a region pixel of known class
+costs no read; another whose window equals a kept one bit for bit
 takes that one's class; only the rest are inferred.
 predict_batch classifies each distinct window of a group once.  Field
 values are reduced by the same ops in the same order whatever tile or
@@ -242,12 +243,11 @@ def _infer(
     m: ModelParams, memo: _Memo, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
 ) -> np.ndarray:
     """Class values of the memo raster's pixels with the given flat
-    indices, read from its planes (see _task), whose tiles their windows
-    read are filled first, in at most `workers` chunks, none smaller than
-    one inference block.  A process that may not fork (see fork_safe)
-    classifies every chunk itself, with the same bits."""
+    indices, read from its planes (see _task), which must hold the tiles
+    their windows read (see _Memo.fill), in at most `workers` chunks, none
+    smaller than one inference block.  A process that may not fork (see
+    fork_safe) classifies every chunk itself, with the same bits."""
     global _pool
-    memo.fill(sel_flat)
     table = class_values(cfg.iip.num_classes)
     chunks = min(workers, -(-len(sel_flat) // inference_block(m.arch)))
     # Contiguous chunks whose sizes differ by at most one; none is empty.
@@ -465,9 +465,8 @@ class _Memo:
         """(hit, values, fp) for the raster pixels with the given flat
         indices: whether a kept window's fingerprint and float32 bits equal
         the pixel window's, the kept class value where they do, and each
-        window's fingerprint.  Windows are read and compared `block` at a
-        time."""
-        self.fill(sel_flat)
+        window's fingerprint.  Windows are read from filled planes and
+        compared `block` at a time."""
         stack = self.windows(sel_flat)
         hit = np.zeros(len(sel_flat), bool)
         values = np.empty(len(sel_flat), np.float64)
@@ -503,15 +502,15 @@ def _find(keys: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, keys[np.minimum(at, len(keys) - 1)] == fp
 
 
-# The last deployment predict_map or recorrect served, kept between calls
-# like _pool and, like it, not safe to share between threads.
+# The last deployment recorrect served, kept between its calls like _pool
+# and, like it, not safe to share between threads.
 _memo: _Memo | None = None
 
 
 def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> _Memo:
     """Once m is checked against cfg, the kept memo if it serves m, target
-    and cfg, else a new empty one (which is not kept until the call that
-    made it succeeds)."""
+    and cfg, else a new empty one (which only a recorrect that succeeds
+    keeps)."""
     _check_model(m, cfg)
     key = (target.checksum(), cfg.tiling, cfg.iip.num_classes)
     if _memo is not None and _memo.key == key and _same_model(_memo.model, m):
@@ -523,16 +522,13 @@ def _deployment(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
 def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) -> IipMap:
     """Predicted IIP map over the deployment raster; bitwise independent of
     cfg.workers.  Every pixel is inferred from the deployment memo's planes,
-    whatever its class map or kept windows hold; once inference has
-    returned, the memo keeps every pixel's class.
+    whatever its class map or kept windows hold, and a new memo is not kept.
     """
-    global _memo
     memo = _deployment(m, target, cfg)
     raster = memo.raster
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
+    memo.fill(sel_flat)
     values = _infer(m, memo, sel_flat, cfg, cfg.workers)
-    memo.known[:] = np.searchsorted(class_values(cfg.iip.num_classes), values) + 1
-    _memo = memo
     grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
@@ -572,6 +568,7 @@ def recorrect(
     known = memo.known[sel_flat].astype(np.intp)
     values = table[known - 1]
     new = np.flatnonzero(known == 0)
+    memo.fill(sel_flat[new])
     hit, values[new], fp = memo.lookup(sel_flat[new], inference_block(m2.arch))
     miss = new[~hit]
     values[miss] = _infer(m2, memo, sel_flat[miss], cfg, cfg.workers)
@@ -661,8 +658,8 @@ def bench_scaling(
     outputs, and report speedup and efficiency relative to the single-worker
     run.
 
-    An untimed warm-up call starts the workers (and the first fills the
-    deployment memo's planes, so no timed call reduces the raster); each
+    The deployment memo's planes are filled first, so no timed call
+    reduces the raster, and an untimed warm-up call starts the workers; each
     repeat then yields the mean of as many calls as fill 0.2 s (a small
     workload's call lasts milliseconds), and the wall time is the median
     over repeats.
@@ -678,6 +675,7 @@ def bench_scaling(
         raise ParamError(
             f"benchmark workload has {sel_flat.size} pixels; need >= 10000"
         )
+    memo.fill(sel_flat)
     rows = []
     baseline = None
     reference_values = None

@@ -354,7 +354,6 @@ class TestWorkers:
         m = toy_model()
         cfg = toy_cfg(workers=2)
         prior = predict_map(m, PATTERN, cfg)
-        pipeline._memo = None  # so that the first recorrect infers
         region = [prior.grid.bbox_nm()]
         worker = pipeline._pool[1][0]
         sent = []
@@ -422,11 +421,9 @@ class TestChunks:
         counts.clear()
         x0, y0, _, _ = deployment_raster(PATTERN, toy_cfg().tiling).bbox_nm()
         region = [(x0, y0, x0 + 10, y0 + 10)]
-        prior = predict_map(m, PATTERN, toy_cfg())
-        pipeline._memo = None  # so that recorrect infers its region
         inferred = count_inferred(monkeypatch)
-        out = recorrect(prior, PATTERN, region, m, toy_cfg(3))
-        assert inferred == [100] and counts == []
+        out = recorrect(predict_map(m, PATTERN, toy_cfg()), PATTERN, region, m, toy_cfg(3))
+        assert inferred == [1024, 100] and counts == []
         assert np.array_equal(out.grid.values, want)
 
     def test_workers_bounded_before_any_fork(self, monkeypatch):
@@ -522,11 +519,8 @@ class TestDeploymentMemo:
 
         def served(target, model, cfg):
             """recorrect over target's whole raster equals a fresh map; the
-            entry it leaves, which the fresh map keeps.  The prior's own
-            entry is dropped, so recorrect meets the last call's."""
-            kept = pipeline._memo
+            entry it leaves, which the fresh map keeps."""
             prior = predict_map(zero_model(model.arch.num_classes), target, cfg)
-            pipeline._memo = kept
             out = recorrect(prior, target, [prior.grid.bbox_nm()], model, cfg)
             memo = pipeline._memo
             assert out.grid.values.tobytes() == predict_map(model, target, cfg).grid.values.tobytes()
@@ -568,7 +562,6 @@ class TestDeploymentMemo:
     def test_failing_worker_leaves_entry_unchanged(self, monkeypatch):
         m, cfg = toy_model(), toy_cfg(workers=2)
         prior = predict_map(m, PATTERN, toy_cfg())
-        pipeline._memo = None  # so that recorrect infers its regions
         x0, y0, _, _ = prior.grid.bbox_nm()
         recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, cfg)
         memo = pipeline._memo
@@ -592,7 +585,6 @@ class TestDeploymentMemo:
     def test_failing_predict_map_leaves_entry_in_place(self, monkeypatch):
         m = toy_model()
         prior = predict_map(zero_model(), PATTERN, toy_cfg())
-        pipeline._memo = None
         x0, y0, _, _ = prior.grid.bbox_nm()
         recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, toy_cfg())
         memo = pipeline._memo
@@ -638,25 +630,22 @@ class TestDeploymentMemo:
             assert correct(PATTERN, m, cfg).iip_map.grid.values.tobytes() == want.tobytes()
             assert pipeline._memo is memo
 
-    @pytest.mark.parametrize("first", [predict_map, lambda m, target, cfg: correct(target, m, cfg)],
-                             ids=["predict_map", "correct"])
-    def test_recorrect_after_a_map_reads_nothing(self, monkeypatch, first):
+    @pytest.mark.parametrize("run", [
+        lambda m, target, cfg: predict_map(m, target, cfg).grid.values,
+        lambda m, target, cfg: correct(target, m, cfg).iip_map.grid.values,
+    ], ids=["predict_map", "correct"])
+    def test_map_keeps_no_entry(self, run):
+        # A map's own memo is dropped; a kept entry that it uses keeps the
+        # classes it held, and the map's bits are the same.
         m, cfg = toy_model(seed=3), toy_cfg(workers=2)
-        prior = predict_map(zero_model(), LINES, cfg)
-        first(m, LINES, cfg)
-        x0, y0, _, _ = prior.grid.bbox_nm()
-        region = [(x0 + 4, y0 + 4, x0 + 30, y0 + 25), (x0 + 20, y0 + 2, x0 + 44, y0 + 12)]
-        reads, real_read = [], tiling.WindowStack.__getitem__
-        with monkeypatch.context() as patch:
-            patch.setattr(tiling.WindowStack, "__getitem__",
-                          lambda stack, key: reads.append(key) or real_read(stack, key))
-            inferred = count_inferred(patch)
-            out = recorrect(prior, LINES, region, m, cfg)
-        assert reads == [] and inferred == [0]
-        # The same bits as with the memo emptied.
-        pipeline._memo = None
-        want = recorrect(prior, LINES, region, m, cfg).grid.values
-        assert out.grid.values.tobytes() == want.tobytes()
+        want = run(m, LINES, cfg)
+        assert pipeline._memo is None
+        x0, y0, _, _ = deployment_raster(LINES, cfg.tiling).bbox_nm()
+        recorrect(predict_map(zero_model(), LINES, cfg), LINES, [(x0, y0, x0 + 9, y0 + 9)], m, cfg)
+        memo = pipeline._memo
+        known = memo.known.tobytes()
+        assert run(m, LINES, cfg).tobytes() == want.tobytes()
+        assert pipeline._memo is memo and memo.known.tobytes() == known
 
     def test_entry_holds_no_more_than_its_windows(self):
         # Over a stream, the traced memory held at its end is the entry's
@@ -744,6 +733,7 @@ class TestClassMapAndPlanes:
         assert inference_block(arch) * 3 <= len(flat)
         for workers in (1, 2, 3):
             memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), m, raster)
+            memo.fill(flat)
             got = pipeline._infer(m, memo, flat, cfg, workers)
             assert got.tobytes() == want.tobytes()
 
