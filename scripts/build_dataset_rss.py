@@ -9,6 +9,10 @@ dataset's sha256 (images, labels and coords), the wall time of the call,
 the process's peak RSS up to its end, which includes the raster, and the
 bytes the dataset holds (its polyphase planes plus its per-sample columns)
 next to the bytes of the (n, side, side) image stack it reads on demand.
+The planes span the whole raster in a private mapping that backs only
+the tiles written, so it then fills a new tiling.Planes of the same
+raster for the dataset's pixels and prints the bytes of its filled tiles
+next to the planes' nbytes.
 Before that call it runs compute_iip once on the same raster, the first
 step of build_dataset, and prints its wall time and tracemalloc peak, with
 tracing stopped before build_dataset runs.
@@ -27,7 +31,7 @@ from pixelret.cli import load_config
 from pixelret.iip import compute_iip
 from pixelret.layout import LayoutPattern
 from pixelret.pipeline import deployment_raster
-from pixelret.tiling import build_dataset
+from pixelret.tiling import _TILE, Planes, build_dataset
 
 
 def main() -> None:
@@ -63,6 +67,16 @@ def main() -> None:
     print(
         f"dataset holds {held / 2**20:.1f} MiB (planes and columns); "
         f"its image stack is {len(ds) * ds.image_side**2 * 4 / 2**20:.1f} MiB"
+    )
+    planes = Planes(ref_mask, tiling)
+    planes.fill(ds.coords[:, 1].astype(np.int64) * ref_mask.width + ds.coords[:, 0])
+    f, _, h, w = planes.values.shape
+    rows = np.minimum(_TILE, h - _TILE * np.arange(planes.filled.shape[0]))
+    cols = np.minimum(_TILE, w - _TILE * np.arange(planes.filled.shape[1]))
+    filled = f * f * 4 * int(rows @ planes.filled @ cols)
+    print(
+        f"filled tiles {planes.filled.sum()} of {planes.filled.size}, "
+        f"{filled / 2**20:.1f} MiB of the planes' {planes.values.nbytes / 2**20:.1f} MiB"
     )
 
 

@@ -5,12 +5,12 @@ microseconds per image of each conv layer's im2col, GEMM and bias+ReLU and
 of the pooled dense head, once for the per-sample forward (every product
 per image in an (n, c, h, w) layout, the arithmetic inference used before
 it ran in blocks) and once for the block forward at the arch's
-inference_block size; the wall time of filling a new deployment memo's
-polyphase planes over the whole of a toy line-space raster, which
-predict_map runs in the caller before any chunk is sent; and the wall time
-of one pipeline._infer_chunk call on a 200-pixel chunk of a 20 x 20 px box
-of that raster, the shape of one worker's share of a request, with the
-crop of the memo's planes that pipeline._task gives every chunk, followed
+inference_block size; the wall time of filling a new tiling.Planes over
+the whole of a toy line-space raster, which predict_map runs in the
+caller before any chunk is sent; and the wall time of one
+pipeline._infer_chunk call on a 200-pixel chunk of a 20 x 20 px box of
+that raster, the shape of one worker's share of a request, with the crop
+of the planes that Planes.crop gives every chunk, followed
 by the share of the chunk's windows that predict_batch classifies (one per
 distinct window) and the time it spends reading them from the planes and
 fingerprinting them, and on the sort and bit compare that find the
@@ -34,10 +34,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from pixelret.classifier import _distinct, _forward, _im2col, _probe, inference_block, init_model
 from pixelret.cli import load_config
-from pixelret.iip import class_values
 from pixelret.layout import generate_test_pattern
-from pixelret.pipeline import _infer_chunk, _Memo, _task, deployment_raster
-from pixelret.tiling import window_field
+from pixelret.pipeline import _infer_chunk, deployment_raster
+from pixelret.tiling import Planes, window_field
 
 
 def per_sample_steps(m, images, clock):
@@ -124,22 +123,22 @@ def main() -> None:
         print(f"  {'total':18s}" + "".join(f"{sum(r.values()):14.1f}" for r in rows.values()))
 
     cfg = load_config(None, True, {})
-    tiling, num_classes = cfg.tiling(), cfg.iip().num_classes
+    tiling = cfg.tiling()
     m = init_model(cfg.arch(), cfg.init_seed)
     pattern = generate_test_pattern("line_space", 80, pitch=200, count=5, length=400)
     raster = deployment_raster(pattern, tiling)
     ys, xs = np.mgrid[: 20, : 20]
     flat = ((raster.height // 2 + ys) * raster.width + raster.width // 2 + xs).ravel()[:200]
-    key = (pattern.checksum(), tiling, num_classes)
     every = np.arange(raster.width * raster.height)
     print(
-        f"planes fill of the whole {raster.width} x {raster.height} px raster, a new memo: "
-        f"{median_ms(lambda: _Memo(key, m, raster).fill(every), args.reps):.2f} ms "
+        f"planes fill of the whole {raster.width} x {raster.height} px raster, a new Planes: "
+        f"{median_ms(lambda: Planes(raster, tiling).fill(every), args.reps):.2f} ms "
         f"(median of {args.reps})"
     )
-    memo = _Memo(key, m, raster)
-    memo.fill(flat)
-    task = _task(m, memo, flat, tiling, class_values(num_classes))
+    planes = Planes(raster, tiling)
+    planes.fill(flat)
+    crop, coords = planes.crop(flat)
+    task = (m, crop, coords, tiling)
     print(
         f"_infer_chunk 200 px of a {raster.width} x {raster.height} px raster, planes crop, "
         f"block {inference_block(m.arch)}: "
@@ -148,7 +147,6 @@ def main() -> None:
     # predict_batch's fingerprints of the chunk's windows, one block read
     # from the planes at a time, then its sort and bit compare (one group:
     # 200 windows).
-    _, crop, coords, _, _ = task
     windows = window_field(crop, coords, tiling)
     size, block, n = m.arch.input_side**2, inference_block(m.arch), len(windows)
     probe = _probe(size)

@@ -6,11 +6,11 @@ rules, and measure quality and scaling.
 Every entry point that runs a model (predict_map, recorrect, correct,
 bench_scaling) gets its deployment memo (_Memo) from _deployment, which
 first checks the model against the config, so a model trained on other
-tiling or classes is refused rather than deployed.  The memo holds the
-raster, the polyphase planes of its whole compressed field, filled a tile
-at a time in the caller (_Memo.fill, once per call, before any window is
-read), each pixel's class once known, and one classified window per
-fingerprint.  The last one recorrect served is kept between calls (_memo)
+tiling or classes is refused rather than deployed.  The memo holds its
+key, its model, the tiling.Planes of its raster (filled in the caller,
+once per call, before any window is read), each pixel's class id once
+known, and one classified window per fingerprint, whose class the class
+map holds.  The last one recorrect served is kept between calls (_memo)
 until a new target, tiling, class count or model replaces it; like _pool,
 it is not safe to share between threads.
 
@@ -22,7 +22,9 @@ it); the caller reads its own chunk's windows in place, reads every reply,
 even when its own chunk fails, and re-raises a worker's exception with its
 type.  A chunk holds at least one inference block.  A caller that may not
 fork (ilt.fork_safe: daemonic, or running another thread) classifies every
-chunk itself.  Inference starts no thread.
+chunk itself.  Inference starts no thread.  Class ids run through
+inference and the memo; class values are applied once, where a map is
+built.
 predict_map infers every pixel, never reading the class map or the kept
 windows, and keeps no memo.  In recorrect a region pixel of known class
 costs no read; another whose window equals a kept one bit for bit
@@ -38,7 +40,6 @@ bitwise identical for any worker count, chunking, region or memo state.
 from __future__ import annotations
 
 import copy
-import mmap
 import multiprocessing
 import os
 import time
@@ -64,7 +65,7 @@ from .layout import (
     rasterize,
     vectorize,
 )
-from .tiling import TilingConfig, WindowStack, fill_field, provenance, window_field
+from .tiling import Planes, TilingConfig, _private, provenance, window_field
 
 # The most inference processes a call may use, the caller included: more
 # than any host this runs on has cores, and a bound on the processes a
@@ -220,45 +221,33 @@ def _check_model(m: ModelParams, cfg: CorrectionConfig) -> None:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _task(m: ModelParams, memo: _Memo, flat: np.ndarray, tiling: TilingConfig,
-          table: np.ndarray) -> tuple:
-    """The task that classifies the memo raster's pixels with the given
-    flat indices: the rows and columns of the memo's planes that their
-    windows span, a view that a worker receives as a copy, and their
-    windows' offsets on it."""
-    coords = np.stack([flat % memo.raster.width, flat // memo.raster.width], axis=1)
-    f, side = tiling.compression_factor, tiling.output_side
-    (j0, i0), (j1, i1) = coords.min(axis=0) // f, coords.max(axis=0) // f + side
-    return m, memo.planes[:, :, i0:i1, j0:j1], coords - (j0 * f, i0 * f), tiling, table
-
-
 def _infer_chunk(task: tuple) -> np.ndarray:
-    """Class values (table indexed by class id) of the windows at the
-    offsets coords on the planes crop."""
-    m, planes, coords, tiling, table = task
-    return table[predict_batch(m, window_field(planes, coords, tiling))]
+    """Class ids of the windows at the offsets coords on the planes crop."""
+    m, planes, coords, tiling = task
+    return predict_batch(m, window_field(planes, coords, tiling))
 
 
 def _infer(
     m: ModelParams, memo: _Memo, sel_flat: np.ndarray, cfg: CorrectionConfig, workers: int
 ) -> np.ndarray:
-    """Class values of the memo raster's pixels with the given flat
-    indices, read from its planes (see _task), which must hold the tiles
-    their windows read (see _Memo.fill), in at most `workers` chunks, none
-    smaller than one inference block.  A process that may not fork (see
-    fork_safe) classifies every chunk itself, with the same bits."""
+    """Class ids of the memo raster's pixels with the given flat indices,
+    read from its planes, which must hold the tiles their windows read (see
+    Planes.fill), in at most `workers` chunks, none smaller than one
+    inference block.  Each chunk's task carries the crop of the planes that
+    its windows span (Planes.crop), a view that a worker receives as a
+    copy.  A process that may not fork (see fork_safe) classifies every
+    chunk itself, with the same bits."""
     global _pool
-    table = class_values(cfg.iip.num_classes)
     chunks = min(workers, -(-len(sel_flat) // inference_block(m.arch)))
     # Contiguous chunks whose sizes differ by at most one; none is empty.
     tasks = [
-        _task(m, memo, chunk, cfg.tiling, table)
+        (m, *memo.planes.crop(chunk), cfg.tiling)
         for chunk in np.array_split(sel_flat, max(chunks, 1))
         if chunk.size
     ]
     if len(tasks) <= 1 or not fork_safe():
         parts = [_infer_chunk(t) for t in tasks]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     pool = _worker_pool(len(tasks) - 1)
     # Out of _pool for the call: a call cut short while it reads replies
     # leaves some unread, so its workers are not reused.
@@ -320,7 +309,7 @@ def _worker_pool(workers: int) -> tuple[_Worker, ...]:
 
 
 def _serve(conn: Connection, ends: list[Connection]) -> None:
-    """A worker: answer each task from conn with its class values, or with
+    """A worker: answer each task from conn with its class ids, or with
     the exception it raised, until the caller closes the pipe.  A task
     whose model is None is for the last model received."""
     for end in ends:
@@ -386,111 +375,51 @@ def _lost(worker: _Worker) -> RuntimeError:
 # Deployment memo
 # ---------------------------------------------------------------------------
 
-# Plane values per side of a memo planes tile, the unit it is filled in.
-_TILE = 8
-
-
-def _private(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed array in a private anonymous mapping, so that its untouched
-    pages are never backed nor promoted to huge pages, and a forked
-    child's writes stay its own."""
-    buf = mmap.mmap(-1, max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
-                    flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype, int(np.prod(shape))).reshape(shape)
-
-
 class _Memo:
     """What one deployment has classified: its key (target checksum, a
-    copy of the tiling, class count) and a deep copy of its model; its
-    raster; the polyphase planes of the compressed field of the whole
-    zero-padded raster, filled a tile at a time as windows need them; each
-    raster pixel's class id + 1, 0 while unknown; and, sorted by
-    fingerprint, one classified window per fingerprint, as its pixel's
-    flat index and its class value.
-
-    Field value (v, u) compresses the block at raster pixel (u - r, v - r),
-    r the window radius, so the window of pixel (x, y) is the one at field
-    offset (x, y).  The planes and the class ids live in private mappings
-    (_private).
+    copy of the tiling, class count) and a deep copy of its model; the
+    Planes of its raster; each raster pixel's class id + 1, 0 while
+    unknown, in a private mapping; and, sorted by fingerprint, one
+    classified window per fingerprint, as its pixel's flat index, whose
+    class the class map holds.
     """
 
     def __init__(self, key: tuple, m: ModelParams, raster: RasterGrid):
-        self.key, self.model, self.raster = key, copy.deepcopy(m), raster
-        tiling = key[1]
-        side, f = tiling.output_side, tiling.compression_factor
-        shape = ((raster.height - 1) // f + side, (raster.width - 1) // f + side)
-        self.planes = _private((f, f, *shape), np.float32)
+        self.key, self.model = key, copy.deepcopy(m)
+        self.planes = Planes(raster, key[1])
         self.known = _private((raster.height * raster.width,), np.min_scalar_type(key[2]))
-        self.stack = window_field(self.planes, np.empty((0, 2)), tiling)
-        self.filled = np.zeros((-(-shape[0] // _TILE), -(-shape[1] // _TILE)), bool)
         self.fp = np.empty(0, np.float32)
         self.flat = np.empty(0, np.int64)
-        self.values = np.empty(0, np.float64)
-
-    def fill(self, flat: np.ndarray) -> None:
-        """Fill every tile that the windows of the raster pixels with the
-        given flat indices read: those up to `reach` tiles below and right
-        of each pixel's own tile, which may hold one more tile of each side
-        than its window reads."""
-        t, tiling = _TILE, self.key[1]
-        f, r = tiling.compression_factor, tiling.window_radius
-        reach = (t - 1 + tiling.output_side - 1) // t
-        ys, xs = np.divmod(flat, self.raster.width)
-        cells = np.zeros_like(self.filled)
-        cells[ys // f // t, xs // f // t] = True
-        rows = cells.copy()
-        for k in range(1, reach + 1):
-            rows[k:] |= cells[:-k]
-        need = rows.copy()
-        for k in range(1, reach + 1):
-            need[:, k:] |= rows[:, :-k]
-        need &= ~self.filled
-        for ty in np.flatnonzero(need.any(axis=1)):
-            cols = np.flatnonzero(need[ty])
-            # One fill per run of adjacent tiles.
-            for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
-                i0, j0 = ty * t, run[0] * t
-                out = self.planes[:, :, i0 : i0 + t, j0 : (run[-1] + 1) * t]
-                fill_field(self.raster, tiling, out, j0 * f - r, i0 * f - r)
-        self.filled |= need
-
-    def windows(self, flat: np.ndarray) -> WindowStack:
-        """The windows of the raster pixels with the given flat indices,
-        read from the planes in place."""
-        return self.stack.at(np.stack([flat % self.raster.width, flat // self.raster.width], 1))
 
     def lookup(self, sel_flat: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
-        """(hit, values, fp) for the raster pixels with the given flat
+        """(hit, ids, fp) for the raster pixels with the given flat
         indices: whether a kept window's fingerprint and float32 bits equal
-        the pixel window's, the kept class value where they do, and each
+        the pixel window's, the kept class id where they do, and each
         window's fingerprint.  Windows are read from filled planes and
         compared `block` at a time."""
-        stack = self.windows(sel_flat)
+        stack = self.planes.windows(sel_flat)
         hit = np.zeros(len(sel_flat), bool)
-        values = np.empty(len(sel_flat), np.float64)
+        ids = np.empty(len(sel_flat), np.intp)
         fp = np.empty(len(sel_flat), np.float32)
         for s in range(0, len(sel_flat), block):
             windows = stack[s : s + block]
             fp[s : s + block] = fingerprints(windows, block)
             j, found = _find(self.fp, fp[s : s + block])
             cand = np.flatnonzero(found)
-            kept = self.windows(self.flat[j[cand]])[:]
+            kept = self.planes.windows(self.flat[j[cand]])[:]
             same = cand[(windows[cand].view(np.uint32) == kept.view(np.uint32)).all(axis=(1, 2))]
             hit[s + same] = True
-            values[s + same] = self.values[j[same]]
-        return hit, values, fp
+            ids[s + same] = self.known[self.flat[j[same]]].astype(np.intp) - 1
+        return hit, ids, fp
 
-    def add(self, fp: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
+    def add(self, fp: np.ndarray, flat: np.ndarray) -> None:
         """Keep the first classified window of each fingerprint that no kept
-        window has."""
+        window has; the caller records its pixel's class."""
         fp, first = np.unique(fp, return_index=True)
         at, found = _find(self.fp, fp)
         fp, first, at = fp[~found], first[~found], at[~found]
         self.fp = np.insert(self.fp, at, fp)
         self.flat = np.insert(self.flat, at, flat[first])
-        self.values = np.insert(self.values, at, values[first])
 
 
 def _find(keys: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,10 +454,11 @@ def predict_map(m: ModelParams, target: LayoutPattern, cfg: CorrectionConfig) ->
     whatever its class map or kept windows hold, and a new memo is not kept.
     """
     memo = _deployment(m, target, cfg)
-    raster = memo.raster
+    raster = memo.planes.raster
     sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
-    memo.fill(sel_flat)
-    values = _infer(m, memo, sel_flat, cfg, cfg.workers)
+    memo.planes.fill(sel_flat)
+    ids = _infer(m, memo, sel_flat, cfg, cfg.workers)
+    values = class_values(cfg.iip.num_classes)[ids]
     grid = raster.with_values(values.reshape(raster.height, raster.width))
     return IipMap(
         grid=grid,
@@ -556,7 +486,7 @@ def recorrect(
     """
     global _memo
     memo = _deployment(m2, target, cfg)
-    raster = memo.raster
+    raster = memo.planes.raster
     if raster.placement != prior.grid.placement:
         raise CoordError(
             f"prior map placement {prior.grid.placement} does not match the "
@@ -564,19 +494,17 @@ def recorrect(
             "in nm, px/nm)"
         )
     sel_flat = _region_pixels(raster, region)
-    table = class_values(cfg.iip.num_classes)
-    known = memo.known[sel_flat].astype(np.intp)
-    values = table[known - 1]
-    new = np.flatnonzero(known == 0)
-    memo.fill(sel_flat[new])
-    hit, values[new], fp = memo.lookup(sel_flat[new], inference_block(m2.arch))
+    ids = memo.known[sel_flat].astype(np.intp) - 1
+    new = np.flatnonzero(ids < 0)
+    memo.planes.fill(sel_flat[new])
+    hit, ids[new], fp = memo.lookup(sel_flat[new], inference_block(m2.arch))
     miss = new[~hit]
-    values[miss] = _infer(m2, memo, sel_flat[miss], cfg, cfg.workers)
-    memo.add(fp[~hit], sel_flat[miss], values[miss])
-    memo.known[sel_flat[new]] = np.searchsorted(table, values[new]) + 1
+    ids[miss] = _infer(m2, memo, sel_flat[miss], cfg, cfg.workers)
+    memo.add(fp[~hit], sel_flat[miss])
+    memo.known[sel_flat[new]] = ids[new] + 1
     _memo = memo
     flat = prior.grid.values.copy().ravel()
-    flat[sel_flat] = values
+    flat[sel_flat] = class_values(cfg.iip.num_classes)[ids]
     return IipMap(
         grid=prior.grid.with_values(flat.reshape(prior.grid.shape)),
         source_mask_checksum=prior.source_mask_checksum,
@@ -670,15 +598,16 @@ def bench_scaling(
         check_int("worker_counts entry", w, least=1, most=MAX_WORKERS)
     check_int("repeats", repeats, least=1)
     memo = _deployment(m, target, cfg)
-    sel_flat = np.arange(memo.raster.width * memo.raster.height, dtype=np.int64)
+    raster = memo.planes.raster
+    sel_flat = np.arange(raster.width * raster.height, dtype=np.int64)
     if sel_flat.size < 10_000:
         raise ParamError(
             f"benchmark workload has {sel_flat.size} pixels; need >= 10000"
         )
-    memo.fill(sel_flat)
+    memo.planes.fill(sel_flat)
     rows = []
     baseline = None
-    reference_values = None
+    reference_ids = None
     consistent = True
     for w in worker_counts:
         times = []
@@ -686,14 +615,14 @@ def bench_scaling(
         for _ in range(repeats):
             calls, t0 = 0, time.perf_counter()
             while (elapsed := time.perf_counter() - t0) < 0.2:
-                values = _infer(m, memo, sel_flat, cfg, w)
+                ids = _infer(m, memo, sel_flat, cfg, w)
                 calls += 1
             times.append(elapsed / calls)
         wall = float(np.median(times))
-        if reference_values is None:
-            reference_values = values
+        if reference_ids is None:
+            reference_ids = ids
             baseline = wall
-        elif not np.array_equal(values, reference_values):
+        elif not np.array_equal(ids, reference_ids):
             consistent = False
         speedup = baseline / wall if wall > 0 else float("inf")
         rows.append(

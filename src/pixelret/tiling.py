@@ -9,18 +9,21 @@ paired with the pixel's IIP class to form a dataset.
 A compressed field is stored as f x f polyphase planes, plane (a, b) =
 field[a::f, b::f] (the shift-and-stitch layout of Long, Shelhamer & Darrell,
 CVPR 2015 §3.2), so the window at field offset (r, c) is the contiguous block
-plane (r % f, c % f)[r//f : r//f + side, c//f : c//f + side].  fill_field
-writes planes, and window_field returns a WindowStack that reads windows
-from them on demand; that one reader serves dataset building, training and
-deployment alike, and extract_window plus compress_window is its one-pixel
-reference.  A dataset keeps each source's planes, so no step from build to
-training holds a stack of every sample's image.
+plane (r % f, c % f)[r//f : r//f + side, c//f : c//f + side].  Planes
+holds a whole raster's planes, filled by tile for the pixels whose windows
+are read, and is the one planes geometry of dataset building and
+deployment; window_field reads a worker's crop of them.  WindowStack, the
+one window reader, serves building, training and deployment alike, and
+extract_window plus compress_window is its one-pixel reference.  A
+dataset keeps each source's planes, so no step from build to training
+holds a stack of every sample's image.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -156,12 +159,11 @@ class WindowStack:
     def take(self, idx) -> "WindowStack":
         return WindowStack(self.sources, self.src[idx], self.pos[idx])
 
-    def at(self, coords: np.ndarray) -> "WindowStack":
-        """The windows at field offsets coords[i] = (x, y) of this stack's
-        first source, which holds planes, in coords order; none is read."""
+    def at(self, ys: np.ndarray, xs: np.ndarray) -> "WindowStack":
+        """The windows at field offsets (row ys[i], column xs[i]) of this
+        stack's first source, which holds planes, in order; none is read."""
         f = self.sources[0][1].shape[0]
-        yx = np.asarray(coords, dtype=np.int64).reshape(-1, 2)[:, ::-1]
-        pos = np.concatenate([yx % f, yx // f], axis=1)
+        pos = np.stack([ys % f, xs % f, ys // f, xs // f], axis=1)
         return WindowStack(self.sources[:1], np.zeros(len(pos), np.intp), pos)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -286,38 +288,17 @@ def _reduce(parts: list[np.ndarray], reducer: str) -> np.ndarray:
     return acc
 
 
-def window_field(source: RasterGrid | np.ndarray, coords: np.ndarray,
-                 cfg: TilingConfig) -> WindowStack:
-    """The windows at coords[i] = (x, y), in coords order, read on demand
-    as contiguous blocks of polyphase planes (see the module docstring).
-
-    From a raster (dataset building), coords are pixels, and the planes of
-    the compressed field over the box they cover are filled here: field
-    value (v, u) compresses the f x f block of the zero-padded raster at
-    top-left pixel (x0 - r + u, y0 - r + v), (x0, y0) the box's low corner,
-    so that each window is bitwise compress_window(extract_window(g,
-    coords[i], cfg), cfg).  From (f, f, rows, cols) planes (deployment,
-    whose memo fills them with fill_field), coords are field offsets
-    (column, row), and the planes are read in place.
-    """
+def window_field(planes: np.ndarray, coords: np.ndarray, cfg: TilingConfig) -> WindowStack:
+    """The windows at field offsets coords[i] = (column, row) of (f, f,
+    rows, cols) polyphase planes, in coords order, read on demand from the
+    planes in place; an offset whose window leaves them is a CoordError."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     side, f = cfg.output_side, cfg.compression_factor
-    if isinstance(source, RasterGrid):
-        if ((coords < 0) | (coords >= (source.width, source.height))).any():
-            raise CoordError(f"pixel coords outside grid {source.width}x{source.height}")
-        lo, extent = np.zeros((2, 2), np.int64)
-        if len(coords):
-            lo, extent = coords.min(axis=0), np.ptp(coords, axis=0)
-        w, h = extent // f + side
-        planes = np.empty((f, f, h, w), dtype=np.float32)
-        fill_field(source, cfg, planes, *(lo - cfg.window_radius))
-        values, coords = planes.reshape(-1, w), coords - lo
-    else:
-        values = planes = source
-        if ((coords < 0) | (coords // f + side > (planes.shape[3], planes.shape[2]))).any():
-            raise CoordError(f"window offsets outside planes {planes.shape}")
+    if ((coords < 0) | (coords // f + side > (planes.shape[3], planes.shape[2]))).any():
+        raise CoordError(f"window offsets outside planes {planes.shape}")
     view = sliding_window_view(planes, (side, side), axis=(2, 3))
-    return WindowStack([(values, view)], np.empty(0, np.intp), np.empty((0, 4), np.intp)).at(coords)
+    stack = WindowStack([(planes, view)], np.empty(0, np.intp), np.empty((0, 4), np.intp))
+    return stack.at(coords[:, 1], coords[:, 0])
 
 
 def fill_field(g: RasterGrid, cfg: TilingConfig, out: np.ndarray, x: int, y: int) -> None:
@@ -344,6 +325,88 @@ def fill_field(g: RasterGrid, cfg: TilingConfig, out: np.ndarray, x: int, y: int
         out[:, :, i0 : i0 + n] = field.reshape(n, f, w, f).transpose(1, 3, 0, 2)
 
 
+# Plane values per side of a Planes tile, the unit it is filled in.
+_TILE = 8
+
+
+def _private(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in a private anonymous mapping, so that its untouched
+    pages are never backed nor promoted to huge pages, and a forked
+    child's writes stay its own."""
+    buf = mmap.mmap(-1, max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
+                    flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype, int(np.prod(shape))).reshape(shape)
+
+
+class Planes:
+    """The (f, f, rows, cols) polyphase planes (values, in a private
+    mapping) of the compressed field of a whole zero-padded raster, filled
+    a tile of _TILE x _TILE plane values (in every plane) at a time;
+    filled marks the tiles written.  Field value (v, u) compresses the
+    block at raster pixel (u - r, v - r), r the window radius, so pixel
+    (x, y) has the window at field offset (x, y).  Pixels are named by flat
+    index y * width + x, and one outside the raster is a CoordError."""
+
+    def __init__(self, raster: RasterGrid, cfg: TilingConfig):
+        self.raster, self.cfg = raster, cfg
+        side, f = cfg.output_side, cfg.compression_factor
+        shape = ((raster.height - 1) // f + side, (raster.width - 1) // f + side)
+        self.values = _private((f, f, *shape), np.float32)
+        self.stack = window_field(self.values, np.empty((0, 2)), cfg)
+        self.filled = np.zeros((-(-shape[0] // _TILE), -(-shape[1] // _TILE)), bool)
+
+    def _yx(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ys, xs) of the pixels with the given flat indices."""
+        flat = np.asarray(flat, dtype=np.int64)
+        w, h = self.raster.width, self.raster.height
+        if flat.size and (flat.min() < 0 or flat.max() >= w * h):
+            raise CoordError(f"flat pixel indices outside raster {w}x{h}")
+        return np.divmod(flat, w)
+
+    def fill(self, flat: np.ndarray) -> None:
+        """Fill every tile that the windows of the pixels with the given
+        flat indices read: those up to `reach` tiles below and right of
+        each pixel's own tile, which may hold one more tile of each side
+        than its window reads."""
+        t, cfg = _TILE, self.cfg
+        f, r = cfg.compression_factor, cfg.window_radius
+        reach = (t - 1 + cfg.output_side - 1) // t
+        ys, xs = self._yx(flat)
+        cells = np.zeros_like(self.filled)
+        cells[ys // f // t, xs // f // t] = True
+        need, (h, w) = np.zeros_like(cells), cells.shape
+        for dy in range(min(reach + 1, h)):
+            for dx in range(min(reach + 1, w)):
+                need[dy:, dx:] |= cells[: h - dy, : w - dx]
+        need &= ~self.filled
+        for ty in np.flatnonzero(need.any(axis=1)):
+            cols = np.flatnonzero(need[ty])
+            # One fill per run of adjacent tiles.
+            for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
+                i0, j0 = ty * t, run[0] * t
+                out = self.values[:, :, i0 : i0 + t, j0 : (run[-1] + 1) * t]
+                fill_field(self.raster, cfg, out, j0 * f - r, i0 * f - r)
+        self.filled |= need
+
+    def windows(self, flat: np.ndarray) -> WindowStack:
+        """The windows of the pixels with the given flat indices, read on
+        demand from the planes in place, which fill must have filled for
+        them."""
+        return self.stack.at(*self._yx(flat))
+
+    def crop(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(planes, coords): the rows and columns of the planes that the
+        windows of the pixels with the given flat indices (at least one)
+        span, a view, and those windows' offsets on it, for window_field."""
+        ys, xs = self._yx(flat)
+        coords = np.stack([xs, ys], axis=1)
+        f, side = self.cfg.compression_factor, self.cfg.output_side
+        (j0, i0), (j1, i1) = coords.min(axis=0) // f, coords.max(axis=0) // f + side
+        return self.values[:, :, i0:i1, j0:j1], coords - (j0 * f, i0 * f)
+
+
 # ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------
@@ -360,9 +423,9 @@ def build_dataset(
 
     Pixels are selected per class up to per_class_cap (an integer >= 1) via
     a seeded shuffle, then assembled in coordinate order.  The target is
-    rasterized on the reference mask's pixels, and the dataset keeps the
-    compressed field its windows are read from.  All samples start in the
-    train split; use split_dataset to partition.
+    rasterized on the reference mask's pixels, and the dataset reads its
+    windows from the raster's Planes, filled for them alone.  All samples
+    start in the train split; use split_dataset to partition.
     """
     check_int("per_class_cap", per_class_cap, least=1)
     seed = check_seed(seed)
@@ -388,8 +451,9 @@ def build_dataset(
         chosen.append(idx)
     sel = np.sort(np.concatenate(chosen))
 
+    planes = Planes(raster, tiling)
+    planes.fill(sel)
     ys, xs = np.unravel_index(sel, label_map.shape)
-    coords = np.stack([xs, ys], axis=1)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "image_side": tiling.output_side,
@@ -401,9 +465,9 @@ def build_dataset(
         "source_pattern_checksum": target.checksum(),
     }
     return PixelDataset(
-        images=window_field(raster, coords, tiling),
+        images=planes.windows(sel),
         labels=flat_labels[sel].astype(np.uint16),
-        coords=coords.astype(np.int32),
+        coords=np.stack([xs, ys], axis=1).astype(np.int32),
         splits=np.zeros(sel.size, dtype=np.uint8),
         meta=meta,
     )

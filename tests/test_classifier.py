@@ -36,12 +36,12 @@ from pixelret.iip import IipConfig, make_iik
 from pixelret.layout import LayoutPattern, rasterize
 from pixelret.tiling import (
     PixelDataset,
+    Planes,
     TilingConfig,
     WindowStack,
     build_dataset,
     merge_datasets,
     split_dataset,
-    window_field,
 )
 
 
@@ -434,13 +434,21 @@ class TestFixedBlockInvariance:
             assert [len(images) for images, _ in calls] == [block] * -(-n // block)
 
 
+def filled_windows(raster, flat, t):
+    """Field-backed windows of the raster pixels with the given flat
+    indices, from the raster's Planes filled for them."""
+    planes = Planes(raster, t)
+    planes.fill(flat)
+    return planes.windows(flat)
+
+
 def test_predict_batch_reads_one_block_at_a_time():
     # 8,190 field-backed windows of 16x16 px in 64 blocks: an 8.4 MB stack,
     # which predict_batch must never hold; a quarter of it bounds the peak.
     t = TilingConfig(interaction_distance=16.0, px_per_nm=1.0, compression_factor=2)
     raster = rasterize(LayoutPattern([rect(20, 20, 80, 70)]), 1.0, (0, 0, 100, 100))
     ys, xs = np.mgrid[5:95, 5:96]
-    windows = window_field(raster, np.stack([xs.ravel(), ys.ravel()], axis=1), t)
+    windows = filled_windows(raster, (ys * raster.width + xs).ravel(), t)
     m = init_model(tiny_arch(input_side=t.output_side), seed=0)
     stack = 4 * len(windows) * t.output_side**2
     assert inference_block(m.arch) * 60 < len(windows)
@@ -463,8 +471,7 @@ def rectangle_windows(side):
     equal copies."""
     t = TilingConfig(interaction_distance=16.0, px_per_nm=1.0, compression_factor=2)
     raster = rasterize(LayoutPattern([rect(20, 20, side - 20, side - 30)]), 1.0, (0, 0, side, side))
-    ys, xs = np.mgrid[:side, :side]
-    return window_field(raster, np.stack([xs.ravel(), ys.ravel()], axis=1), t)
+    return filled_windows(raster, np.arange(side * side), t)
 
 
 class TestDistinctImages:

@@ -115,15 +115,6 @@ def test_scripts_load_without_running():
     assert out.stdout.splitlines() == scripts
 
 
-def test_inference_stages_runs():
-    # The script exits if its timed block steps no longer give
-    # classifier._forward's logits bit for bit, and it builds
-    # pipeline._infer_chunk's task with pipeline._task; running it catches drift in both.
-    out = _python(str(SCRIPTS / "inference_stages.py"), "--reps", "1")
-    assert out.returncode == 0, out.stderr
-    assert "_infer_chunk 200 px" in out.stdout
-
-
 def test_readme_layout_example_parses():
     # The README's format section shows a 10 x 30 nm line; the doc and the
     # parser cannot drift apart unnoticed.

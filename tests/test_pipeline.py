@@ -230,17 +230,17 @@ class TestWorkers:
     def test_worker_exception_reaches_caller(self, monkeypatch):
         m = toy_model()
         want = predict_map(m, PATTERN, toy_cfg()).grid.values
-        real = pipeline._task
+        real = tiling.Planes.crop
 
-        def off_crop(m, memo, flat, tiling, table):
+        def off_crop(planes, flat):
             # Every chunk but the caller's (which starts at pixel 0) gets
             # offsets past its planes crop, which window_field refuses.
-            task = real(m, memo, flat, tiling, table)
+            crop, coords = real(planes, flat)
             if flat[0]:
-                task = (*task[:2], task[2] + (0, memo.raster.height), *task[3:])
-            return task
+                coords = coords + (0, planes.raster.height)
+            return crop, coords
 
-        monkeypatch.setattr(pipeline, "_task", off_crop)
+        monkeypatch.setattr(tiling.Planes, "crop", off_crop)
         with pytest.raises(CoordError, match="outside planes"):
             predict_map(m, PATTERN, toy_cfg(workers=3))
         pids = worker_pids()
@@ -565,7 +565,7 @@ class TestDeploymentMemo:
         x0, y0, _, _ = prior.grid.bbox_nm()
         recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, cfg)
         memo = pipeline._memo
-        kept = [a.tobytes() for a in (memo.fp, memo.flat, memo.values)]
+        kept = [a.tobytes() for a in (memo.known, memo.fp, memo.flat)]
         caller, real = os.getpid(), pipeline._infer_chunk
 
         def failing(task):
@@ -580,7 +580,7 @@ class TestDeploymentMemo:
         with pytest.raises(ZeroDivisionError):
             recorrect(prior, PATTERN, [prior.grid.bbox_nm()], m, cfg)
         assert pipeline._memo is memo
-        assert [a.tobytes() for a in (memo.fp, memo.flat, memo.values)] == kept
+        assert [a.tobytes() for a in (memo.known, memo.fp, memo.flat)] == kept
 
     def test_failing_predict_map_leaves_entry_in_place(self, monkeypatch):
         m = toy_model()
@@ -588,7 +588,7 @@ class TestDeploymentMemo:
         x0, y0, _, _ = prior.grid.bbox_nm()
         recorrect(prior, PATTERN, [(x0, y0, x0 + 3, y0 + 3)], m, toy_cfg())
         memo = pipeline._memo
-        kept = [a.tobytes() for a in (memo.known, memo.fp, memo.flat, memo.values)]
+        kept = [a.tobytes() for a in (memo.known, memo.fp, memo.flat)]
         caller, real = os.getpid(), pipeline._infer_chunk
 
         def failing(task):
@@ -604,18 +604,17 @@ class TestDeploymentMemo:
             with pytest.raises(ZeroDivisionError):
                 predict_map(model, PATTERN, toy_cfg(workers=2))
             assert pipeline._memo is memo
-            assert [a.tobytes() for a in (memo.known, memo.fp, memo.flat, memo.values)] == kept
+            assert [a.tobytes() for a in (memo.known, memo.fp, memo.flat)] == kept
 
     def test_maps_fresh_whatever_the_memo_holds(self):
-        # A memo whose class map and kept windows give every pixel another
-        # class than its own: predict_map and correct infer every pixel.
+        # A memo whose class map, which also holds the kept windows'
+        # classes, gives every pixel another class than its own:
+        # predict_map and correct infer every pixel.
         m = toy_model(seed=3)
         want = oracle_map(m, PATTERN, toy_cfg())
-        table = class_values(5)
 
         def poison(memo):
             memo.known[:] = memo.known % 5 + 1
-            memo.values[:] = table[(np.searchsorted(table, memo.values) + 1) % 5]
 
         for workers in (1, 2):
             cfg = toy_cfg(workers)
@@ -649,9 +648,10 @@ class TestDeploymentMemo:
 
     def test_entry_holds_no_more_than_its_windows(self):
         # Over a stream, the traced memory held at its end is the entry's
-        # raster, model and 20 bytes per kept window (a float32
-        # fingerprint, an int64 pixel and a float64 class value), plus the
-        # last map; the field is a mapping that tracemalloc does not see.
+        # raster, filled-tile marks, model and 12 bytes per kept window (a
+        # float32 fingerprint and an int64 pixel), plus the last map; the
+        # planes and the class map are mappings that tracemalloc does not
+        # see.
         m, cfg = toy_model(seed=3), toy_cfg()
         out = predict_map(zero_model(), LINES, cfg)
         boxes = list(request_stream(out.grid, 7, 200))
@@ -663,7 +663,7 @@ class TestDeploymentMemo:
         finally:
             tracemalloc.stop()
         memo = pipeline._memo
-        entry = (memo.raster.values.nbytes + memo.filled.nbytes + 20 * len(memo.fp)
+        entry = (memo.planes.raster.values.nbytes + memo.planes.filled.nbytes + 12 * len(memo.fp)
                  + sum(w.nbytes for w in memo.model.weights.values()))
         assert len(memo.fp) > 100
         assert held <= entry + out.grid.values.nbytes + (64 << 10), (held, entry)
@@ -733,8 +733,8 @@ class TestClassMapAndPlanes:
         assert inference_block(arch) * 3 <= len(flat)
         for workers in (1, 2, 3):
             memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), m, raster)
-            memo.fill(flat)
-            got = pipeline._infer(m, memo, flat, cfg, workers)
+            memo.planes.fill(flat)
+            got = class_values(5)[pipeline._infer(m, memo, flat, cfg, workers)]
             assert got.tobytes() == want.tobytes()
 
     def test_planes_crop_is_what_the_windows_read(self):
@@ -742,10 +742,10 @@ class TestClassMapAndPlanes:
         raster = deployment_raster(PATTERN, cfg.tiling)  # 32 x 32
         memo = pipeline._Memo((PATTERN.checksum(), cfg.tiling, 5), toy_model(), raster)
         flat = np.array([20 * 32 + 10, 20 * 32 + 13, 23 * 32 + 11])
-        _, crop, coords, _, _ = pipeline._task(toy_model(), memo, flat, cfg.tiling, None)
+        crop, coords = memo.planes.crop(flat)
         # Plane rows 10-11 and columns 5-6 start the windows, which span 8.
         assert crop.shape == (2, 2, 11 + 8 - 10, 6 + 8 - 5)
-        assert np.shares_memory(crop, memo.planes)
+        assert np.shares_memory(crop, memo.planes.values)
         assert np.array_equal(coords, [[0, 0], [3, 0], [1, 3]])
 
 
@@ -1095,9 +1095,9 @@ class TestBenchScaling:
             bench_scaling(toy_model(), PATTERN, toy_cfg(), worker_counts=[1], repeats=repeats)
 
     def test_differing_outputs_reported(self, monkeypatch):
-        # A worker count whose values differ from the 1-worker run's.
+        # A worker count whose class ids differ from the 1-worker run's.
         def infer(m, memo, sel_flat, cfg, workers):
-            return np.full(sel_flat.size, float(workers > 1))
+            return np.full(sel_flat.size, int(workers > 1))
 
         monkeypatch.setattr(pipeline, "_infer", infer)
         square = LayoutPattern([rect(0, 0, 84, 84)])  # 100 x 100 px

@@ -15,9 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = {
     "build_dataset_rss.py": ([], [
         "dataset sha256", "compute_iip", "build_dataset", "peak RSS", "dataset holds",
+        "filled tiles", "of the planes'",
     ]),
     "inference_stages.py": (["--reps", "1"], [
-        "nproc", "toy arch", "default arch", "total", "planes fill", "_infer_chunk 200 px",
+        "nproc", "toy arch", "default arch", "total", "planes fill", "a new Planes",
+        "_infer_chunk 200 px",
         "planes crop", "distinct windows", "sort and bit compare",
     ]),
     "model_build_stages.py": (["--reps", "1"], [

@@ -185,13 +185,25 @@ class TestCompressWindow:
         assert out.shape == (8, 8)
 
 
+def planes_windows(g, flat, t):
+    """The windows of the pixels with the given flat indices, read from a
+    new Planes of g filled for them alone."""
+    planes = tiling.Planes(g, t)
+    planes.fill(flat)
+    return np.asarray(planes.windows(flat))
+
+
 class TestWindowField:
+    """Planes fills the tiles that a selection's windows read, and each
+    window read from it is bitwise compress_window(extract_window(...))."""
+
     def test_matches_oracle_on_every_pixel(self, grid_factory, rng, monkeypatch):
         # Windows (side 11 and 21) larger than the 21x19 raster, so every
         # pixel reaches past an edge; factors 3 and 8 also trim the far
         # edge.  A 1-byte band budget builds the field one row at a time.
         g = grid_factory(rng.random((19, 21)))
         coords = np.array([(x, y) for y in range(19) for x in range(21)])
+        every = np.arange(19 * 21)
         perm = rng.permutation(len(coords))
         for f, dist in ((2, 5.0), (3, 5.0), (4, 10.0), (8, 10.0)):
             for rr in ("mean", "max"):
@@ -204,14 +216,11 @@ class TestWindowField:
                         compress_window(extract_window(g, (int(x), int(y)), t), t)
                         for x, y in coords
                     ])
-                    assert np.array_equal(np.asarray(window_field(g, coords, t)), oracle)
-                    part = coords[40:47]
-                    assert np.array_equal(np.asarray(window_field(g, part, t)), oracle[40:47])
+                    assert np.array_equal(planes_windows(g, every, t), oracle)
+                    assert np.array_equal(planes_windows(g, every[40:47], t), oracle[40:47])
                     with monkeypatch.context() as mp:
                         mp.setattr(tiling, "_BAND_BYTES", 1)
-                        assert np.array_equal(
-                            np.asarray(window_field(g, coords[perm], t)), oracle[perm]
-                        )
+                        assert np.array_equal(planes_windows(g, every[perm], t), oracle[perm])
 
     @pytest.mark.parametrize("f", [1, 2, 3, 4, 8, 9])
     @pytest.mark.parametrize("binary", [True, False])
@@ -219,7 +228,8 @@ class TestWindowField:
         # Non-binary values of both signs far apart in magnitude, so the
         # mean's sums cancel and any other order of its additions shows
         # even after the cast to float32.  compress_window is checked
-        # against scalar loops, and window_field against compress_window.
+        # against scalar loops, and the scattered pixels' windows from
+        # Planes against compress_window.
         values = rng.choice([1e16, -1e16, 1.0, 0.375, 3.0], (30, 41))
         g = grid_factory(np.zeros((30, 41)))
         g = g.with_values((values > 0.5).astype(np.float64) if binary else values)
@@ -234,13 +244,12 @@ class TestWindowField:
                 oracle = np.stack([compress_window(w, t) for w in windows])
                 for w, o in zip(windows[::9], oracle[::9]):
                     assert np.array_equal(o.view(np.uint32), blockwise_loops(w, f, rr, cr).view(np.uint32))
-                got = np.asarray(window_field(g, coords, t))
+                got = planes_windows(g, coords[:, 1] * 41 + coords[:, 0], t)
                 assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
 
     def test_far_apart_boxes_read_by_block(self, grid_factory, rng, monkeypatch):
-        # Two 4x3 boxes at opposite corners of a 37x53 raster; the field
-        # spans both (57 px wide: 48 between the boxes plus the 9-px span
-        # of a window) and is built in 7-row bands, read 5 pixels a block.
+        # The union of two 4x3 boxes at opposite corners of a 37x53
+        # raster, filled in 7-row bands, read 5 pixels a block.
         g = grid_factory(rng.random((37, 53)))
         t = TilingConfig(
             interaction_distance=6.0, px_per_nm=1.0, compression_factor=4,
@@ -251,23 +260,52 @@ class TestWindowField:
             + [(x, y) for y in range(33, 36) for x in range(47, 51)]
         )
         monkeypatch.setattr(tiling, "_BAND_BYTES", 8 * 4 * (57 + 3) * 7)
-        windows = window_field(g, coords, t)
+        planes = tiling.Planes(g, t)
+        flat = coords[:, 1] * 53 + coords[:, 0]
+        planes.fill(flat)
+        windows = planes.windows(flat)
         for start in range(0, len(coords), 5):
             block = coords[start : start + 5]
             oracle = [compress_window(extract_window(g, tuple(c), t), t) for c in block]
             assert np.array_equal(windows[start : start + 5], np.stack(oracle))
 
+    def test_far_corners_fill_only_their_tiles(self, grid_factory, rng):
+        # Samples in the top-left and bottom-right corners of a 150x130
+        # raster: only the tiles their windows read are filled, the rest
+        # of the planes stays unwritten, and every window is the oracle's.
+        g = grid_factory(rng.random((130, 150)))
+        t = toy_tiling(row_reducer="max")  # radius 8, factor 2, side 8
+        coords = np.array([(0, 0), (3, 2), (5, 6), (149, 129), (146, 127), (140, 122)])
+        flat = coords[:, 1] * 150 + coords[:, 0]
+        planes = tiling.Planes(g, t)
+        planes.fill(flat)
+        assert 0 < planes.filled.sum() < planes.filled.size // 4
+        oracle = np.stack([compress_window(extract_window(g, tuple(c), t), t) for c in coords])
+        assert np.array_equal(np.asarray(planes.windows(flat)).view(np.uint32),
+                              oracle.view(np.uint32))
+        # No plane value outside the filled tiles was written.
+        tiles = np.repeat(np.repeat(planes.filled, tiling._TILE, 0), tiling._TILE, 1)
+        tiles = tiles[: planes.values.shape[2], : planes.values.shape[3]]
+        assert not planes.values[:, :, ~tiles].any()
+
     def test_empty_selection(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
-        empty = np.empty((0, 2), dtype=np.int64)
-        out = np.asarray(window_field(g, empty, toy_tiling()))
+        empty = np.empty(0, dtype=np.int64)
+        planes = tiling.Planes(g, toy_tiling())
+        planes.fill(empty)
+        assert not planes.filled.any()
+        out = np.asarray(planes.windows(empty))
         assert out.shape == (0, 8, 8)
         assert out.dtype == np.float32
 
     def test_out_of_bounds_rejected(self, grid_factory):
         g = grid_factory(np.ones((10, 10)))
-        with pytest.raises(CoordError):
-            window_field(g, np.array([(3, 3), (10, 3)]), toy_tiling())
+        planes = tiling.Planes(g, toy_tiling())
+        for bad in ([33, -1], [33, 100], [99, 250]):
+            for op in (planes.fill, planes.windows, planes.crop):
+                with pytest.raises(CoordError, match="outside raster 10x10"):
+                    op(np.array(bad))
+        assert not planes.filled.any()
 
 
 class TestPolyphasePlanes:
@@ -600,8 +638,9 @@ class TestFieldBackedImages:
         parts, rasters, t = self.parts()
         for k, p in enumerate(parts):
             self.assert_windows(p, rasters[k:], t)
-            # window_field over the same coords gives the same windows.
-            want = np.asarray(window_field(rasters[k], p.coords, t))
+            # A new Planes of the raster gives the same windows.
+            flat = p.coords[:, 1].astype(np.int64) * rasters[k].width + p.coords[:, 0]
+            want = planes_windows(rasters[k], flat, t)
             assert np.array_equal(np.asarray(p.images), want)
         merged = merge_datasets(parts)
         self.assert_windows(merged, rasters, t)
@@ -627,9 +666,12 @@ class TestFieldBackedImages:
         assert sub.sources is ds.images.sources and sub.shape == (3, side, side)
         assert np.array_equal(np.asarray(sub), ds.images[idx])
         assert np.asarray(ds.images, dtype=np.float64).dtype == np.float64
-        # The dataset holds its field, not an (n, side, side) stack.
+        # The dataset holds its raster's planes, not an (n, side, side)
+        # stack.
         (values, view), = ds.images.sources
-        assert values.ndim == 2 and values.size < len(ds) * side * side
+        f = t.compression_factor
+        assert values.shape == (f, f, 31 // f + side, 31 // f + side)
+        assert values.size < len(ds) * side * side
         assert np.shares_memory(view, values)
 
     def test_loaded_source_is_the_image_array(self, tmp_path):
